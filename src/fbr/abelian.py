@@ -13,22 +13,10 @@ from dataclasses import dataclass
 from itertools import product as iterproduct
 from math import gcd, lcm
 
+from .arith import factorint, p_part
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 
 DEFAULT_HOM_CAP = 1_000_000
-
-
-def _factorint(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def normalize_invariant_factors(factors):
@@ -42,7 +30,7 @@ def normalize_invariant_factors(factors):
         d = int(d)
         if d < 1:
             raise InputError(f"cyclic factor must be positive, got {d}")
-        for p, e in _factorint(d).items():
+        for p, e in factorint(d).items():
             primary.setdefault(p, []).append(e)
     depth = max((len(v) for v in primary.values()), default=0)
     out = []
@@ -259,12 +247,8 @@ def abelianization_basis(group, subgroup, derived_elems):
 
     n = len(q_elems)
     per_prime = {}
-    for p in (_factorint(n) if n > 1 else {}):
-        pk = 1
-        m = n
-        while m % p == 0:
-            pk *= p
-            m //= p
+    for p in factorint(n):
+        pk = p_part(n, p)
         comp = sorted(x for x in q_elems if pk % q_order(x) == 0)
         per_prime[p] = _pgroup_basis(comp, q_mul, ident, p, q_order)
     # combine p-primary bases into an ascending invariant-factor basis
@@ -439,10 +423,6 @@ def character_power(values, t, level):
     return tuple((v * t) % level for v in values)
 
 
-def character_mul(a, b, level):
-    return tuple((x + y) % level for x, y in zip(a, b))
-
-
 def character_p_parts(values, p, level):
     """Split a character into its p-part and p'-part.
 
@@ -451,11 +431,8 @@ def character_p_parts(values, p, level):
     p^a * (p^a^-1 mod m).
     """
     o = character_order(values, level)
-    pa = 1
-    m = o
-    while m % p == 0:
-        pa *= p
-        m //= p
+    pa = p_part(o, p)
+    m = o // pa
     if pa == 1:
         return character_power(values, 0, level), values
     if m == 1:

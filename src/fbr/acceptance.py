@@ -12,6 +12,7 @@ import json
 import random
 
 from . import burnside, species as sp, spectrum as spc
+from .arith import factorint
 from .cyclo import prime_ideals
 from .errors import FbrError
 from .ring import build_ring
@@ -224,7 +225,7 @@ def criterion_spectrum_partitions(session):
             continue
         if any(len(c) != 1 for c in part0.classes):
             bad.append(f"{g}/{f}: char0 partition not discrete")
-        for p in _prime_divisors(ring.group.order):
+        for p in sorted(factorint(ring.group.order)):
             seen = []
             for ideal in prime_ideals(p, ring.level):
                 prime = spc.PrimeDescriptor.char_p(p, ring.level, ideal)
@@ -242,20 +243,6 @@ def criterion_spectrum_partitions(session):
             checked += 1
     detail = f"{checked} (ring, p) pairs" if not bad else "; ".join(bad)
     return _result(5, "spectrum-partitions", not bad, detail)
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def criterion_block_decomposition(session):

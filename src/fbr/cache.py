@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
 from .abelian import parse_fiber_spec
-from .perm import FiniteGroup, SubgroupLattice, Subgroup, SubgroupClass, _greedy_gens
+from .errors import FbrError
+from .perm import FiniteGroup, SubgroupLattice
 from .ring import FiberedBurnsideRing
 
 FORMAT_VERSION = 1
@@ -62,36 +64,9 @@ def ring_payload(ring, group_spec, fiber_spec):
     return payload
 
 
-def _lattice_from_payload(group, payload):
-    lattice = SubgroupLattice.__new__(SubgroupLattice)
-    lattice.group = group
-    subgroups = []
-    for i, elems in enumerate(payload["subgroups"]):
-        fs = frozenset(elems)
-        selems = tuple(sorted(elems))
-        subgroups.append(Subgroup(i, fs, selems, len(fs),
-                                  _greedy_gens(group, selems)))
-    lattice.subgroups = subgroups
-    lattice.by_set = {s.elems: s.id for s in subgroups}
-    lattice.class_index = list(payload["class_index"])
-    lattice.to_rep = list(payload["to_rep"])
-    lattice.classes = [
-        SubgroupClass(i, c["rep"], tuple(c["members"]))
-        for i, c in enumerate(payload["classes"])
-    ]
-    lattice.normalizer_ids = list(payload["normalizers"])
-    lattice._build_inclusion()
-    lattice._mobius = {}
-    lattice._derived = {}
-    lattice._perfect = {}
-    lattice._op_residual = {}
-    lattice._dcosets = {}
-    return lattice
-
-
 def ring_from_payload(payload, hom_cap=None):
     """Rebuild a ring session from a payload; None if it does not verify."""
-    if payload.get("format_version") != FORMAT_VERSION:
+    if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
         return None
     if payload.get("checksum") != _payload_checksum(payload):
         return None
@@ -102,7 +77,10 @@ def ring_from_payload(payload, hom_cap=None):
                         [tuple(e) for e in payload["elements"]],
                         tuple(payload["generators"]))
     fiber = parse_fiber_spec(payload["fiber_spec"])
-    lattice = _lattice_from_payload(group, payload)
+    lattice = SubgroupLattice.from_data(
+        group, payload["subgroups"], payload["class_index"], payload["to_rep"],
+        [(c["rep"], c["members"]) for c in payload["classes"]],
+        payload["normalizers"])
     kwargs = {} if hom_cap is None else {"hom_cap": hom_cap}
     ring = FiberedBurnsideRing(group, fiber, level=payload["level"],
                                lattice=lattice, **kwargs)
@@ -121,10 +99,18 @@ def cache_path(cache_dir, group_spec, fiber_spec):
 
 
 def save_session(cache_dir, ring, group_spec, fiber_spec):
+    """Write the entry through a temporary file in the same directory and
+    rename it into place, so a concurrent reader never sees half of it."""
     path = cache_path(cache_dir, group_spec, fiber_spec)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = ring_payload(ring, group_spec, fiber_spec)
-    path.write_text(json.dumps(payload, sort_keys=True))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -136,7 +122,8 @@ def load_session(cache_dir, group_spec, fiber_spec, hom_cap=None):
     try:
         payload = json.loads(path.read_text())
         ring = ring_from_payload(payload, hom_cap)
-    except Exception:
+    except (OSError, ValueError, KeyError, TypeError, FbrError):
+        # corrupt or truncated entries; anything else is a bug and propagates
         ring = None
     if ring is None:
         print(f"notice: cache entry {path.name} unusable, recomputing",

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .arith import is_prime, p_part
 from .errors import InputError, InvariantViolationError, NotIntegralAtPError
 
 # largest p^d for exhaustive factor search before the randomized
@@ -25,29 +26,16 @@ from .errors import InputError, InvariantViolationError, NotIntegralAtPError
 _EXHAUSTIVE_CANDIDATE_CAP = 65536
 
 
-def euler_phi(n):
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
-def _poly_trim(c):
+def _pm_trim(c):
+    """Coefficient list with trailing zeros dropped."""
     c = list(c)
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _poly_mul_int(a, b):
+def _poly_mul(a, b):
+    """Product of two ascending coefficient lists, trimmed."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -55,7 +43,7 @@ def _poly_mul_int(a, b):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return out
+    return _pm_trim(out)
 
 
 def _poly_divmod_int(num, den):
@@ -71,7 +59,7 @@ def _poly_divmod_int(num, den):
         if c:
             for j, y in enumerate(den):
                 num[i + j] -= c * y
-    return q, _poly_trim(num)
+    return q, _pm_trim(num)
 
 
 @lru_cache(maxsize=None)
@@ -267,22 +255,6 @@ class Cyclotomic:
 def _poly_modular_inverse(g, f):
     """Inverse of g modulo f over Q, both as Fraction coefficient lists."""
 
-    def trim(c):
-        c = list(c)
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def pmul(a, b):
-        if not a or not b:
-            return []
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return trim(out)
-
     def divmod_q(a, b):
         a = list(a)
         q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
@@ -293,18 +265,18 @@ def _poly_modular_inverse(g, f):
             if c:
                 for j, y in enumerate(b):
                     a[i + j] -= c * y
-        return trim(q), trim(a)
+        return _pm_trim(q), _pm_trim(a)
 
-    r0, r1 = trim(f), trim(g)
+    r0, r1 = _pm_trim(f), _pm_trim(g)
     s0, s1 = [], [Fraction(1)]
     while r1:
         q, r = divmod_q(r0, r1)
-        qs = pmul(q, s1)
+        qs = _poly_mul(q, s1)
         m = max(len(s0), len(qs))
         new_s = [(s0[i] if i < len(s0) else Fraction(0))
                  - (qs[i] if i < len(qs) else Fraction(0)) for i in range(m)]
         r0, r1 = r1, r
-        s0, s1 = s1, trim(new_s)
+        s0, s1 = s1, _pm_trim(new_s)
     if len(r0) != 1:
         raise InvariantViolationError("element not invertible modulo the level polynomial")
     # invariant: s0 * g == r0 mod f, and r0 is the (constant) gcd
@@ -347,22 +319,8 @@ def render_cyclotomic(x):
 # finite field arithmetic mod (p, factor)
 
 
-def _pm_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _pm_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pm_trim(out)
+    return _pm_trim([c % p for c in _poly_mul(a, b)])
 
 
 def _pm_divmod(a, b, p):
@@ -477,17 +435,6 @@ class FiniteFieldElem:
         return f"FiniteFieldElem(p={self.p}, coeffs={list(self.coeffs)})"
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _multiplicative_order(p, m):
     if m == 1:
         return 1
@@ -553,11 +500,9 @@ def factor_cyclotomic_mod_p(n, p):
     power of the cyclotomic polynomial at the p'-part of n, so factoring
     happens there.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    m = n
-    while m % p == 0:
-        m //= p
+    m = n // p_part(n, p)
     d = _multiplicative_order(p, m)
     target = [c % p for c in cyclotomic_polynomial(m)]
     target = _pm_trim(target)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from math import lcm
 
+from .arith import is_prime, p_part
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 
 DEFAULT_ORDER_CAP = 10000
@@ -189,14 +190,17 @@ class FiniteGroup:
 
     @classmethod
     def from_elements(cls, degree, elements):
-        """Wrap an element set known to be closed (subgroups, quotients)."""
-        group = cls(degree, elements)
-        # cheap closure sanity check: products of a generating set stay inside
-        gens = _greedy_generators_tuples(group)
-        for e in group.elements:
-            for g in gens:
-                if compose(e, g) not in group.index:
-                    raise InvariantViolationError("element set is not closed")
+        """Wrap an element set known to be closed (subgroups, quotients).
+
+        Raises InvariantViolationError when the set is not a group.
+        """
+        try:
+            group = cls(degree, elements)
+            # Closing greedy generators reaches the whole set only if every
+            # product stays inside it; one outside is a KeyError.
+            _greedy_gens(group, range(group.order))
+        except KeyError:
+            raise InvariantViolationError("element set is not closed") from None
         return group
 
     def mul(self, a, b):
@@ -230,53 +234,23 @@ class FiniteGroup:
     def conj_set(self, g, elems):
         return frozenset(self.conj(g, x) for x in elems)
 
-    def is_abelian(self):
-        gens = self.generator_indices or range(self.order)
-        return all(
-            self.mul(a, b) == self.mul(b, a) for a in gens for b in gens
-        )
-
     def __repr__(self):
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
 
 
-def _greedy_generators_tuples(group):
-    """Small generating set of the whole group, for internal checks."""
-    gens = []
-    current = {group.elements[0]}
-    for e in group.elements:
-        if e in current:
-            continue
-        gens.append(e)
-        # regenerate closure over tuples
-        known = {identity_perm(group.degree)}
-        frontier = list(known)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = compose(x, g)
-                    if y not in known:
-                        known.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        current = known
-        if len(current) == group.order:
-            break
-    return gens
-
-
-def double_coset_reps(group, h_elems, k_elems):
+def double_coset_reps(group, h_elems, k_elems, reverse=False):
     """Representatives g hitting every double coset HgK exactly once.
 
     Elements are scanned in index order, so the representative of each
-    coset is its least element and the output is canonical.
+    coset is its least element and the output is canonical.  With
+    reverse=True the scan runs backwards and picks greatest elements.
     """
     covered = bytearray(group.order)
     reps = []
     h_sorted = sorted(h_elems)
     k_sorted = sorted(k_elems)
-    for g in range(group.order):
+    scan = range(group.order - 1, -1, -1) if reverse else range(group.order)
+    for g in scan:
         if covered[g]:
             continue
         reps.append(g)
@@ -316,26 +290,44 @@ class SubgroupLattice:
     """
 
     def __init__(self, group):
-        self.group = group
         sets = _enumerate_subgroup_sets(group)
-        ordered = sorted(sets, key=lambda fs: (len(fs), tuple(sorted(fs))))
+        self._set_up(group, sorted(sets, key=lambda fs: (len(fs), tuple(sorted(fs)))))
+        self._build_classes()
+        self._build_normalizers()
+
+    @classmethod
+    def from_data(cls, group, subgroup_elems, class_index, to_rep, classes,
+                  normalizer_ids):
+        """Lattice from the data of an earlier build: the subgroups' element
+        indices in lattice order, class_index and to_rep per subgroup,
+        (rep, members) per class, and the normalizer id per subgroup."""
+        lattice = cls.__new__(cls)
+        lattice._set_up(group, [frozenset(elems) for elems in subgroup_elems])
+        lattice.class_index = list(class_index)
+        lattice.to_rep = list(to_rep)
+        lattice.classes = [SubgroupClass(i, rep, tuple(members))
+                           for i, (rep, members) in enumerate(classes)]
+        lattice.normalizer_ids = list(normalizer_ids)
+        return lattice
+
+    # -- construction ------------------------------------------------------
+
+    def _set_up(self, group, ordered_sets):
+        """Subgroup records, inclusion and empty memos for sets in lattice order."""
+        self.group = group
         self.subgroups = []
-        for i, fs in enumerate(ordered):
+        for i, fs in enumerate(ordered_sets):
             selems = tuple(sorted(fs))
             self.subgroups.append(
                 Subgroup(i, fs, selems, len(fs), _greedy_gens(group, selems))
             )
         self.by_set = {s.elems: s.id for s in self.subgroups}
-        self._build_classes()
-        self._build_normalizers()
         self._build_inclusion()
         self._mobius = {}
         self._derived = {}
         self._perfect = {}
         self._op_residual = {}
         self._dcosets = {}
-
-    # -- construction ------------------------------------------------------
 
     def _build_classes(self):
         group = self.group
@@ -475,7 +467,7 @@ class SubgroupLattice:
 
     def o_p_residual_id(self, hid, p):
         """Subgroup generated by the elements of order coprime to p."""
-        if not _is_prime(p):
+        if not is_prime(p):
             raise InputError(f"{p} is not prime")
         key = (hid, p)
         val = self._op_residual.get(key)
@@ -492,9 +484,6 @@ class SubgroupLattice:
         return tuple(
             c.rep for c in self.classes if self.derived_id(c.rep) == c.rep
         )
-
-    def is_solvable(self, hid):
-        return self.perfect_residual_id(hid) == 0
 
 
 def _greedy_gens(group, sorted_elems):
@@ -548,17 +537,6 @@ def _enumerate_subgroup_sets(group):
     return list(gens_of)
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # quotients and Sylow subgroups
 
@@ -599,27 +577,25 @@ def quotient_group(group, n_elems, k_elems):
     return quotient, onto, cosets
 
 
-def sylow_subgroup(group, p):
+def sylow_subgroup(group, p, reverse=False):
     """A Sylow p-subgroup of the whole group, as a frozenset of indices.
 
     Deterministic: grows a p-subgroup by the least suitable p-element of
-    its normalizer until the full p-part of the order is reached.
+    its normalizer until the full p-part of the order is reached.  With
+    reverse=True the greatest suitable element is taken instead.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    target = 1
-    n = group.order
-    while n % p == 0:
-        target *= p
-        n //= p
+    target = p_part(group.order, p)
+    scan = range(group.order - 1, -1, -1) if reverse else range(group.order)
     current = frozenset({group.identity})
     while len(current) < target:
         grown = False
-        for g in range(group.order):
+        for g in scan:
             if g in current:
                 continue
             o = group.element_orders[g]
-            if o == 1 or _p_part(o, p) != o:
+            if o == 1 or p_part(o, p) != o:
                 continue
             if group.conj_set(g, current) != current:
                 continue
@@ -629,14 +605,6 @@ def sylow_subgroup(group, p):
         if not grown:
             raise InvariantViolationError("Sylow growth stalled")
     return current
-
-
-def _p_part(n, p):
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,9 @@ class FiberedBurnsideRing:
 
     Holds the subgroup lattice, the Hom groups, the standard basis and
     the memoized structure constants.  All data is effectively
-    immutable once built; the memo tables only grow.
+    immutable once built; the memo tables only grow.  Values that other
+    layers derive from the ring (dual orbits, species, idempotents,
+    blocks) live in the one keyed memo behind memo().
     """
 
     def __init__(self, group, fiber, level=None, lattice=None,
@@ -149,14 +151,16 @@ class FiberedBurnsideRing:
         self._hom_groups = {}
         self._actions = {}
         self._structure = {}
-        self._subrings = {}
+        self._memo = {}
         self._build_basis()
-        # caches owned by the species and spectrum layers
-        self.dual_cache = None
-        self.species_cache = None
-        self.idempotent_cache = {}
-        self.component_cache = None
-        self.block_cache = {}
+
+    def memo(self, key, build):
+        """The value of build() for this key, computed once per ring."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            val = self._memo[key] = build()
+            return val
 
     # -- hom groups and normalizer action -----------------------------------
 
@@ -191,49 +195,60 @@ class FiberedBurnsideRing:
     # -- basis construction --------------------------------------------------
 
     def _build_basis(self):
+        def orbit_data(rep):
+            hg = self.hom_group(rep)
+            action = self.hom_action(rep)
+            return range(hg.size), lambda n, k: action[n][k], lambda k: hg.tables[k]
+
+        self.basis = StandardBasis(*self.normalizer_orbits(PairOrbit, orbit_data))
+
+    def normalizer_orbits(self, orbit_type, orbit_data):
+        """Orbits of items over each class representative H under N(H).
+
+        orbit_data(rep) gives (items, move, key): the items over H, the
+        image move(n, x) of item x under n in N(H), and the sort key (None
+        for the items' own order) whose least orbit member is the orbit's
+        canonical one.  Returns the
+        orbit_type records (index, rep, canonical item, class index,
+        stabilizer order, orbit size) in canonical order, and the lookup
+        rep -> {item: (orbit index, w)} with w in N(H) moving the item to
+        the canonical one.
+        """
+        group = self.group
         orbits = []
         lookup = {}
         for cls in self.lattice.classes:
             rep = cls.rep
-            hg = self.hom_group(rep)
-            action = self.hom_action(rep)
-            norm_order = self.lattice.subgroups[
-                self.lattice.normalizer_ids[rep]].order
+            items, move, key = orbit_data(rep)
+            norm_elems = self.lattice.normalizer(rep).sorted_elems
             assigned = {}
             reps_here = []
-            for k in range(hg.size):
-                if k in assigned:
+            for x in items:
+                if x in assigned:
                     continue
                 seen = {}
-                for n, sigma in action.items():
-                    img = sigma[k]
+                for n in norm_elems:
+                    img = move(n, x)
                     if img not in seen:
                         seen[img] = n
-                canon = min(seen, key=lambda i: hg.tables[i])
-                stab = norm_order // len(seen)
+                canon = min(seen, key=key)
+                stab = len(norm_elems) // len(seen)
                 n_to_canon = seen[canon]
                 for img, n in seen.items():
-                    # ^n phi_k = phi_img, so phi_canon = ^(n_c * n^-1) phi_img
-                    w = self.group.mul(n_to_canon, self.group.inverse[n])
+                    # n moves x to img, so n_to_canon * n^-1 moves img to canon
+                    w = group.mul(n_to_canon, group.inverse[n])
                     assigned[img] = (canon, w, stab)
                 reps_here.append(canon)
-            reps_here.sort(key=lambda i: hg.tables[i])
+            reps_here.sort(key=key)
             orbit_of_canon = {}
             for canon in reps_here:
                 stab = assigned[canon][2]
-                orbit = PairOrbit(
-                    index=len(orbits),
-                    subgroup_id=rep,
-                    hom_index=canon,
-                    class_index=cls.index,
-                    stabilizer_order=stab,
-                    orbit_size=self.group.order // stab,
-                )
-                orbit_of_canon[canon] = orbit.index
-                orbits.append(orbit)
-            lookup[rep] = {k: (orbit_of_canon[canon], w)
-                           for k, (canon, w, _) in assigned.items()}
-        self.basis = StandardBasis(orbits, lookup)
+                orbit_of_canon[canon] = len(orbits)
+                orbits.append(orbit_type(len(orbits), rep, canon, cls.index,
+                                         stab, group.order // stab))
+            lookup[rep] = {x: (orbit_of_canon[canon], w)
+                           for x, (canon, w, _) in assigned.items()}
+        return orbits, lookup
 
     @property
     def rank(self):
@@ -276,7 +291,8 @@ class FiberedBurnsideRing:
         if not reverse:
             reps = self.lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
         else:
-            reps = _double_coset_reps_reversed(group, h.sorted_elems, k.sorted_elems)
+            reps = perm.double_coset_reps(group, h.sorted_elems, k.sorted_elems,
+                                          reverse=True)
         out = {}
         for g in reps:
             gk = group.conj_set(g, k.sorted_elems)
@@ -370,15 +386,14 @@ class FiberedBurnsideRing:
 
     def subring(self, sid):
         """The same construction over a subgroup, at the same level."""
-        ring = self._subrings.get(sid)
-        if ring is None:
+        def build():
             sub = self.lattice.subgroups[sid]
             elems = [self.group.elements[x] for x in sub.sorted_elems]
             child = FiniteGroup.from_elements(self.group.degree, elems)
-            ring = FiberedBurnsideRing(child, self.fiber, level=self.level,
+            return FiberedBurnsideRing(child, self.fiber, level=self.level,
                                        hom_cap=self.hom_cap)
-            self._subrings[sid] = ring
-        return ring
+
+        return self.memo(("subring", sid), build)
 
     # -- descriptors ------------------------------------------------------------
 
@@ -405,20 +420,6 @@ def build_ring(group_spec, fiber_spec, order_cap=perm.DEFAULT_ORDER_CAP,
     group = perm.parse_group_spec(group_spec, order_cap)
     fiber = abelian.parse_fiber_spec(fiber_spec)
     return FiberedBurnsideRing(group, fiber, level=level, hom_cap=hom_cap)
-
-
-def _double_coset_reps_reversed(group, h_elems, k_elems):
-    covered = bytearray(group.order)
-    reps = []
-    for g in range(group.order - 1, -1, -1):
-        if covered[g]:
-            continue
-        reps.append(g)
-        for h in h_elems:
-            hg = group.mul(h, g)
-            for k in k_elems:
-                covered[group.mul(hg, k)] = 1
-    return tuple(reps)
 
 
 # ---------------------------------------------------------------------------

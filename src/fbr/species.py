@@ -38,53 +38,15 @@ class DualOrbit:
 
 
 def _build_dual_data(ring):
-    orbits = []
-    lookup = {}
-    for cls in ring.lattice.classes:
-        rep = cls.rep
-        hg = ring.hom_group(rep)
-        chars = dual_character_values(hg, ring.level)
+    inv = ring.group.inverse
+
+    def orbit_data(rep):
         action = ring.hom_action(rep)
-        inv = ring.group.inverse
-        norm_elems = ring.lattice.subgroups[
-            ring.lattice.normalizer_ids[rep]].sorted_elems
-        norm_order = len(norm_elems)
-        assigned = {}
-        reps_here = []
-        for values in chars:
-            if values in assigned:
-                continue
-            seen = {}
-            for n in norm_elems:
-                sigma = action[inv[n]]
-                moved = tuple(values[sigma[k]] for k in range(hg.size))
-                if moved not in seen:
-                    seen[moved] = n
-            canon = min(seen)
-            stab = norm_order // len(seen)
-            n_to_canon = seen[canon]
-            for moved, n in seen.items():
-                w = ring.group.mul(n_to_canon, inv[n])
-                assigned[moved] = (canon, w, stab)
-            reps_here.append(canon)
-        reps_here.sort()
-        table = {}
-        canon_to_idx = {}
-        for canon in reps_here:
-            stab = assigned[canon][2]
-            orbit = DualOrbit(
-                index=len(orbits),
-                subgroup_id=rep,
-                values=canon,
-                class_index=cls.index,
-                stabilizer_order=stab,
-                orbit_size=ring.group.order // stab,
-            )
-            canon_to_idx[canon] = orbit.index
-            orbits.append(orbit)
-        for values, (canon, w, _) in assigned.items():
-            table[values] = (canon_to_idx[canon], w)
-        lookup[rep] = table
+        chars = dual_character_values(ring.hom_group(rep), ring.level)
+        # ^n Phi = Phi o ^(n^-1): its value on phi_k is Phi at sigma_(n^-1)[k]
+        return chars, lambda n, values: tuple(values[s] for s in action[inv[n]]), None
+
+    orbits, lookup = ring.normalizer_orbits(DualOrbit, orbit_data)
     if len(orbits) != ring.rank:
         raise InvariantViolationError(
             f"dual orbit count {len(orbits)} != basis rank {ring.rank}"
@@ -94,15 +56,11 @@ def _build_dual_data(ring):
 
 def dual_orbits(ring):
     """All dual pair orbits in canonical order; count equals the rank."""
-    if ring.dual_cache is None:
-        ring.dual_cache = _build_dual_data(ring)
-    return ring.dual_cache[0]
+    return ring.memo("duals", lambda: _build_dual_data(ring))[0]
 
 
 def _dual_lookup(ring):
-    if ring.dual_cache is None:
-        ring.dual_cache = _build_dual_data(ring)
-    return ring.dual_cache[1]
+    return ring.memo("duals", lambda: _build_dual_data(ring))[1]
 
 
 def conjugate_character(ring, sid, values, g):
@@ -158,13 +116,13 @@ def species_value(ring, d, b):
 
 def species_table(ring):
     """Full species table: rows are dual orbits, columns basis orbits."""
-    if ring.species_cache is None:
-        duals = dual_orbits(ring)
+    def build():
         rows = []
-        for d in duals:
+        for d in dual_orbits(ring):
             rows.append(tuple(species_value(ring, d, b) for b in range(ring.rank)))
-        ring.species_cache = tuple(rows)
-    return ring.species_cache
+        return tuple(rows)
+
+    return ring.memo("species", build)
 
 
 def apply_species(ring, d, x):
@@ -208,9 +166,10 @@ def idempotent(ring, d):
     character value, then divides by |N_G(H, Phi)| |Hom(H, A)|.
     """
     didx = d if isinstance(d, int) else d.index
-    cached = ring.idempotent_cache.get(didx)
-    if cached is not None:
-        return cached
+    return ring.memo(("idempotent", didx), lambda: _idempotent(ring, didx))
+
+
+def _idempotent(ring, didx):
     dual = dual_orbits(ring)[didx]
     hid = dual.subgroup_id
     hg = ring.hom_group(hid)
@@ -229,11 +188,9 @@ def idempotent(ring, d):
             oidx, _ = ring.canonicalize_pair(kid, values)
             acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
     denom = dual.stabilizer_order * hg.size
-    out = ring_mod.RingElement(
+    return ring_mod.RingElement(
         ring, {k: v.scalar_div(denom) for k, v in acc.items()}
     )
-    ring.idempotent_cache[didx] = out
-    return out
 
 
 def idempotent_coordinates(ring, x):

@@ -22,6 +22,7 @@ from math import gcd
 
 from . import species as species_mod
 from .abelian import character_p_parts, character_order
+from .arith import is_prime
 from .cyclo import Cyclotomic, PrimeIdealData, find_prime_ideal, reduce_mod
 from .errors import (InputError, InvariantViolationError,
                      TheoremViolationError)
@@ -123,7 +124,7 @@ def p_regularize(ring, d, p, reverse=False):
     not depend on the Sylow choices.  With reverse=True the Sylow
     search scans elements in reversed order, exercising that fact.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not prime")
     dual = species_mod.dual_orbits(ring)[d if isinstance(d, int) else d.index]
     sid = dual.subgroup_id
@@ -138,10 +139,7 @@ def p_regularize(ring, d, p, reverse=False):
             return oidx
         k_elems = lattice.subgroups[sid].elems
         quotient, onto, _ = quotient_group(group, stab, k_elems)
-        if reverse:
-            syl = _sylow_reversed(quotient, p)
-        else:
-            syl = sylow_subgroup(quotient, p)
+        syl = sylow_subgroup(quotient, p, reverse=reverse)
         new_set = frozenset(x for x in stab if onto[x] in syl)
         new_sid = lattice.by_set[new_set]
         src_hg = ring.hom_group(sid)
@@ -152,50 +150,6 @@ def p_regularize(ring, d, p, reverse=False):
             restricted = {x: dst_hg.value(k, x) for x in sub_elems}
             new_values.append(values[src_hg.index_of_map(restricted)])
         sid, values = new_sid, tuple(new_values)
-
-
-def _sylow_reversed(group, p):
-    target = 1
-    n = group.order
-    while n % p == 0:
-        target *= p
-        n //= p
-    current = frozenset({group.identity})
-    while len(current) < target:
-        grown = False
-        for g in range(group.order - 1, -1, -1):
-            if g in current:
-                continue
-            o = group.element_orders[g]
-            if o == 1 or _p_part(o, p) != o:
-                continue
-            if group.conj_set(g, current) != current:
-                continue
-            current = group.closure(sorted(current) + [g])
-            grown = True
-            break
-        if not grown:
-            raise InvariantViolationError("Sylow growth stalled")
-    return current
-
-
-def _p_part(n, p):
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +239,10 @@ def galois_orbit(ring, d):
 def components(ring):
     """One component per conjugacy class of perfect subgroups; dual and
     basis orbits are split by the class of the perfect residual."""
-    if ring.component_cache is not None:
-        return ring.component_cache
+    return ring.memo("components", lambda: _components(ring))
+
+
+def _components(ring):
     lattice = ring.lattice
     perfect = lattice.perfect_class_reps()
     perfect_class_of = {}
@@ -304,8 +260,7 @@ def components(ring):
     total_b = sum(len(c.basis_orbits) for c in comps)
     if total_d != ring.rank or total_b != ring.rank:
         raise InvariantViolationError("components do not partition the orbits")
-    ring.component_cache = tuple(comps)
-    return ring.component_cache
+    return tuple(comps)
 
 
 def block_idempotent(ring, component):
@@ -314,9 +269,11 @@ def block_idempotent(ring, component):
     The result must have integer coefficients in the standard basis;
     anything else is a theorem violation.
     """
-    cached = ring.block_cache.get(component.index)
-    if cached is not None:
-        return cached
+    return ring.memo(("block", component.index),
+                     lambda: _block_idempotent(ring, component))
+
+
+def _block_idempotent(ring, component):
     total = ring.zero()
     for d in component.dual_orbits:
         total = total + species_mod.idempotent(ring, d)
@@ -325,9 +282,7 @@ def block_idempotent(ring, component):
             raise TheoremViolationError(
                 "block idempotent has a non-integer coefficient"
             )
-    out = BlockIdempotent(component, total)
-    ring.block_cache[component.index] = out
-    return out
+    return BlockIdempotent(component, total)
 
 
 def block_idempotents(ring):

@@ -185,6 +185,54 @@ def test_cache_corruption_recovers(tmp_path, ring_factory, capsys):
     assert "recomputing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"format_version": 1, "ch', "[]"])
+def test_cache_unreadable_entry_recovers(tmp_path, ring_factory, capsys, text):
+    # a truncated entry and a well-formed entry that is not an object
+    path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
+    path.write_text(text)
+    assert cache.load_session(tmp_path, "S3", "2") is None
+    assert "recomputing" in capsys.readouterr().err
+
+
+def test_cache_load_propagates_bugs(tmp_path, ring_factory, monkeypatch):
+    cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
+
+    def broken(payload, hom_cap=None):
+        raise AttributeError("a bug, not a corrupt entry")
+
+    monkeypatch.setattr(cache, "ring_from_payload", broken)
+    with pytest.raises(AttributeError):
+        cache.load_session(tmp_path, "S3", "2")
+
+
+def test_cache_save_leaves_no_temp_file(tmp_path, ring_factory, monkeypatch):
+    ring = ring_factory("S3", "2")
+    path = cache.save_session(tmp_path, ring, "S3", "2")
+    assert list(tmp_path.iterdir()) == [path]
+    # a failed rename leaves the old entry and no temporary file behind
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cache.save_session(tmp_path, ring, "S3", "2")
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
+def test_cache_hit_respects_cap_order(tmp_path, capsys):
+    capped = ("basis", "--group", "S4", "--cap-order", "10",
+              "--cache-dir", str(tmp_path))
+    code, _ = run(capsys, *capped)
+    assert code == 2
+    code, _ = run(capsys, "basis", "--group", "S4", "--cache-dir", str(tmp_path))
+    assert code == 0
+    code, _ = run(capsys, *capped)
+    assert code == 2
+
+
 def test_cache_keys_distinct():
     assert cache.session_key("S3", "2") != cache.session_key("S3", "6")
     assert cache.session_key("S3", "2") != cache.session_key("S4", "2")

@@ -5,7 +5,7 @@ from math import log2
 
 import pytest
 
-from fbr.errors import InputError, ResourceLimitError
+from fbr.errors import InputError, InvariantViolationError, ResourceLimitError
 from fbr.perm import (FiniteGroup, SubgroupLattice, compose, cycle_string,
                       double_coset_reps, identity_perm, parse_cycles,
                       parse_group_spec, perm_order, quotient_group,
@@ -51,6 +51,26 @@ def test_identity_is_element_zero():
     for spec in ("C4", "S3", "Q8"):
         g = parse_group_spec(spec)
         assert g.elements[0] == identity_perm(g.degree)
+
+
+@pytest.mark.parametrize("degree, elements", [
+    # the inverse (2, 0, 1) of the 3-cycle (1, 2, 0) is missing
+    (3, [(0, 1, 2), (1, 2, 0)]),
+    # involutions only, so closed under inverses, but the product of the
+    # swaps of points 0,1 and 1,2 is missing
+    (4, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2), (0, 2, 1, 3)]),
+])
+def test_from_elements_rejects_non_closed_sets(degree, elements):
+    with pytest.raises(InvariantViolationError):
+        FiniteGroup.from_elements(degree, elements)
+
+
+def test_from_elements_rejects_non_closed_set_without_table():
+    # A7 plus one transposition: 2521 elements, too many for a
+    # multiplication table, and closed under inverses
+    a7 = parse_group_spec("A7")
+    with pytest.raises(InvariantViolationError):
+        FiniteGroup.from_elements(7, list(a7.elements) + [(1, 0, 2, 3, 4, 5, 6)])
 
 
 # -- subgroup enumeration ------------------------------------------------------
@@ -162,6 +182,9 @@ def test_double_cosets_c2_in_s3_partition():
     assert sorted(len(c) for c in cosets) == [2, 4]
     assert set().union(*cosets) == set(range(6))
     assert cosets[0] & cosets[1] == set()
+    # the reversed scan picks the greatest element of each double coset
+    rev = double_coset_reps(g, c2.sorted_elems, c2.sorted_elems, reverse=True)
+    assert sorted(rev) == sorted(max(c) for c in cosets)
 
 
 # -- normalizers ---------------------------------------------------------------
@@ -291,8 +314,9 @@ def test_quotient_s3_mod_a3():
 def test_sylow_subgroups():
     g = parse_group_spec("S4")
     for p, size in ((2, 8), (3, 3)):
-        syl = sylow_subgroup(g, p)
-        assert len(syl) == size
+        for reverse in (False, True):
+            syl = sylow_subgroup(g, p, reverse=reverse)
+            assert len(syl) == size
     s3 = parse_group_spec("S3")
     assert len(sylow_subgroup(s3, 2)) == 2
     assert len(sylow_subgroup(s3, 5)) == 1
