@@ -2,8 +2,11 @@
 
 A cache entry is keyed by a digest of the normalized group and fiber
 specs.  Loading checks the format version, the digest and a payload
-checksum; any mismatch or corruption makes the caller recompute, with
-a notice on stderr.
+checksum, that the element list is closed, and that the entry was
+built at the natural level; any mismatch or corruption makes the caller
+recompute, with a notice on stderr.  The hom cap is not part
+of the key: loading rebuilds the Hom groups, which enforce the cap
+again.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 from .abelian import parse_fiber_spec
 from .errors import FbrError
 from .perm import FiniteGroup, SubgroupLattice
-from .ring import FiberedBurnsideRing
+from .ring import FiberedBurnsideRing, natural_level
 
 FORMAT_VERSION = 1
 
@@ -73,10 +76,12 @@ def ring_from_payload(payload, hom_cap=None):
     if payload.get("digest") != session_key(payload["group_spec"],
                                             payload["fiber_spec"]):
         return None
-    group = FiniteGroup(payload["degree"],
-                        [tuple(e) for e in payload["elements"]],
-                        tuple(payload["generators"]))
+    group = FiniteGroup.from_elements(payload["degree"],
+                                      [tuple(e) for e in payload["elements"]],
+                                      tuple(payload["generators"]))
     fiber = parse_fiber_spec(payload["fiber_spec"])
+    if payload["level"] != natural_level(group, fiber):
+        return None
     lattice = SubgroupLattice.from_data(
         group, payload["subgroups"], payload["class_index"], payload["to_rep"],
         [(c["rep"], c["members"]) for c in payload["classes"]],

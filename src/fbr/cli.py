@@ -301,7 +301,13 @@ def run_command(argv):
 
 def main(argv=None):
     try:
-        return run_command(sys.argv[1:] if argv is None else argv)
+        code = run_command(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (as `| head` does); drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import lcm
+from operator import itemgetter
 
 from .arith import is_prime, p_part
 from .errors import InputError, InvariantViolationError, ResourceLimitError
@@ -149,12 +150,18 @@ class FiniteGroup:
         self.inverse = tuple(self.index[invert(e)] for e in self.elements)
         self.element_orders = tuple(perm_order(e) for e in self.elements)
         self.generator_indices = tuple(generator_indices)
+        # A product is looked up by the images of the first k points, the
+        # fewest that tell the elements apart.
+        k = next(k for k in range(1, degree + 1)
+                 if len({e[:k] for e in self.elements}) == self.order)
+        at_base = itemgetter(*range(k))
+        self._by_base = {at_base(e): i for i, e in enumerate(self.elements)}
+        # _then[b](a) gives the images of the first k points under a*b
+        self._then = [itemgetter(*e[:k]) for e in self.elements]
         if self.order <= _MUL_TABLE_LIMIT:
-            idx = self.index
-            elems = self.elements
-            self._table = [
-                tuple(idx[compose(a, b)] for b in elems) for a in elems
-            ]
+            by_base = self._by_base
+            self._table = [tuple(by_base[then(a)] for then in self._then)
+                           for a in self.elements]
         else:
             self._table = None
 
@@ -189,24 +196,29 @@ class FiniteGroup:
         return cls(degree, ordered, tuple(idx[g] for g in gens))
 
     @classmethod
-    def from_elements(cls, degree, elements):
-        """Wrap an element set known to be closed (subgroups, quotients).
+    def from_elements(cls, degree, elements, generator_indices=()):
+        """Wrap an element set known to be closed (subgroups, quotients,
+        cache entries).
 
         Raises InvariantViolationError when the set is not a group.
         """
         try:
-            group = cls(degree, elements)
-            # Closing greedy generators reaches the whole set only if every
-            # product stays inside it; one outside is a KeyError.
-            _greedy_gens(group, range(group.order))
+            group = cls(degree, elements, generator_indices)
+            gens = _greedy_gens(group, range(group.order))
         except KeyError:
             raise InvariantViolationError("element set is not closed") from None
+        # Base images name a product correctly only if it lies in the set.
+        # The greedy generators reach the whole set, so it is closed if
+        # whole products by them stay inside it.
+        if any(compose(a, group.elements[g]) not in group.index
+               for a in group.elements for g in gens):
+            raise InvariantViolationError("element set is not closed")
         return group
 
     def mul(self, a, b):
         if self._table is not None:
             return self._table[a][b]
-        return self.index[compose(self.elements[a], self.elements[b])]
+        return self._by_base[self._then[b](self.elements[a])]
 
     def inv(self, a):
         return self.inverse[a]
@@ -293,7 +305,6 @@ class SubgroupLattice:
         sets = _enumerate_subgroup_sets(group)
         self._set_up(group, sorted(sets, key=lambda fs: (len(fs), tuple(sorted(fs)))))
         self._build_classes()
-        self._build_normalizers()
 
     @classmethod
     def from_data(cls, group, subgroup_elems, class_index, to_rep, classes,
@@ -330,36 +341,32 @@ class SubgroupLattice:
         self._dcosets = {}
 
     def _build_classes(self):
+        """Classes, to_rep (the inverse of the least g taking the class
+        representative S to each member) and normalizers, N(^g S) = ^g N(S)."""
         group = self.group
         m = len(self.subgroups)
         self.class_index = [None] * m
         self.to_rep = [None] * m
+        self.normalizer_ids = [None] * m
         self.classes = []
         for i in range(m):
             if self.class_index[i] is not None:
                 continue
             found = {}
+            norm = []
             for g in range(group.order):
                 t = self.by_set[group.conj_set(g, self.subgroups[i].sorted_elems)]
                 if t not in found:
                     found[t] = g
+                if t == i:
+                    norm.append(g)
             cidx = len(self.classes)
-            members = tuple(sorted(found))
             for t, g in found.items():
                 self.class_index[t] = cidx
                 # ^g S_i = S_t, so ^(g^-1) S_t = S_i = class rep
                 self.to_rep[t] = group.inverse[g]
-            self.classes.append(SubgroupClass(cidx, i, members))
-
-    def _build_normalizers(self):
-        group = self.group
-        self.normalizer_ids = []
-        for s in self.subgroups:
-            norm = frozenset(
-                g for g in range(group.order)
-                if group.conj_set(g, s.sorted_elems) == s.elems
-            )
-            self.normalizer_ids.append(self.by_set[norm])
+                self.normalizer_ids[t] = self.by_set[group.conj_set(g, norm)]
+            self.classes.append(SubgroupClass(cidx, i, tuple(sorted(found))))
 
     def _build_inclusion(self):
         subs = self.subgroups
@@ -511,30 +518,30 @@ def _enumerate_subgroup_sets(group):
     cyclic factor at a time, so the fixpoint is the full lattice.  The
     layering reaches nonsolvable subgroups too, which extension by
     normal prime steps alone cannot.
+
+    A new subgroup brings in its whole conjugacy class, and only that
+    representative is joined with every cyclic subgroup, since
+    join(^g S, C) = ^g join(S, ^(g^-1) C).
     """
-    ident = frozenset({group.identity})
-    gens_of = {ident: ()}
-    cyclic = []
+    known = set()
+    queue = []  # (class representative, its generators)
+
+    def add_class(fs, gens):
+        if fs not in known:
+            known.update(group.conj_set(g, fs) for g in range(group.order))
+            queue.append((fs, gens))
+
+    cyclic = {}
     for g in range(1, group.order):
-        fs = group.closure((g,))
-        if fs not in gens_of:
-            gens_of[fs] = (g,)
-            cyclic.append((fs, g))
-    cyclic.sort(key=lambda t: (len(t[0]), tuple(sorted(t[0]))))
-    queue = [ident] + [fs for fs, _ in cyclic]
-    pos = 0
-    while pos < len(queue):
-        s = queue[pos]
-        pos += 1
-        sgens = gens_of[s]
-        for cfs, cgen in cyclic:
-            if cfs <= s:
-                continue
-            joined = group.closure(sgens + (cgen,))
-            if joined not in gens_of:
-                gens_of[joined] = sgens + (cgen,)
-                queue.append(joined)
-    return list(gens_of)
+        cyclic.setdefault(group.closure((g,)), g)
+    add_class(frozenset({group.identity}), ())
+    for cfs, cgen in cyclic.items():
+        add_class(cfs, (cgen,))
+    for s, sgens in queue:  # the queue grows during the loop
+        for cfs, cgen in cyclic.items():
+            if not cfs <= s:
+                add_class(group.closure(sgens + (cgen,)), sgens + (cgen,))
+    return known
 
 
 # ---------------------------------------------------------------------------
@@ -577,33 +584,32 @@ def quotient_group(group, n_elems, k_elems):
     return quotient, onto, cosets
 
 
-def sylow_subgroup(group, p, reverse=False):
-    """A Sylow p-subgroup of the whole group, as a frozenset of indices.
+def sylow_subgroup(group, p, reverse=False, n_elems=None, k_elems=None):
+    """Preimage in N of a Sylow p-subgroup of N/K, as a frozenset of indices.
 
-    Deterministic: grows a p-subgroup by the least suitable p-element of
-    its normalizer until the full p-part of the order is reached.  With
-    reverse=True the greatest suitable element is taken instead.
+    K must be normal in N; the defaults N = G and K = 1 give a Sylow
+    p-subgroup of the whole group.  Deterministic: starts at K and adds
+    the least p-element of N that normalizes the current subgroup and
+    lies outside it, until the order is |K| times the p-part of |N : K|.
+    With reverse=True the greatest such element is taken instead.  Only
+    the ambient multiplication is used; no quotient group is built.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    target = p_part(group.order, p)
-    scan = range(group.order - 1, -1, -1) if reverse else range(group.order)
-    current = frozenset({group.identity})
+    scan = sorted(range(group.order) if n_elems is None else n_elems,
+                  reverse=reverse)
+    current = frozenset(k_elems or {group.identity})
+    target = len(current) * p_part(len(scan) // len(current), p)
+    # Each p-element coset gK holds the p-part of g, a p-element of N, so
+    # the p-elements of N are enough.
+    candidates = [g for g in scan
+                  if p_part(group.element_orders[g], p) == group.element_orders[g]]
     while len(current) < target:
-        grown = False
-        for g in scan:
-            if g in current:
-                continue
-            o = group.element_orders[g]
-            if o == 1 or p_part(o, p) != o:
-                continue
-            if group.conj_set(g, current) != current:
-                continue
-            current = group.closure(sorted(current) + [g])
-            grown = True
-            break
-        if not grown:
+        g = next((g for g in candidates if g not in current
+                  and group.conj_set(g, current) == current), None)
+        if g is None:
             raise InvariantViolationError("Sylow growth stalled")
+        current = group.closure(sorted(current) + [g])
     return current
 
 

@@ -119,17 +119,18 @@ def p_regularize(ring, d, p, reverse=False):
 
     Strips the p-part of the character, then repeatedly climbs to the
     preimage of a Sylow p-subgroup of N(K, Psi)/K, composing with
-    restriction, until the pair is p-regular.  The subgroup strictly
-    grows, so the climb terminates; the resulting conjugacy class does
-    not depend on the Sylow choices.  With reverse=True the Sylow
-    search scans elements in reversed order, exercising that fact.
+    restriction, until the pair is p-regular.  The preimage is grown in
+    the ambient group (perm.sylow_subgroup with N = N(K, Psi)), without
+    building the quotient.  The subgroup strictly grows, so the climb
+    terminates; the resulting conjugacy class does not depend on the
+    Sylow choices.  With reverse=True the Sylow search scans elements in
+    reversed order, exercising that fact.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     dual = species_mod.dual_orbits(ring)[d if isinstance(d, int) else d.index]
     sid = dual.subgroup_id
     _, values = character_p_parts(dual.values, p, ring.level)
-    group = ring.group
     lattice = ring.lattice
     while True:
         stab = _dual_pair_stabilizer(ring, sid, values)
@@ -137,11 +138,8 @@ def p_regularize(ring, d, p, reverse=False):
         if (len(stab) // k_order) % p != 0:
             oidx, _ = species_mod.canonicalize_dual(ring, sid, values)
             return oidx
-        k_elems = lattice.subgroups[sid].elems
-        quotient, onto, _ = quotient_group(group, stab, k_elems)
-        syl = sylow_subgroup(quotient, p, reverse=reverse)
-        new_set = frozenset(x for x in stab if onto[x] in syl)
-        new_sid = lattice.by_set[new_set]
+        new_sid = lattice.by_set[sylow_subgroup(
+            ring.group, p, reverse, stab, lattice.subgroups[sid].elems)]
         src_hg = ring.hom_group(sid)
         dst_hg = ring.hom_group(new_sid)
         sub_elems = lattice.subgroups[sid].sorted_elems

@@ -1,12 +1,16 @@
 """Command line behavior: documents, schemas, caching, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fbr import cache
 from fbr.cli import main
+from fbr.ring import build_ring
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
 
@@ -233,10 +237,56 @@ def test_cache_hit_respects_cap_order(tmp_path, capsys):
     assert code == 2
 
 
+def test_cache_entry_at_other_level_is_recomputed(tmp_path, capsys):
+    cache.save_session(tmp_path, build_ring("S3", "2", level=12), "S3", "2")
+    assert cache.load_session(tmp_path, "S3", "2") is None
+    assert "recomputing" in capsys.readouterr().err
+    code = main(["basis", "--group", "S3", "--fiber", "2",
+                 "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out.out)["level"] == 2
+    assert "recomputing" in out.err
+    # the entry written back is at the natural level
+    assert cache.load_session(tmp_path, "S3", "2").level == 2
+
+
+def test_cache_entry_not_closed_is_recomputed(tmp_path, ring_factory, capsys):
+    # C3 on points 1..3 with the transposition (4 5) added to both 3-cycles:
+    # closed under inverses, not under products, and its base-image table
+    # is the table of C3, so only the closure check rejects it
+    path = cache.save_session(tmp_path, ring_factory("C3", "1"), "C3", "1")
+    payload = json.loads(path.read_text())
+    payload["degree"] = 5
+    payload["elements"] = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 0, 1, 4, 3]]
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    assert cache.load_session(tmp_path, "C3", "1") is None
+    assert "recomputing" in capsys.readouterr().err
+
+
 def test_cache_keys_distinct():
     assert cache.session_key("S3", "2") != cache.session_key("S3", "6")
     assert cache.session_key("S3", "2") != cache.session_key("S4", "2")
     assert cache.session_key("S3", "A=2") == cache.session_key("S3", "2")
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of stdout is gone before anything is written, as with
+    # `fbr basis ... | head`
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fbr", "basis", "--group", "S3", "--fiber", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_cache_from_cli(tmp_path, capsys):

@@ -5,11 +5,16 @@ from math import log2
 
 import pytest
 
+from fbr.acceptance import CATALOG_GROUPS
+from fbr.arith import p_part
 from fbr.errors import InputError, InvariantViolationError, ResourceLimitError
 from fbr.perm import (FiniteGroup, SubgroupLattice, compose, cycle_string,
                       double_coset_reps, identity_perm, parse_cycles,
                       parse_group_spec, perm_order, quotient_group,
                       sylow_subgroup)
+
+
+GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 
 
 def lattice(spec):
@@ -59,6 +64,9 @@ def test_identity_is_element_zero():
     # involutions only, so closed under inverses, but the product of the
     # swaps of points 0,1 and 1,2 is missing
     (4, [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2), (0, 2, 1, 3)]),
+    # point 0 alone tells the three apart, so the products outside the set
+    # have the base images of elements inside it
+    (4, [(0, 1, 2, 3), (1, 0, 2, 3), (3, 1, 2, 0)]),
 ])
 def test_from_elements_rejects_non_closed_sets(degree, elements):
     with pytest.raises(InvariantViolationError):
@@ -71,6 +79,25 @@ def test_from_elements_rejects_non_closed_set_without_table():
     a7 = parse_group_spec("A7")
     with pytest.raises(InvariantViolationError):
         FiniteGroup.from_elements(7, list(a7.elements) + [(1, 0, 2, 3, 4, 5, 6)])
+
+
+# -- products ------------------------------------------------------------------
+
+def test_products_match_composition():
+    s5 = parse_group_spec("S5")
+    regular, _, _ = quotient_group(s5, range(s5.order), {s5.identity})
+    for g in (parse_group_spec("S4"), parse_group_spec(GL32), regular):
+        for a, x in enumerate(g.elements):
+            assert [g.mul(a, b) for b in range(g.order)] == \
+                [g.index[compose(x, y)] for y in g.elements]
+
+
+def test_products_match_composition_without_table():
+    g = parse_group_spec("A7")
+    assert g._table is None
+    for a in range(0, g.order, 97):
+        for b in range(0, g.order, 89):
+            assert g.mul(a, b) == g.index[compose(g.elements[a], g.elements[b])]
 
 
 # -- subgroup enumeration ------------------------------------------------------
@@ -118,6 +145,67 @@ def test_subgroup_counts(spec, count, classes):
     lat = lattice(spec)
     assert len(lat) == count
     assert len(lat.classes) == classes
+
+
+def join_fixpoint_lattice(group):
+    """Oracle: close the cyclic subgroups under joins with every cyclic
+    subgroup, then find classes, least witnesses, normalizers and greedy
+    generators by brute force over the whole group.  Returns the lattice
+    data in lattice order."""
+    gens_of = {}
+    for g in range(group.order):
+        gens_of.setdefault(group.closure((g,)), (g,))
+    cyclic = list(gens_of.items())
+    queue = list(gens_of)
+    for s in queue:
+        for c, cgens in cyclic:
+            if not c <= s:
+                joined = group.closure(gens_of[s] + cgens)
+                if joined not in gens_of:
+                    gens_of[joined] = gens_of[s] + cgens
+                    queue.append(joined)
+    subgroups = sorted(gens_of, key=lambda fs: (len(fs), sorted(fs)))
+    by_set = {s: i for i, s in enumerate(subgroups)}
+    m = len(subgroups)
+    class_index, to_rep, normalizer_ids, gens = [None] * m, [None] * m, [], []
+    n_classes = 0
+    for i, s in enumerate(subgroups):
+        images = [by_set[group.conj_set(g, s)] for g in range(group.order)]
+        normalizer_ids.append(
+            by_set[frozenset(g for g, t in enumerate(images) if t == i)])
+        if class_index[i] is None:
+            for g, t in enumerate(images):
+                if class_index[t] is None:
+                    class_index[t] = n_classes
+                    to_rep[t] = group.inverse[g]
+            n_classes += 1
+        sgens, current = [], {group.identity}
+        for x in sorted(s):
+            if x not in current:
+                sgens.append(x)
+                current = group.closure(sgens)
+        gens.append(tuple(sgens))
+    return subgroups, class_index, to_rep, normalizer_ids, gens
+
+
+@pytest.mark.parametrize("spec", CATALOG_GROUPS + (GL32,))
+def test_lattice_matches_join_fixpoint_oracle(spec):
+    g = parse_group_spec(spec)
+    lat = SubgroupLattice(g)
+    subgroups, class_index, to_rep, normalizer_ids, gens = join_fixpoint_lattice(g)
+    assert [s.elems for s in lat.subgroups] == subgroups
+    assert lat.class_index == class_index
+    assert lat.to_rep == to_rep
+    assert lat.normalizer_ids == normalizer_ids
+    assert [s.gens for s in lat.subgroups] == gens
+    assert [c.rep for c in lat.classes] == [
+        class_index.index(c) for c in range(len(lat.classes))]
+
+
+def test_subgroup_count_a6():
+    lat = lattice("A6")
+    assert len(lat) == 501
+    assert len(lat.classes) == 22
 
 
 def test_orbit_stabilizer_identity():
@@ -320,6 +408,27 @@ def test_sylow_subgroups():
     s3 = parse_group_spec("S3")
     assert len(sylow_subgroup(s3, 2)) == 2
     assert len(sylow_subgroup(s3, 5)) == 1
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5"])
+def test_sylow_modulo_normal_subgroup(spec):
+    # for every K normal in N: the preimage of a Sylow p-subgroup of N/K
+    lat = lattice(spec)
+    g = lat.group
+    pairs = 0
+    for n in lat.subgroups:
+        for k in lat.subgroups:
+            if not k.elems <= n.elems or any(
+                    g.conj_set(x, k.sorted_elems) != k.elems for x in n.gens):
+                continue
+            pairs += 1
+            for p in (2, 3, 5):
+                for reverse in (False, True):
+                    syl = sylow_subgroup(g, p, reverse, n.elems, k.elems)
+                    assert k.elems <= syl <= n.elems
+                    assert g.closure(syl) == syl
+                    assert len(syl) == k.order * p_part(n.order // k.order, p)
+    assert pairs > len(lat)
 
 
 # -- parsing ---------------------------------------------------------------------

@@ -54,7 +54,8 @@ def test_p_regularize_examples(ring_factory):
 
 
 def test_p_regularize_sylow_choice_irrelevant(ring_factory):
-    for spec, fiber in (("S3", "2"), ("D4", "2"), ("S4", "2"), ("A4", "6")):
+    for spec, fiber in (("S3", "2"), ("D4", "2"), ("S4", "2"), ("A4", "6"),
+                        ("S5", "2"), ("perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)", "1")):
         ring = ring_factory(spec, fiber)
         for d in range(ring.rank):
             for p in (2, 3):
