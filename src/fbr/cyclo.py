@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields and their residue fields.
 
 A value at level n is a rational polynomial in a fixed primitive n-th
-root of unity zeta, reduced modulo the n-th cyclotomic polynomial, so
-the coefficient vector of length phi(n) is a normal form and equality
-is coefficientwise.  Reduction modulo a prime ideal above p lands in
-the finite field F_p[x]/(factor) for an irreducible factor of the
-cyclotomic polynomial mod p.
+root of unity zeta, reduced modulo the n-th cyclotomic polynomial, and
+stored as phi(n) integer numerators over one positive denominator in
+lowest terms, so that triple is a normal form.  The cyclotomic
+polynomial is monic and integral, so products reduce in integers;
+Fraction appears only where values enter or leave (rational scalars,
+JSON, rendering, reduction mod p, inverses).  Reduction modulo a prime
+ideal above p lands in the finite field F_p[x]/(factor) for an
+irreducible factor of the cyclotomic polynomial mod p.
 
 No floating point is used anywhere.
 """
@@ -16,7 +19,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from .arith import is_prime, p_part
 from .errors import InputError, InvariantViolationError, NotIntegralAtPError
@@ -83,41 +87,59 @@ def cyclotomic_polynomial(n):
 @lru_cache(maxsize=None)
 def _level_data(n):
     """Reduction data at level n: phi(n), the cyclotomic polynomial, the
-    reduction of x^k for k up to max(n-1, 2 phi(n) - 2)."""
+    integer reduction of x^k for k up to max(n-1, 2 phi(n) - 2)."""
     poly = cyclotomic_polynomial(n)
     phi = len(poly) - 1
     top = max(n - 1, 2 * phi - 2)
-    rows = []
-    cur = [Fraction(1)] + [Fraction(0)] * (phi - 1) if phi else []
-    for k in range(top + 1):
-        if k == 0:
-            rows.append(tuple(cur))
-            continue
-        shifted = [Fraction(0)] + cur[:]
-        if len(shifted) > phi:
-            lead = shifted.pop()
-            if lead:
-                for i in range(phi):
-                    shifted[i] -= lead * poly[i]
-        cur = shifted
+    cur = [1] + [0] * (phi - 1)
+    rows = [tuple(cur)]
+    for _ in range(top):
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            cur = [c - lead * a for c, a in zip(cur, poly)]
         rows.append(tuple(cur))
     return phi, poly, tuple(rows)
 
 
-class Cyclotomic:
-    """Element of Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
+def _exact(value):
+    """An int or Fraction scalar, unchanged; anything else is refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise InputError(f"not an exact rational scalar: {value!r}")
+    return value
 
-    __slots__ = ("level", "coeffs")
+
+def _normal(level, nums, den):
+    """The value nums/den (den > 0) in lowest terms."""
+    if den != 1 and (g := gcd(den, *nums)) != 1:
+        nums = tuple(a // g for a in nums)
+        den //= g
+    x = object.__new__(Cyclotomic)
+    x.level, x.nums, x.den = level, nums, den
+    return x
+
+
+class Cyclotomic:
+    """Element of Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1):
+    the coefficient of zeta^k is nums[k] / den, with den > 0 and
+    gcd(den, *nums) == 1.  The constructor takes rational coefficients."""
+
+    __slots__ = ("level", "nums", "den")
 
     def __init__(self, level, coeffs):
+        coeffs = [_exact(c) for c in coeffs]
+        if len(coeffs) != _level_data(level)[0]:
+            raise InputError(f"{len(coeffs)} coefficients at level {level}")
+        # the lcm of lowest-terms denominators leaves the triple in lowest terms
+        self.den = lcm(*(c.denominator for c in coeffs))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
         self.level = level
-        self.coeffs = tuple(coeffs)
 
     @classmethod
     def from_rational(cls, level, value):
+        q = _exact(value)
         phi = _level_data(level)[0]
-        coeffs = [Fraction(value)] + [Fraction(0)] * (phi - 1)
-        return cls(level, coeffs)
+        return _normal(level, (q.numerator,) + (0,) * (phi - 1), q.denominator)
 
     @classmethod
     def zero(cls, level):
@@ -129,8 +151,7 @@ class Cyclotomic:
 
     @classmethod
     def zeta_power(cls, level, k):
-        phi, _, rows = _level_data(level)
-        return cls(level, rows[k % level])
+        return _normal(level, _level_data(level)[2][k % level], 1)
 
     def _check(self, other):
         if self.level != other.level:
@@ -140,44 +161,48 @@ class Cyclotomic:
 
     def __add__(self, other):
         self._check(other)
-        return Cyclotomic(self.level,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        d, e = self.den, other.den
+        if d == e:
+            return _normal(self.level, tuple(map(add, self.nums, other.nums)), d)
+        return _normal(self.level, tuple(a * e + b * d for a, b in
+                                         zip(self.nums, other.nums)), d * e)
 
     def __sub__(self, other):
-        self._check(other)
-        return Cyclotomic(self.level,
-                          [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
-        return Cyclotomic(self.level, [-a for a in self.coeffs])
+        return _normal(self.level, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.level, [a * other for a in self.coeffs])
+        if not isinstance(other, Cyclotomic):
+            q = _exact(other)
+            return _normal(self.level, tuple(a * q.numerator for a in self.nums),
+                           self.den * q.denominator)
         self._check(other)
         phi, _, rows = _level_data(self.level)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
+        if phi == 1:
+            return _normal(self.level, (self.nums[0] * other.nums[0],),
+                           self.den * other.den)
+        prod = [0] * (2 * phi - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:phi])
+                for j, b in enumerate(other.nums, i):
+                    prod[j] += a * b
+        out = prod[:phi]
         for k in range(phi, 2 * phi - 1):
             c = prod[k]
             if c:
-                row = rows[k]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyclotomic(self.level, out)
+                out = [x + c * r for x, r in zip(out, rows[k])]
+        return _normal(self.level, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scalar_div(self, q):
-        q = Fraction(q)
-        if q == 0:
+        if _exact(q) == 0:
             raise InputError("division by zero scalar")
-        return Cyclotomic(self.level, [a / q for a in self.coeffs])
+        r = Fraction(q.denominator, q.numerator)
+        return _normal(self.level, tuple(a * r.numerator for a in self.nums),
+                       self.den * r.denominator)
 
     def conj(self):
         """Complex conjugation zeta -> zeta^-1."""
@@ -190,16 +215,12 @@ class Cyclotomic:
         n = self.level
         if gcd(t, n) != 1:
             raise InputError(f"galois exponent {t} not coprime to {n}")
-        _, _, rows = _level_data(n)
-        out = None
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            term = [a * c for c in rows[(i * t) % n]]
-            out = term if out is None else [x + y for x, y in zip(out, term)]
-        if out is None:
-            return Cyclotomic.zero(n)
-        return Cyclotomic(n, out)
+        phi, _, rows = _level_data(n)
+        out = [0] * phi
+        for i, a in enumerate(self.nums):
+            if a:
+                out = [x + a * r for x, r in zip(out, rows[(i * t) % n])]
+        return _normal(n, tuple(out), self.den)
 
     def inverse(self):
         """Multiplicative inverse via extended gcd against the cyclotomic
@@ -208,44 +229,46 @@ class Cyclotomic:
             raise InputError("inverse of zero")
         n = self.level
         _, poly, _ = _level_data(n)
-        f = [Fraction(c) for c in poly]
-        g = list(self.coeffs)
-        inv = _poly_modular_inverse(g, f)
-        phi = len(poly) - 1
-        inv = inv + [Fraction(0)] * (phi - len(inv))
-        return Cyclotomic(n, inv[:phi])
+        # (nums / den)^-1 = den * nums^-1
+        inv = [c * self.den for c in _poly_modular_inverse(
+            [Fraction(a) for a in self.nums], [Fraction(c) for c in poly])]
+        return Cyclotomic(n, inv + [0] * (len(poly) - 1 - len(inv)))
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
-        return all(a == 0 for a in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise InputError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_integral(self):
-        return all(a.denominator == 1 for a in self.coeffs)
+        return self.den == 1
 
     def is_integer(self):
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
+
+    def coefficients(self):
+        """The power-basis coefficients as Fractions in lowest terms."""
+        return [Fraction(a, self.den) for a in self.nums]
 
     def __eq__(self, other):
-        return (isinstance(other, Cyclotomic)
-                and self.level == other.level and self.coeffs == other.coeffs)
+        return (isinstance(other, Cyclotomic) and self.level == other.level
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.level, self.coeffs))
+        return hash((self.level, self.nums, self.den))
 
     def to_json(self):
         return {"level": self.level,
-                "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs]}
+                "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coefficients()]}
 
     @classmethod
     def from_json(cls, doc):
-        coeffs = [Fraction(s) for s in doc["coeffs"]]
+        coeffs = [Fraction(s) if isinstance(s, str) else s for s in doc["coeffs"]]
         return cls(int(doc["level"]), coeffs)
 
     def __repr__(self):
@@ -287,8 +310,9 @@ def _poly_modular_inverse(g, f):
 def render_cyclotomic(x):
     """Human form: polynomial in z with rational coefficients, e.g. 'z^2+1'."""
     parts = []
-    for k in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[k]
+    coeffs = x.coefficients()
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         if k == 0:
@@ -560,12 +584,10 @@ def reduce_mod(x, ideal):
     Requires every coefficient denominator to be coprime to p.
     """
     p = ideal.p
-    coeffs = []
-    for c in x.coeffs:
-        if c.denominator % p == 0:
-            raise NotIntegralAtPError(
-                f"denominator {c.denominator} not invertible mod {p}"
-            )
-        coeffs.append((c.numerator * pow(c.denominator, -1, p)) % p)
+    if x.den % p == 0:
+        bad = next(c.denominator for c in x.coefficients() if c.denominator % p == 0)
+        raise NotIntegralAtPError(f"denominator {bad} not invertible mod {p}")
+    inv_den = pow(x.den, -1, p)
+    coeffs = [(a * inv_den) % p for a in x.nums]
     reduced = _pm_mod(_pm_trim(coeffs), list(ideal.factor), p)
     return FiniteFieldElem(p, ideal.factor, reduced)

@@ -12,7 +12,6 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import abelian, perm
@@ -61,12 +60,16 @@ class RingElement:
         return c if c is not None else Cyclotomic.zero(self.ring.level)
 
     def __add__(self, other):
+        if other.ring is not self.ring:
+            raise InputError("elements from different rings")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out[k] + v if k in out else v
         return RingElement(self.ring, out)
 
     def __sub__(self, other):
+        if other.ring is not self.ring:
+            raise InputError("elements from different rings")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out[k] - v if k in out else -v
@@ -76,7 +79,7 @@ class RingElement:
         return RingElement(self.ring, {k: -v for k, v in self.coeffs.items()})
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
+        if not isinstance(c, Cyclotomic):
             c = Cyclotomic.from_rational(self.ring.level, c)
         return RingElement(self.ring, {k: v * c for k, v in self.coeffs.items()})
 

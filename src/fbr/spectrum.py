@@ -394,13 +394,14 @@ def _apply_inflation(ring, iso, welem):
 def _check_weyl_multiplicative(ring, iso, e_j, e_w1, wcomp):
     wring = iso.weyl_ring
     lut = dict(iso.bijection)
+    # the image b.e_J of each block orbit, computed once for all pairs
+    image = {b: ring.multiply(ring.basis_element(lut[b]), e_j)
+             for b in wcomp.basis_orbits}
     for i, b1 in enumerate(wcomp.basis_orbits):
         for b2 in wcomp.basis_orbits[i:]:
             wprod = wring.multiply(wring.basis_element(b1), wring.basis_element(b2))
             lhs = ring.multiply(_apply_inflation(ring, iso, wprod), e_j)
-            rhs = ring.multiply(
-                ring.multiply(ring.basis_element(lut[b1]), e_j),
-                ring.multiply(ring.basis_element(lut[b2]), e_j))
+            rhs = ring.multiply(image[b1], image[b2])
             if lhs != rhs:
                 raise TheoremViolationError(
                     f"inflation is not multiplicative on ({b1}, {b2})"

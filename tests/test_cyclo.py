@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic and reduction modulo prime ideals."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -212,3 +213,79 @@ def test_render():
 def test_json_round_trip():
     x = Cyclotomic(6, [Fraction(1, 2), Fraction(-3)])
     assert Cyclotomic.from_json(x.to_json()) == x
+
+
+def test_scalars_must_be_exact():
+    x = Cyclotomic.zeta_power(3, 1)
+    for bad in (0.1, 0.5):
+        with pytest.raises(InputError):
+            Cyclotomic.from_rational(3, bad)
+        with pytest.raises(InputError):
+            x * bad
+        with pytest.raises(InputError):
+            bad * x
+        with pytest.raises(InputError):
+            x.scalar_div(bad)
+        with pytest.raises(InputError):
+            Cyclotomic(3, [bad, 0])
+    assert x * Fraction(1, 2) == Cyclotomic(3, [0, Fraction(1, 2)])
+
+
+def test_coefficient_count_must_match_level():
+    with pytest.raises(InputError):
+        Cyclotomic(3, [Fraction(1)])
+    with pytest.raises(InputError):
+        Cyclotomic.from_json({"level": 3, "coeffs": ["1/1"]})
+    with pytest.raises(InputError):
+        Cyclotomic.from_json({"level": 3, "coeffs": ["1/1", "0/1", "0/1"]})
+
+
+def test_kernel_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20251018)
+
+    def to_poly(v):
+        return sympy.Poly(list(reversed(v.coefficients())), x, domain="QQ")
+
+    def from_poly(p, n):
+        return Cyclotomic(n, [Fraction(str(p.coeff_monomial(x ** k)))
+                              for k in range(len(cyclotomic_polynomial(n)) - 1)])
+
+    def normal(v):
+        assert type(v.den) is int and v.den > 0
+        assert all(type(a) is int for a in v.nums)
+        assert math.gcd(v.den, *v.nums) == 1
+        return v
+
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15):
+        mod = sympy.Poly(sympy.cyclotomic_poly(n, x), x, domain="QQ")
+        phi = mod.degree()
+        one = Cyclotomic.one(n)
+        for _ in range(6):
+            a, b = (normal(Cyclotomic(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                          for _ in range(phi)])) for _ in range(2))
+            ab = normal(a * b)
+            assert ab == from_poly(sympy.rem(to_poly(a) * to_poly(b), mod), n)
+            assert normal(a + b) == from_poly(to_poly(a) + to_poly(b), n)
+            assert normal(a - b) == from_poly(to_poly(a) - to_poly(b), n)
+            assert normal(a * 3) == normal(a * Fraction(3, 1))
+            assert normal(a.scalar_div(-4)) * -4 == a
+            if not a.is_zero():
+                assert normal(a * normal(a.inverse())) == one
+            for t in range(1, n + 1):
+                if math.gcd(t, n) == 1:
+                    image = sympy.rem(to_poly(a).compose(sympy.Poly(x ** t, x)), mod)
+                    assert normal(a.galois(t)) == from_poly(image, n)
+            # one value reached two ways: equal triples, equal hashes
+            for u, v in ((ab, b * a), (a, a + b - b), (a, (a * 6).scalar_div(6))):
+                assert u == v and hash(u) == hash(v)
+                assert (u.nums, u.den) == (v.nums, v.den)
+            again = normal(Cyclotomic.from_json(a.to_json()))
+            assert again == a and again.to_json() == a.to_json()
+            assert a.to_json()["coeffs"] == [
+                f"{c.numerator}/{c.denominator}" for c in
+                (Fraction(str(to_poly(a).coeff_monomial(x ** k))) for k in range(phi))]
+        zero = normal(Cyclotomic.zero(n))
+        assert (zero.nums, zero.den) == ((0,) * phi, 1)
+        assert normal(a - a) == zero

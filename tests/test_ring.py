@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import operator
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,23 @@ def test_multiply_level_mismatch():
     r2 = build_ring("C2", "1")
     with pytest.raises(InputError):
         r1.multiply(r1.one(), r2.one())
+
+
+def test_add_sub_across_rings(ring_factory):
+    x = ring_factory("S3", "2").basis_element(0)
+    y = ring_factory("C2", "2").basis_element(1)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(InputError, match="different rings"):
+            op(x, y)
+
+
+def test_scale_takes_exact_scalars_only(ring_factory):
+    ring = ring_factory("C2", "2")
+    x = ring.basis_element(0)
+    assert x.scale(Fraction(1, 2)) == x.scale(Cyclotomic.from_rational(2, Fraction(1, 2)))
+    for elem in (x, ring.zero()):
+        with pytest.raises(InputError):
+            elem.scale(0.5)
 
 
 # -- retraction ----------------------------------------------------------------------
