@@ -9,14 +9,14 @@ kept as tuples of root-of-unity exponents, one per homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iterproduct
 from math import gcd, lcm
 
 from .arith import factorint, p_part
 from .errors import InputError, InvariantViolationError, ResourceLimitError
 
-DEFAULT_HOM_CAP = 1_000_000
+# largest Hom(H, A) enumerated; a larger one is a ResourceLimitError
+HOM_CAP = 1_000_000
 
 
 def normalize_invariant_factors(factors):
@@ -76,37 +76,11 @@ class FiniteAbelianGroup:
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
-    def neg(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
-
     def scale(self, k, a):
         return tuple((k * x) % d for x, d in zip(a, self.invariant_factors))
 
     def elements(self):
         return list(iterproduct(*(range(d) for d in self.invariant_factors)))
-
-    def element_order(self, a):
-        return lcm(*(d // gcd(d, x) for x, d in zip(a, self.invariant_factors))) \
-            if self.rank else 1
-
-    def torsion_elements(self, n):
-        """Sorted list of elements killed by n."""
-        per_component = []
-        for d in self.invariant_factors:
-            g = gcd(d, n)
-            step = d // g
-            per_component.append([j * step for j in range(g)])
-        return sorted(iterproduct(*per_component)) if self.rank else [()]
-
-    def tor(self, n):
-        """The n-torsion subgroup with its componentwise embedding data."""
-        if n < 1:
-            raise InputError("tor requires n >= 1")
-        aligned = tuple(gcd(d, n) for d in self.invariant_factors)
-        multipliers = tuple(d // g for d, g in zip(self.invariant_factors, aligned))
-        group = FiniteAbelianGroup(tuple(g for g in aligned if g > 1))
-        return TorsionSubgroup(group, aligned, multipliers,
-                               tuple(self.torsion_elements(n)))
 
     def __eq__(self, other):
         return (isinstance(other, FiniteAbelianGroup)
@@ -122,14 +96,6 @@ class FiniteAbelianGroup:
 
     def __repr__(self):
         return f"FiniteAbelianGroup({list(self.invariant_factors)})"
-
-
-@dataclass(frozen=True)
-class TorsionSubgroup:
-    group: FiniteAbelianGroup
-    aligned_factors: tuple
-    multipliers: tuple
-    parent_elements: tuple
 
 
 def parse_fiber_spec(spec):
@@ -295,7 +261,7 @@ class HomGroup:
     element, cyclic component of the relevant torsion subgroup of A).
     """
 
-    def __init__(self, group, subgroup, derived_elems, fiber, cap=DEFAULT_HOM_CAP):
+    def __init__(self, group, subgroup, derived_elems, fiber):
         self.group = group
         self.subgroup_id = subgroup.id
         self.domain = subgroup.sorted_elems
@@ -320,8 +286,8 @@ class HomGroup:
         size = 1
         for g in self.gen_orders:
             size *= g
-        if size > cap:
-            raise ResourceLimitError(f"|Hom| = {size} exceeds cap {cap}")
+        if size > HOM_CAP:
+            raise ResourceLimitError(f"|Hom| = {size} exceeds cap {HOM_CAP}")
 
         tables = []
         element_coords = []

@@ -2,11 +2,14 @@
 
 A cache entry is keyed by a digest of the normalized group and fiber
 specs.  Loading checks the format version, the digest and a payload
-checksum, that the element list is closed, and that the entry was
-built at the natural level; any mismatch or corruption makes the caller
-recompute, with a notice on stderr.  The hom cap is not part
-of the key: loading rebuilds the Hom groups, which enforce the cap
-again.
+checksum, then rebuilds the group from its spec under the order cap
+(so a group over the cap is a ResourceLimitError, not a corrupt entry)
+and checks the stored basis against the one rebuilt on the cached
+lattice; any other mismatch or corruption makes the caller recompute,
+with a notice on stderr.  Neither the basis nor the structure constants
+depend on the level, so a loaded ring is at the natural level.  The hom
+cap is not part of the key: loading rebuilds the Hom groups, which
+enforce the cap again.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import sys
 from pathlib import Path
 
 from .abelian import parse_fiber_spec
-from .errors import FbrError
-from .perm import FiniteGroup, SubgroupLattice
-from .ring import FiberedBurnsideRing, natural_level
+from .errors import FbrError, ResourceLimitError
+from .perm import DEFAULT_ORDER_CAP, SubgroupLattice, parse_group_spec
+from .ring import FiberedBurnsideRing
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def session_key(group_spec, fiber_spec):
@@ -47,10 +50,6 @@ def ring_payload(ring, group_spec, fiber_spec):
         "group_spec": group_spec.strip(),
         "fiber_spec": fiber_spec.strip(),
         "digest": session_key(group_spec, fiber_spec),
-        "degree": ring.group.degree,
-        "elements": [list(e) for e in ring.group.elements],
-        "generators": list(ring.group.generator_indices),
-        "level": ring.level,
         "subgroups": [list(s.sorted_elems) for s in lattice.subgroups],
         "class_index": list(lattice.class_index),
         "to_rep": list(lattice.to_rep),
@@ -67,7 +66,7 @@ def ring_payload(ring, group_spec, fiber_spec):
     return payload
 
 
-def ring_from_payload(payload, hom_cap=None):
+def ring_from_payload(payload, order_cap):
     """Rebuild a ring session from a payload; None if it does not verify."""
     if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
         return None
@@ -76,19 +75,13 @@ def ring_from_payload(payload, hom_cap=None):
     if payload.get("digest") != session_key(payload["group_spec"],
                                             payload["fiber_spec"]):
         return None
-    group = FiniteGroup.from_elements(payload["degree"],
-                                      [tuple(e) for e in payload["elements"]],
-                                      tuple(payload["generators"]))
+    group = parse_group_spec(payload["group_spec"], order_cap)
     fiber = parse_fiber_spec(payload["fiber_spec"])
-    if payload["level"] != natural_level(group, fiber):
-        return None
     lattice = SubgroupLattice.from_data(
         group, payload["subgroups"], payload["class_index"], payload["to_rep"],
         [(c["rep"], c["members"]) for c in payload["classes"]],
         payload["normalizers"])
-    kwargs = {} if hom_cap is None else {"hom_cap": hom_cap}
-    ring = FiberedBurnsideRing(group, fiber, level=payload["level"],
-                               lattice=lattice, **kwargs)
+    ring = FiberedBurnsideRing(group, fiber, lattice=lattice)
     stored_basis = [tuple(b) for b in payload["basis"]]
     rebuilt = [(o.subgroup_id, o.hom_index) for o in ring.basis.orbits]
     if stored_basis != rebuilt:
@@ -119,14 +112,17 @@ def save_session(cache_dir, ring, group_spec, fiber_spec):
     return path
 
 
-def load_session(cache_dir, group_spec, fiber_spec, hom_cap=None):
+def load_session(cache_dir, group_spec, fiber_spec, order_cap=DEFAULT_ORDER_CAP):
     """Ring from cache, or None (with a stderr notice) when unusable."""
     path = cache_path(cache_dir, group_spec, fiber_spec)
     if not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-        ring = ring_from_payload(payload, hom_cap)
+        ring = ring_from_payload(payload, order_cap)
+    except ResourceLimitError:
+        # a cap is exceeded, which recomputing would hit again
+        raise
     except (OSError, ValueError, KeyError, TypeError, FbrError):
         # corrupt or truncated entries; anything else is a bug and propagates
         ring = None

@@ -65,10 +65,9 @@ def _parser():
 
 def _load_ring(args):
     if args.cache_dir:
-        ring = cache.load_session(args.cache_dir, args.group, args.fiber)
+        ring = cache.load_session(args.cache_dir, args.group, args.fiber,
+                                  args.cap_order)
         if ring is not None:
-            if ring.group.order > args.cap_order:
-                raise ResourceLimitError(f"group order exceeds cap {args.cap_order}")
             return ring
     return build_ring(args.group, args.fiber, order_cap=args.cap_order)
 

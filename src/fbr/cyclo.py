@@ -25,10 +25,6 @@ from operator import add
 from .arith import is_prime, p_part
 from .errors import InputError, InvariantViolationError, NotIntegralAtPError
 
-# largest p^d for exhaustive factor search before the randomized
-# (seeded, canonically post-sorted) equal-degree split takes over
-_EXHAUSTIVE_CANDIDATE_CAP = 65536
-
 
 def _pm_trim(c):
     """Coefficient list with trailing zeros dropped."""
@@ -438,10 +434,6 @@ class FiniteFieldElem:
         return FiniteFieldElem(self.p, self.factor,
                                _pm_mod(prod, list(self.factor), self.p))
 
-    def __pow__(self, e):
-        out = _pm_pow_mod(list(self.coeffs), e, list(self.factor), self.p)
-        return FiniteFieldElem(self.p, self.factor, out)
-
     def __eq__(self, other):
         return (isinstance(other, FiniteFieldElem) and self.p == other.p
                 and self.factor == other.factor and self.coeffs == other.coeffs)
@@ -469,19 +461,6 @@ def _multiplicative_order(p, m):
         cur = (cur * t) % m
         o += 1
     return o
-
-
-def _candidate_polys(p, d):
-    """Monic candidates x^d - sum t_i x^i in canonical search order.
-
-    The order makes the least linear factor x - r the one with the least
-    root r, matching the deterministic factor choice used throughout.
-    """
-    import itertools
-    for ts in itertools.product(range(p), repeat=d):
-        # ts = (t_{d-1}, ..., t_0)
-        coeffs = [(-t) % p for t in reversed(ts)] + [1]
-        yield tuple(coeffs)
 
 
 def _equal_degree_split(f, d, p, rng):
@@ -532,26 +511,9 @@ def factor_cyclotomic_mod_p(n, p):
     target = _pm_trim(target)
     if len(target) - 1 == 0:
         raise InvariantViolationError("degenerate cyclotomic reduction")
-    factors = []
-    remaining = list(target)
-    if len(remaining) - 1 == d:
-        factors = [tuple(remaining)]
-    elif p ** d <= _EXHAUSTIVE_CANDIDATE_CAP:
-        while len(remaining) - 1 > 0:
-            found = None
-            for cand in _candidate_polys(p, d):
-                q, r = _pm_divmod(remaining, list(cand), p)
-                if not r:
-                    found = (cand, q)
-                    break
-            if found is None:
-                raise InvariantViolationError("no factor of the expected degree")
-            factors.append(found[0])
-            remaining = found[1]
-    else:
-        rng = random.Random(p * 1000003 + n)
-        factors = [tuple(f) for f in _equal_degree_split(remaining, d, p, rng)]
-    factors = sorted(set(factors), key=lambda f: _factor_sort_key(f, p))
+    rng = random.Random(p * 1000003 + n)
+    factors = sorted(set(_equal_degree_split(target, d, p, rng)),
+                     key=lambda f: _factor_sort_key(f, p))
     check = [1]
     for f in factors:
         check = _pm_mul(check, list(f), p)
@@ -561,8 +523,8 @@ def factor_cyclotomic_mod_p(n, p):
 
 
 def _factor_sort_key(f, p):
-    # same order the exhaustive search uses: degree, then the subtracted
-    # tail coefficients from the top down
+    # degree, then the subtracted tail coefficients x^d - sum t_i x^i from
+    # the top down, so the least linear factor x - r has the least root r
     d = len(f) - 1
     return (d, tuple((-f[i]) % p for i in range(d - 1, -1, -1)))
 

@@ -136,7 +136,7 @@ def parse_cycles(degree, text):
 class FiniteGroup:
     """A finite permutation group given by its full sorted element list."""
 
-    def __init__(self, degree, elements, generator_indices=()):
+    def __init__(self, degree, elements):
         self.degree = degree
         self.elements = tuple(sorted(elements))
         self.order = len(self.elements)
@@ -149,7 +149,6 @@ class FiniteGroup:
             raise InvariantViolationError("identity is not element 0")
         self.inverse = tuple(self.index[invert(e)] for e in self.elements)
         self.element_orders = tuple(perm_order(e) for e in self.elements)
-        self.generator_indices = tuple(generator_indices)
         # A product is looked up by the images of the first k points, the
         # fewest that tell the elements apart.
         k = next(k for k in range(1, degree + 1)
@@ -191,19 +190,16 @@ class FiniteGroup:
                     f"group order exceeds cap {order_cap}"
                 )
             frontier = nxt
-        ordered = sorted(known)
-        idx = {e: i for i, e in enumerate(ordered)}
-        return cls(degree, ordered, tuple(idx[g] for g in gens))
+        return cls(degree, known)
 
     @classmethod
-    def from_elements(cls, degree, elements, generator_indices=()):
-        """Wrap an element set known to be closed (subgroups, quotients,
-        cache entries).
+    def from_elements(cls, degree, elements):
+        """Wrap an element set known to be closed (subgroups, quotients).
 
         Raises InvariantViolationError when the set is not a group.
         """
         try:
-            group = cls(degree, elements, generator_indices)
+            group = cls(degree, elements)
             gens = _greedy_gens(group, range(group.order))
         except KeyError:
             raise InvariantViolationError("element set is not closed") from None
@@ -219,9 +215,6 @@ class FiniteGroup:
         if self._table is not None:
             return self._table[a][b]
         return self._by_base[self._then[b](self.elements[a])]
-
-    def inv(self, a):
-        return self.inverse[a]
 
     def conj(self, g, x):
         """Index of g x g^-1."""
@@ -336,7 +329,6 @@ class SubgroupLattice:
         self._build_inclusion()
         self._mobius = {}
         self._derived = {}
-        self._perfect = {}
         self._op_residual = {}
         self._dcosets = {}
 
@@ -380,9 +372,6 @@ class SubgroupLattice:
 
     def __len__(self):
         return len(self.subgroups)
-
-    def subgroup(self, sid):
-        return self.subgroups[sid]
 
     def is_subgroup_of(self, kid, hid):
         return self.subgroups[kid].elems <= self.subgroups[hid].elems
@@ -466,11 +455,7 @@ class SubgroupLattice:
     def perfect_residual_id(self, hid):
         """Last term of the derived series: the smallest normal subgroup
         with solvable quotient."""
-        val = self._perfect.get(hid)
-        if val is None:
-            val = self.derived_series(hid)[-1]
-            self._perfect[hid] = val
-        return val
+        return self.derived_series(hid)[-1]
 
     def o_p_residual_id(self, hid, p):
         """Subgroup generated by the elements of order coprime to p."""
@@ -617,61 +602,27 @@ def sylow_subgroup(group, p, reverse=False, n_elems=None, k_elems=None):
 # named groups and the group spec grammar
 
 
-def cyclic_group(n, order_cap=DEFAULT_ORDER_CAP):
-    if n < 1:
-        raise InputError("C<n> requires n >= 1")
-    if n == 1:
-        return FiniteGroup.from_generators(1, [], order_cap)
-    cyc = tuple(list(range(1, n)) + [0])
-    return FiniteGroup.from_generators(n, [cyc], order_cap)
-
-
-def symmetric_group(n, order_cap=DEFAULT_ORDER_CAP):
-    if n < 1:
-        raise InputError("S<n> requires n >= 1")
-    if n == 1:
-        return FiniteGroup.from_generators(1, [], order_cap)
-    swap = tuple([1, 0] + list(range(2, n)))
-    cyc = tuple(list(range(1, n)) + [0])
-    return FiniteGroup.from_generators(n, [swap, cyc], order_cap)
-
-
-def alternating_group(n, order_cap=DEFAULT_ORDER_CAP):
-    if n < 1:
-        raise InputError("A<n> requires n >= 1")
-    if n <= 2:
-        return FiniteGroup.from_generators(max(n, 1), [], order_cap)
-    gens = []
-    for i in range(n - 2):
-        images = list(range(n))
-        images[i], images[i + 1], images[i + 2] = images[i + 1], images[i + 2], images[i]
-        gens.append(tuple(images))
-    return FiniteGroup.from_generators(n, gens, order_cap)
-
-
-def dihedral_group(n, order_cap=DEFAULT_ORDER_CAP):
-    """Dihedral group of order 2n acting on n points."""
-    if n < 3:
-        raise InputError("D<n> requires n >= 3")
-    rot = tuple(list(range(1, n)) + [0])
-    refl = tuple((n - i) % n for i in range(n))
-    return FiniteGroup.from_generators(n, [rot, refl], order_cap)
-
-
-def klein_group(order_cap=DEFAULT_ORDER_CAP):
-    return FiniteGroup.from_generators(
-        4, [(1, 0, 3, 2), (2, 3, 0, 1)], order_cap
-    )
-
-
-def quaternion_group(order_cap=DEFAULT_ORDER_CAP):
-    # regular action of Q8 on itself, points 1,i,-1,-i,j,k,-j,-k
-    i_gen = parse_cycles(8, "(1 2 3 4)(5 6 7 8)")
-    j_gen = parse_cycles(8, "(1 5 3 7)(2 8 4 6)")
-    return FiniteGroup.from_generators(8, [i_gen, j_gen], order_cap)
-
-
 _NAMED_RE = re.compile(r"^([CSDA])(\d+)$")
+
+
+def _named_generators(kind, n):
+    """Degree and generators of C<n>, S<n>, A<n> or D<n> (order 2n)."""
+    if kind == "D" and n < 3:
+        raise InputError("D<n> requires n >= 3")
+    if n < 1:
+        raise InputError(f"{kind}<n> requires n >= 1")
+    if n == 1 or (kind == "A" and n == 2):
+        return n, []
+    cyc = tuple(range(1, n)) + (0,)
+    if kind == "C":
+        return n, [cyc]
+    if kind == "S":
+        return n, [(1, 0) + tuple(range(2, n)), cyc]
+    if kind == "A":
+        # the 3-cycles (i i+1 i+2)
+        return n, [tuple(range(i)) + (i + 1, i + 2, i) + tuple(range(i + 3, n))
+                   for i in range(n - 2)]
+    return n, [cyc, tuple((n - i) % n for i in range(n))]
 
 
 def parse_group_spec(spec, order_cap=DEFAULT_ORDER_CAP):
@@ -682,21 +633,16 @@ def parse_group_spec(spec, order_cap=DEFAULT_ORDER_CAP):
     (1 2 3)(4 5).
     """
     spec = spec.strip()
+    named = _NAMED_RE.match(spec)
     if spec == "Q8":
-        return quaternion_group(order_cap)
-    if spec == "V4":
-        return klein_group(order_cap)
-    m = _NAMED_RE.match(spec)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        if kind == "C":
-            return cyclic_group(n, order_cap)
-        if kind == "S":
-            return symmetric_group(n, order_cap)
-        if kind == "A":
-            return alternating_group(n, order_cap)
-        return dihedral_group(n, order_cap)
-    if spec.startswith("perm:"):
+        # regular action of Q8 on itself, points 1,i,-1,-i,j,k,-j,-k
+        degree, gens = 8, [parse_cycles(8, "(1 2 3 4)(5 6 7 8)"),
+                           parse_cycles(8, "(1 5 3 7)(2 8 4 6)")]
+    elif spec == "V4":
+        degree, gens = 4, [(1, 0, 3, 2), (2, 3, 0, 1)]
+    elif named:
+        degree, gens = _named_generators(named.group(1), int(named.group(2)))
+    elif spec.startswith("perm:"):
         parts = spec.split(":", 2)
         if len(parts) != 3:
             raise InputError(f"expected perm:<degree>:<cycles;...>, got {spec!r}")
@@ -706,9 +652,8 @@ def parse_group_spec(spec, order_cap=DEFAULT_ORDER_CAP):
             raise InputError(f"bad degree {parts[1]!r} in {spec!r}") from None
         if degree < 1:
             raise InputError(f"degree must be positive in {spec!r}")
-        gens = []
-        if parts[2].strip():
-            for chunk in parts[2].split(";"):
-                gens.append(parse_cycles(degree, chunk.strip()))
-        return FiniteGroup.from_generators(degree, gens, order_cap)
-    raise InputError(f"unrecognized group spec {spec!r}")
+        gens = [parse_cycles(degree, chunk.strip())
+                for chunk in parts[2].split(";")] if parts[2].strip() else []
+    else:
+        raise InputError(f"unrecognized group spec {spec!r}")
+    return FiniteGroup.from_generators(degree, gens, order_cap)

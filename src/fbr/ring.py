@@ -12,10 +12,10 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from . import abelian, perm
-from .abelian import DEFAULT_HOM_CAP, HomGroup, conj_values_map
+from .abelian import HomGroup, conj_values_map
 from .cyclo import Cyclotomic
 from .errors import InputError, InvariantViolationError
 from .perm import FiniteGroup, SubgroupLattice
@@ -125,11 +125,7 @@ class RingElement:
 
 def natural_level(group, fiber):
     """Exponent of the torsion of the fiber at the group exponent."""
-    exp_g = 1
-    for o in group.element_orders:
-        exp_g = exp_g * o // gcd(exp_g, o)
-    torsion = fiber.tor(exp_g)
-    return torsion.group.exponent
+    return gcd(fiber.exponent, lcm(*group.element_orders))
 
 
 class FiberedBurnsideRing:
@@ -142,15 +138,13 @@ class FiberedBurnsideRing:
     blocks) live in the one keyed memo behind memo().
     """
 
-    def __init__(self, group, fiber, level=None, lattice=None,
-                 hom_cap=DEFAULT_HOM_CAP):
+    def __init__(self, group, fiber, level=None, lattice=None):
         self.group = group
         self.fiber = fiber
         self.lattice = lattice if lattice is not None else SubgroupLattice(group)
         self.level = level if level is not None else natural_level(group, fiber)
         if self.level % natural_level(group, fiber) != 0:
             raise InputError("level must be a multiple of the natural level")
-        self.hom_cap = hom_cap
         self._hom_groups = {}
         self._actions = {}
         self._structure = {}
@@ -172,7 +166,7 @@ class FiberedBurnsideRing:
         if hg is None:
             sub = self.lattice.subgroups[sid]
             derived = self.lattice.subgroups[self.lattice.derived_id(sid)].elems
-            hg = HomGroup(self.group, sub, derived, self.fiber, self.hom_cap)
+            hg = HomGroup(self.group, sub, derived, self.fiber)
             self._hom_groups[sid] = hg
         return hg
 
@@ -393,8 +387,7 @@ class FiberedBurnsideRing:
             sub = self.lattice.subgroups[sid]
             elems = [self.group.elements[x] for x in sub.sorted_elems]
             child = FiniteGroup.from_elements(self.group.degree, elems)
-            return FiberedBurnsideRing(child, self.fiber, level=self.level,
-                                       hom_cap=self.hom_cap)
+            return FiberedBurnsideRing(child, self.fiber, level=self.level)
 
         return self.memo(("subring", sid), build)
 
@@ -417,12 +410,12 @@ class FiberedBurnsideRing:
         }
 
 
-def build_ring(group_spec, fiber_spec, order_cap=perm.DEFAULT_ORDER_CAP,
-               hom_cap=DEFAULT_HOM_CAP, level=None):
-    """Ring session from spec strings; the usual entry point."""
+def build_ring(group_spec, fiber_spec, order_cap=perm.DEFAULT_ORDER_CAP):
+    """Ring session from spec strings at the natural level; the usual
+    entry point."""
     group = perm.parse_group_spec(group_spec, order_cap)
     fiber = abelian.parse_fiber_spec(fiber_spec)
-    return FiberedBurnsideRing(group, fiber, level=level, hom_cap=hom_cap)
+    return FiberedBurnsideRing(group, fiber)
 
 
 # ---------------------------------------------------------------------------

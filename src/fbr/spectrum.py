@@ -23,7 +23,7 @@ from math import gcd
 from . import species as species_mod
 from .abelian import character_p_parts, character_order
 from .arith import is_prime
-from .cyclo import Cyclotomic, PrimeIdealData, find_prime_ideal, reduce_mod
+from .cyclo import PrimeIdealData, find_prime_ideal, reduce_mod
 from .errors import (InputError, InvariantViolationError,
                      TheoremViolationError)
 from .perm import quotient_group, sylow_subgroup
@@ -171,22 +171,21 @@ def congruent_mod_p(ring, d1, d2, prime):
     return reduced_species_row(ring, d1, prime) == reduced_species_row(ring, d2, prime)
 
 
-def p_equivalence_partition(ring, prime, verify=True):
+def p_equivalence_partition(ring, prime):
     """Partition of the dual orbits by congruence of species modulo P.
 
     Primary path: group by the conjugacy class of the p-regularization.
-    With verify=True (the default) the exhaustive finite-field oracle
-    must reproduce the same partition; any discrepancy raises.
+    The exhaustive finite-field oracle must reproduce the same
+    partition; any discrepancy raises.
     """
     n = ring.rank
     if prime.characteristic == 0:
         classes = tuple((d,) for d in range(n))
-        if verify:
-            rows = [reduced_species_row(ring, d, prime) for d in range(n)]
-            if len(set(rows)) != n:
-                raise TheoremViolationError(
-                    "distinct dual orbits with equal species rows at characteristic 0"
-                )
+        rows = [reduced_species_row(ring, d, prime) for d in range(n)]
+        if len(set(rows)) != n:
+            raise TheoremViolationError(
+                "distinct dual orbits with equal species rows at characteristic 0"
+            )
         return EquivalencePartition(prime, classes, None)
     p = prime.characteristic
     by_regular = {}
@@ -197,21 +196,20 @@ def p_equivalence_partition(ring, prime, verify=True):
         by_regular.items(), key=lambda kv: min(kv[1])))
     regular_reps = tuple(r for r, v in sorted(
         by_regular.items(), key=lambda kv: min(kv[1])))
-    if verify:
-        by_row = {}
-        for d in range(n):
-            by_row.setdefault(reduced_species_row(ring, d, prime), []).append(d)
-        oracle = set(tuple(sorted(v)) for v in by_row.values())
-        if oracle != set(classes):
+    by_row = {}
+    for d in range(n):
+        by_row.setdefault(reduced_species_row(ring, d, prime), []).append(d)
+    oracle = set(tuple(sorted(v)) for v in by_row.values())
+    if oracle != set(classes):
+        raise TheoremViolationError(
+            "regularization partition disagrees with the congruence oracle"
+        )
+    for cls, rep in zip(classes, regular_reps):
+        regs = sorted(d for d in cls if is_p_regular(ring, d, p))
+        if regs != [rep]:
             raise TheoremViolationError(
-                "regularization partition disagrees with the congruence oracle"
+                "a P-class does not contain exactly one regular orbit"
             )
-        for cls, rep in zip(classes, regular_reps):
-            regs = sorted(d for d in cls if is_p_regular(ring, d, p))
-            if regs != [rep]:
-                raise TheoremViolationError(
-                    "a P-class does not contain exactly one regular orbit"
-                )
     return EquivalencePartition(prime, classes, regular_reps)
 
 
@@ -319,12 +317,11 @@ def weyl_ring(ring, perfect_id):
     n_elems = lattice.subgroups[nid].sorted_elems
     j_elems = lattice.subgroups[perfect_id].elems
     quotient, onto, cosets = quotient_group(ring.group, n_elems, j_elems)
-    wring = FiberedBurnsideRing(quotient, ring.fiber, level=ring.level,
-                                hom_cap=ring.hom_cap)
+    wring = FiberedBurnsideRing(quotient, ring.fiber, level=ring.level)
     return wring, onto, cosets
 
 
-def weyl_block_iso(ring, perfect_id, check=True):
+def weyl_block_iso(ring, perfect_id):
     """The inflation bijection between the solvable block of the Weyl
     ring at J and the J-block of the ambient ring.
 
@@ -361,15 +358,13 @@ def weyl_block_iso(ring, perfect_id, check=True):
         mapping.append((b, oidx))
 
     images = [m for _, m in mapping]
-    if check:
-        if len(set(images)) != len(images):
-            raise TheoremViolationError("inflation map is not injective")
-        if set(images) != set(comp.basis_orbits):
-            raise TheoremViolationError("inflation map misses part of the block")
+    if len(set(images)) != len(images):
+        raise TheoremViolationError("inflation map is not injective")
+    if set(images) != set(comp.basis_orbits):
+        raise TheoremViolationError("inflation map misses part of the block")
 
     iso = WeylBlockIso(perfect_id, wring, tuple(mapping))
-    if check:
-        _check_weyl_multiplicative(ring, iso, e_j, e_w1, wcomp)
+    _check_weyl_multiplicative(ring, iso, e_j, e_w1, wcomp)
     return iso
 
 
@@ -384,11 +379,8 @@ def _apply_inflation(ring, iso, welem):
             )
         if not c.is_integer():
             raise InvariantViolationError("inflation needs integer coefficients")
-        tgt = lut[k]
-        val = Cyclotomic.from_rational(ring.level, c.rational_value())
-        out[tgt] = out[tgt] + val if tgt in out else val
-    return ring.element_from_ints({k: int(v.rational_value())
-                                   for k, v in out.items()})
+        out[lut[k]] = out.get(lut[k], 0) + int(c.rational_value())
+    return ring.element_from_ints(out)
 
 
 def _check_weyl_multiplicative(ring, iso, e_j, e_w1, wcomp):

@@ -1,6 +1,7 @@
 """Fiber groups, Hom enumeration with value tables, characters."""
 
 import itertools
+from math import lcm
 
 import pytest
 
@@ -9,9 +10,11 @@ from fbr.abelian import (FiniteAbelianGroup, HomGroup, character_order,
                          conj_values_map, dual_character_values,
                          normalize_invariant_factors, parse_fiber_spec,
                          restrict_values_map)
+from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
 from fbr.perm import SubgroupLattice, parse_group_spec
+from fbr.ring import natural_level
 
 
 def hom_group_of(lat, sid, fiber):
@@ -49,26 +52,28 @@ def test_divisibility_enforced():
 
 # -- torsion ----------------------------------------------------------------------
 
-def test_tor_trivial():
-    a = parse_fiber_spec("2x4")
-    assert a.tor(1).group.order == 1
+def killed_by_exponent(group, fiber):
+    """Oracle: the elements of the fiber killed by exp(G), by a direct scan."""
+    exp_g = lcm(*group.element_orders)
+    return [a for a in fiber.elements() if fiber.scale(exp_g, a) == fiber.zero()]
 
 
-def test_tor_c4_at_6():
-    # elements of C4 killed by 6 are 0 and 2
-    t = FiniteAbelianGroup((4,)).tor(6)
-    assert t.group.invariant_factors == (2,)
-    assert t.parent_elements == ((0,), (2,))
+def element_order(fiber, a):
+    k = 1
+    while fiber.scale(k, a) != fiber.zero():
+        k += 1
+    return k
 
 
-def test_tor_c2xc4_at_2():
-    a = FiniteAbelianGroup((2, 4))
-    t = a.tor(2)
-    assert t.group.invariant_factors == (2, 2)
-    # oracle: direct scan of all 8 elements
-    expected = sorted(e for e in a.elements()
-                      if all(2 * x % d == 0 for x, d in zip(e, a.invariant_factors)))
-    assert list(t.parent_elements) == expected
+def test_natural_level_matches_torsion_scan():
+    # the natural level is the exponent of the fiber's exp(G)-torsion
+    for gspec in CATALOG_GROUPS:
+        group = parse_group_spec(gspec)
+        for fspec in ("1", "2", "6", "2x4", "3x3"):
+            fiber = parse_fiber_spec(fspec)
+            torsion = killed_by_exponent(group, fiber)
+            expected = lcm(*(element_order(fiber, a) for a in torsion))
+            assert natural_level(group, fiber) == expected, (gspec, fspec)
 
 
 # -- hom groups --------------------------------------------------------------------
@@ -77,7 +82,7 @@ def brute_force_hom_count(group, sub, fiber):
     """Oracle: assign images to a generating set, extend by consistency."""
     if not sub.gens:
         return 1
-    candidates = fiber.torsion_elements(group.order)
+    candidates = killed_by_exponent(group, fiber)
     count = 0
     for images in itertools.product(candidates, repeat=len(sub.gens)):
         values = {group.identity: fiber.zero()}

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from fbr import cache
+from fbr import abelian, cache
+from fbr.abelian import parse_fiber_spec
 from fbr.cli import main
-from fbr.ring import build_ring
+from fbr.perm import parse_group_spec
+from fbr.ring import FiberedBurnsideRing
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
 
@@ -184,7 +186,7 @@ def test_cache_round_trip(tmp_path, ring_factory):
 def test_cache_corruption_recovers(tmp_path, ring_factory, capsys):
     ring = ring_factory("S3", "2")
     path = cache.save_session(tmp_path, ring, "S3", "2")
-    path.write_text(path.read_text().replace('"level"', '"lvl"', 1))
+    path.write_text(path.read_text().replace('"to_rep"', '"to_rp"', 1))
     assert cache.load_session(tmp_path, "S3", "2") is None
     assert "recomputing" in capsys.readouterr().err
 
@@ -201,7 +203,7 @@ def test_cache_unreadable_entry_recovers(tmp_path, ring_factory, capsys, text):
 def test_cache_load_propagates_bugs(tmp_path, ring_factory, monkeypatch):
     cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
 
-    def broken(payload, hom_cap=None):
+    def broken(payload, order_cap):
         raise AttributeError("a bug, not a corrupt entry")
 
     monkeypatch.setattr(cache, "ring_from_payload", broken)
@@ -237,32 +239,53 @@ def test_cache_hit_respects_cap_order(tmp_path, capsys):
     assert code == 2
 
 
-def test_cache_entry_at_other_level_is_recomputed(tmp_path, capsys):
-    cache.save_session(tmp_path, build_ring("S3", "2", level=12), "S3", "2")
-    assert cache.load_session(tmp_path, "S3", "2") is None
-    assert "recomputing" in capsys.readouterr().err
+def test_cache_entry_from_other_level_loads_at_natural_level(tmp_path, capsys):
+    # neither the basis nor the structure constants depend on the level
+    code, plain = run(capsys, "basis", "--group", "S3", "--fiber", "2")
+    assert code == 0
+    ring = FiberedBurnsideRing(parse_group_spec("S3"), parse_fiber_spec("2"),
+                               level=12)
+    for i in range(ring.rank):
+        ring.structure_constants(i, ring.rank - 1)
+    cache.save_session(tmp_path, ring, "S3", "2")
     code = main(["basis", "--group", "S3", "--fiber", "2",
                  "--cache-dir", str(tmp_path)])
     out = capsys.readouterr()
     assert code == 0
-    assert json.loads(out.out)["level"] == 2
-    assert "recomputing" in out.err
-    # the entry written back is at the natural level
-    assert cache.load_session(tmp_path, "S3", "2").level == 2
+    assert out.out == plain
+    assert out.err == ""
+    loaded = cache.load_session(tmp_path, "S3", "2")
+    assert loaded.level == 2
+    assert loaded._structure == ring._structure
 
 
-def test_cache_entry_not_closed_is_recomputed(tmp_path, ring_factory, capsys):
-    # C3 on points 1..3 with the transposition (4 5) added to both 3-cycles:
-    # closed under inverses, not under products, and its base-image table
-    # is the table of C3, so only the closure check rejects it
-    path = cache.save_session(tmp_path, ring_factory("C3", "1"), "C3", "1")
+@pytest.mark.parametrize("key,edit", [
+    # the stored basis no longer matches the one rebuilt on the lattice
+    ("basis", lambda basis: basis[::-1]),
+    # the group spec no longer matches the digest
+    ("group_spec", lambda spec: "C3"),
+], ids=["basis", "group_spec"])
+def test_cache_entry_edited_and_rechecksummed_is_recomputed(
+        tmp_path, ring_factory, capsys, key, edit):
+    path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
     payload = json.loads(path.read_text())
-    payload["degree"] = 5
-    payload["elements"] = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 0, 1, 4, 3]]
+    payload[key] = edit(payload[key])
     payload["checksum"] = cache._payload_checksum(payload)
     path.write_text(json.dumps(payload))
-    assert cache.load_session(tmp_path, "C3", "1") is None
+    assert cache.load_session(tmp_path, "S3", "2") is None
     assert "recomputing" in capsys.readouterr().err
+    code, _ = run(capsys, "basis", "--group", "S3", "--fiber", "2",
+                  "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert cache.load_session(tmp_path, "S3", "2") is not None
+
+
+def test_hom_cap_exits_2(capsys, monkeypatch):
+    # Hom(C4, C4) has four elements
+    monkeypatch.setattr(abelian, "HOM_CAP", 2)
+    code = main(["basis", "--group", "C4", "--fiber", "4"])
+    assert code == 2
+    assert "resource limit" in capsys.readouterr().err
 
 
 def test_cache_keys_distinct():

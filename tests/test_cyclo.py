@@ -1,12 +1,12 @@
 """Exact cyclotomic arithmetic and reduction modulo prime ideals."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-import fbr.cyclo as cyclo
 from fbr.cyclo import (Cyclotomic, FiniteFieldElem, cyclotomic_polynomial,
                        factor_cyclotomic_mod_p, find_prime_ideal,
                        prime_ideals, reduce_mod, render_cyclotomic)
@@ -185,20 +185,50 @@ def test_p_power_roots_reduce_to_one():
         assert reduce_mod(u, ideal).is_one()
 
 
+def poly_divmod_mod_p(a, b, p):
+    """Quotient and remainder of a by the monic b over F_p, coefficients
+    ascending."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = q[shift] = a[shift + len(b) - 1]
+        for i, x in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * x) % p
+    return q, a[:len(b) - 1]
+
+
+def irreducible_divisors_oracle(n, p):
+    """Monic irreducible divisors of the n-th cyclotomic polynomial mod p,
+    by trying every monic polynomial degree by degree and dividing each
+    divisor out completely: once the factors of lower degree are gone, a
+    divisor of what remains is irreducible."""
+    rest = [c % p for c in cyclotomic_polynomial(n)]
+    found = set()
+    k = 0
+    while len(rest) > 1:
+        k += 1
+        for tail in itertools.product(range(p), repeat=k):
+            f = list(tail) + [1]
+            q, r = poly_divmod_mod_p(rest, f, p)
+            while len(rest) > k and not any(r):
+                found.add(tuple(f))
+                rest = q
+                q, r = poly_divmod_mod_p(rest, f, p)
+    return found
+
+
 def test_equal_degree_split_path():
-    # level 41 at p = 2: two factors of degree 20, past the exhaustive cap
+    # level 41 at p = 2: two factors of degree 20
     factors = factor_cyclotomic_mod_p(41, 2)
     assert len(factors) == 2
     assert all(len(f) - 1 == 20 for f in factors)
-    # odd-p randomized split, forced by shrinking the cap
-    old = cyclo._EXHAUSTIVE_CANDIDATE_CAP
-    try:
-        cyclo._EXHAUSTIVE_CANDIDATE_CAP = 10
-        forced = factor_cyclotomic_mod_p(13, 5)
-    finally:
-        cyclo._EXHAUSTIVE_CANDIDATE_CAP = old
-    assert forced == factor_cyclotomic_mod_p(13, 5)
-    assert len(forced) == 3 and all(len(f) - 1 == 4 for f in forced)
+    # p^d <= 1000: both the one-factor shortcut and the split, p | n too
+    for n, p in [(7, 2), (15, 2), (21, 2), (31, 2), (11, 3), (8, 3), (13, 5),
+                 (12, 5), (20, 3), (24, 7), (5, 11), (16, 17), (91, 3),
+                 (9, 2), (10, 3), (12, 2), (18, 3), (20, 2), (45, 3), (63, 3)]:
+        got = factor_cyclotomic_mod_p(n, p)
+        assert len(set(got)) == len(got)
+        assert set(got) == irreducible_divisors_oracle(n, p), (n, p)
 
 
 def test_render():

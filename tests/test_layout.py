@@ -1,11 +1,15 @@
 """Source layout: each top-level function of the package has one home,
-and the package has no floating point."""
+the package has no floating point, and the names the benchmark's tracer
+wraps exist."""
 
 import ast
+import importlib.util
+import inspect
 from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "fbr"
+TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
 
 def test_no_function_defined_in_two_modules():
@@ -25,3 +29,29 @@ def test_no_float_literal_or_name():
                     or isinstance(node, ast.Name) and node.id == "float"):
                 found.append(f"{path.stem}:{node.lineno}")
     assert found == []
+
+
+def test_tracer_targets_exist():
+    # the traced benchmark run wraps these names and fails on a missing one
+    spec = importlib.util.spec_from_file_location("fbr_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for ts in tracer.SPANS.values() for t in ts]
+    targets += list(tracer.COUNTED.values()) + list(tracer.AFTER)
+    targets.append("perm:FiniteGroup.closure")
+    missing = []
+    for target in targets:
+        modname, _, attr = target.partition(":")
+        module = importlib.import_module(f"fbr.{modname}")
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            found = meth in vars(getattr(module, cls_name, object))
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(target)
+    assert missing == []
+    # the tracer reads reverse as args[3] of multiply_basis(self, i, j, reverse)
+    from fbr.ring import FiberedBurnsideRing
+    params = list(inspect.signature(FiberedBurnsideRing.multiply_basis).parameters)
+    assert params[3] == "reverse"
