@@ -65,6 +65,44 @@ def element_order(fiber, a):
     return k
 
 
+def torsion_via_hom(n, fiber):
+    """The n-torsion of the fiber as the values of Hom(C_n, A) at a generator."""
+    group = parse_group_spec(f"C{n}")
+    lat = SubgroupLattice(group)
+    hg = hom_group_of(lat, lat.full_group_id(), fiber)
+    gen = group.element_orders.index(n)
+    return hg, sorted(hg.value(i, gen) for i in range(hg.size))
+
+
+def test_tor_trivial():
+    a = parse_fiber_spec("2x4")
+    hg, values = torsion_via_hom(1, a)
+    assert hg.size == 1 and hg.structure == ()
+    assert values == [a.zero()]
+    assert natural_level(parse_group_spec("C1"), a) == 1
+
+
+def test_tor_c4_at_6():
+    # elements of C4 killed by 6 are 0 and 2
+    a = FiniteAbelianGroup((4,))
+    hg, values = torsion_via_hom(6, a)
+    assert hg.structure == (2,)
+    assert values == [(0,), (2,)]
+    assert values == killed_by_exponent(parse_group_spec("C6"), a)
+    assert natural_level(parse_group_spec("C6"), a) == 2
+
+
+def test_tor_c2xc4_at_2():
+    a = FiniteAbelianGroup((2, 4))
+    hg, values = torsion_via_hom(2, a)
+    assert hg.structure == (2, 2)
+    # oracle: direct scan of all 8 elements
+    expected = sorted(e for e in a.elements()
+                      if all(2 * x % d == 0 for x, d in zip(e, a.invariant_factors)))
+    assert values == expected
+    assert natural_level(parse_group_spec("C2"), a) == 2
+
+
 def test_natural_level_matches_torsion_scan():
     # the natural level is the exponent of the fiber's exp(G)-torsion
     for gspec in CATALOG_GROUPS:
