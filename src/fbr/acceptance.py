@@ -171,12 +171,12 @@ def criterion_structure_constants(session):
         else:
             pairs = sorted({(rng.randrange(n), rng.randrange(n))
                             for _ in range(SAMPLE_PAIRS)})
+        table = sp.species_table(ring)
         for a, b in pairs:
             prod = ring.multiply(ring.basis_element(a), ring.basis_element(b))
+            coords = sp.idempotent_coordinates(ring, prod)
             for d in range(n):
-                lhs = sp.apply_species(ring, d, prod)
-                rhs = sp.species_table(ring)[d][a] * sp.species_table(ring)[d][b]
-                if lhs != rhs:
+                if coords[d] != table[d][a] * table[d][b]:
                     bad.append(f"{g}/{f}: s{d}({a}*{b})")
                     break
             if bad:

@@ -6,7 +6,15 @@ stored as phi(n) integer numerators over one positive denominator in
 lowest terms, so that triple is a normal form.  The cyclotomic
 polynomial is monic and integral, so products reduce in integers;
 Fraction appears only where values enter or leave (rational scalars,
-JSON, rendering, reduction mod p, inverses).  Reduction modulo a prime
+JSON, rendering, reduction mod p, inverses).
+
+Linear combinations, such as ring products over structure constants
+and species extended linearly, go through one kernel: common_den puts
+the operands over one denominator, and sum_products accumulates the
+unreduced integer products of their numerators per output, then reduces
+modulo the cyclotomic polynomial and normalizes once per output, so a
+sum of many terms builds one value instead of one per term.  At levels
+1 and 2 (phi = 1) it is plain int arithmetic.  Reduction modulo a prime
 ideal above p lands in the finite field F_p[x]/(factor) for an
 irreducible factor of the cyclotomic polynomial mod p.
 
@@ -34,16 +42,22 @@ def _pm_trim(c):
     return c
 
 
+def _product(a, b):
+    """Product of two nonempty ascending coefficient sequences, untrimmed:
+    len(a) + len(b) - 1 coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def _poly_mul(a, b):
     """Product of two ascending coefficient lists, trimmed."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _pm_trim(out)
+    return _pm_trim(_product(a, b))
 
 
 def _poly_divmod_int(num, den):
@@ -115,6 +129,56 @@ def _normal(level, nums, den):
     return x
 
 
+def _reduce(level, prod, den):
+    """The value prod/den for an unreduced integer polynomial prod of
+    degree at most 2 phi(level) - 2, reduced modulo the cyclotomic
+    polynomial in integers."""
+    phi, _, rows = _level_data(level)
+    out = prod[:phi]
+    for k in range(phi, len(prod)):
+        c = prod[k]
+        if c:
+            out = [x + c * r for x, r in zip(out, rows[k])]
+    return _normal(level, tuple(out), den)
+
+
+def common_den(level, values):
+    """A mapping of values at one level over one denominator: (den,
+    {key: numerators}) with den the lcm of their denominators."""
+    if any(v.level != level for v in values.values()):
+        raise InputError(f"values not all at level {level}")
+    den = lcm(*(v.den for v in values.values()))
+    return den, {k: v.nums if v.den == den else tuple(a * (den // v.den) for a in v.nums)
+                 for k, v in values.items()}
+
+
+def sum_products(level, den, terms):
+    """Exact sums of products of numerators over one denominator.
+
+    terms yields (a, b, ((k, c), ...)): a and b are numerator tuples at
+    the level (for instance from common_den) and each c is an int.
+    Returns {k: Cyclotomic}, the value of the sum of c * a * b / den over
+    the terms that name k.  Each a * b is formed once as an unreduced
+    integer polynomial and added c times into the accumulator of each
+    of its k; each accumulator is reduced modulo the cyclotomic
+    polynomial and normalized once.  At phi(level) = 1 everything is
+    int arithmetic.
+    """
+    acc = {}
+    if _level_data(level)[0] == 1:
+        for (a,), (b,), outs in terms:
+            p = a * b
+            for k, c in outs:
+                acc[k] = acc.get(k, 0) + c * p
+        return {k: _normal(level, (s,), den) for k, s in acc.items()}
+    for a, b, outs in terms:
+        p = _product(a, b)
+        for k, c in outs:
+            s = acc.get(k)
+            acc[k] = [c * v for v in p] if s is None else [u + c * v for u, v in zip(s, p)]
+    return {k: _reduce(level, s, den) for k, s in acc.items()}
+
+
 class Cyclotomic:
     """Element of Q(zeta_n) in the power basis 1, zeta, ..., zeta^(phi(n)-1):
     the coefficient of zeta^k is nums[k] / den, with den > 0 and
@@ -175,21 +239,11 @@ class Cyclotomic:
             return _normal(self.level, tuple(a * q.numerator for a in self.nums),
                            self.den * q.denominator)
         self._check(other)
-        phi, _, rows = _level_data(self.level)
-        if phi == 1:
+        if len(self.nums) == 1:
             return _normal(self.level, (self.nums[0] * other.nums[0],),
                            self.den * other.den)
-        prod = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums, i):
-                    prod[j] += a * b
-        out = prod[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                out = [x + c * r for x, r in zip(out, rows[k])]
-        return _normal(self.level, tuple(out), self.den * other.den)
+        return _reduce(self.level, _product(self.nums, other.nums),
+                       self.den * other.den)
 
     __rmul__ = __mul__
 

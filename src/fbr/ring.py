@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from . import abelian, perm
 from .abelian import HomGroup, conj_values_map
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, common_den, sum_products
 from .errors import InputError, InvariantViolationError
 from .perm import FiniteGroup, SubgroupLattice
 
@@ -314,16 +314,11 @@ class FiberedBurnsideRing:
     def multiply(self, x, y):
         if x.ring is not self or y.ring is not self:
             raise InputError("elements from different rings")
-        out = {}
-        for i, a in x.coeffs.items():
-            for j, b in y.coeffs.items():
-                ab = a * b
-                if ab.is_zero():
-                    continue
-                for k, c in self.structure_constants(i, j):
-                    term = ab * c
-                    out[k] = out[k] + term if k in out else term
-        return RingElement(self, out)
+        xden, xnums = common_den(self.level, x.coeffs)
+        yden, ynums = common_den(self.level, y.coeffs)
+        sc = self.structure_constants
+        return RingElement(self, sum_products(self.level, xden * yden, (
+            (a, b, sc(i, j)) for i, a in xnums.items() for j, b in ynums.items())))
 
     # -- element constructors -------------------------------------------------
 

@@ -16,7 +16,7 @@ from . import ring as ring_mod
 from .abelian import (character_gen_exponents, character_order,
                       conj_evaluate_character, conj_values_map,
                       dual_character_values, evaluate_character)
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, common_den, sum_products
 from .errors import InputError, InvariantViolationError, TheoremViolationError
 from .perm import cycle_string
 
@@ -115,23 +115,43 @@ def species_value(ring, d, b):
 
 
 def species_table(ring):
-    """Full species table: rows are dual orbits, columns basis orbits."""
+    """Full species table: rows are dual orbits, columns basis orbits.
+
+    Every entry is a sum of roots of unity, so integral; an entry with a
+    denominator is an invariant violation.
+    """
     def build():
         rows = []
         for d in dual_orbits(ring):
             rows.append(tuple(species_value(ring, d, b) for b in range(ring.rank)))
+        if any(v.den != 1 for row in rows for v in row):
+            raise InvariantViolationError("species table entry is not integral")
         return tuple(rows)
 
     return ring.memo("species", build)
 
 
+def species_values(ring, x, duals):
+    """The species of each dual orbit index in duals, extended linearly
+    and evaluated on the element x, as a list.
+
+    x goes over one common denominator once, and each value is one
+    cyclo.sum_products sum over x's numerators and those of the memoized
+    species table, whose entries are integral.
+    """
+    if x.ring is not ring:
+        raise InputError("elements from different rings")
+    table = species_table(ring)
+    den, nums = common_den(ring.level, x.coeffs)
+    out = sum_products(ring.level, den, (
+        (a, table[d][k].nums, ((d, 1),)) for d in duals for k, a in nums.items()))
+    zero = Cyclotomic.zero(ring.level)
+    return [out.get(d, zero) for d in duals]
+
+
 def apply_species(ring, d, x):
     """Linear extension of a species to an arbitrary element."""
-    row = species_table(ring)[d if isinstance(d, int) else d.index]
-    total = Cyclotomic.zero(ring.level)
-    for k, c in x.coeffs.items():
-        total = total + c * row[k]
-    return total
+    return species_values(ring, x, (d if isinstance(d, int) else d.index,))[0]
 
 
 def species_value_composite(ring, d, b):
@@ -196,7 +216,7 @@ def _idempotent(ring, didx):
 def idempotent_coordinates(ring, x):
     """Coordinates of an element in the idempotent basis: one species
     value per dual orbit."""
-    return [apply_species(ring, d, x) for d in range(ring.rank)]
+    return species_values(ring, x, range(ring.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -296,8 +296,8 @@ def block_basis(ring, component):
              for b in component.basis_orbits]
     if len(component.basis_orbits) != len(component.dual_orbits):
         raise TheoremViolationError("block basis and dual counts differ")
-    matrix = [[species_mod.apply_species(ring, d, x)
-               for d in component.dual_orbits] for x in elems]
+    matrix = [species_mod.species_values(ring, x, component.dual_orbits)
+              for x in elems]
     if elems:
         det = species_mod.exact_determinant(matrix)
         if det.is_zero():

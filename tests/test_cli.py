@@ -280,6 +280,34 @@ def test_cache_entry_edited_and_rechecksummed_is_recomputed(
     assert cache.load_session(tmp_path, "S3", "2") is not None
 
 
+@pytest.mark.parametrize("key,edit", [
+    # every subgroup claims the identity as its witness
+    ("to_rep", lambda to_rep: [0] * len(to_rep)),
+    # every subgroup claims the class of the trivial subgroup
+    ("class_index", lambda class_index: [0] * len(class_index)),
+    # every subgroup claims the whole group as its normalizer
+    ("normalizers", lambda normalizers: [len(normalizers) - 1] * len(normalizers)),
+    # two classes trade places, and with them their class indices
+    ("classes", lambda classes: [classes[1], classes[0]] + classes[2:]),
+], ids=["to_rep", "class_index", "normalizers", "classes"])
+def test_cache_entry_with_edited_classes_is_recomputed(
+        tmp_path, ring_factory, capsys, key, edit):
+    args = ("idempotents", "--group", "S4", "--fiber", "2")
+    code, plain = run(capsys, *args)
+    assert code == 0
+    path = cache.save_session(tmp_path, ring_factory("S4", "2"), "S4", "2")
+    payload = json.loads(path.read_text())
+    payload[key] = edit(payload[key])
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    code = main([*args, "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == plain
+    assert "recomputing" in out.err
+    assert cache.load_session(tmp_path, "S4", "2") is not None
+
+
 def test_hom_cap_exits_2(capsys, monkeypatch):
     # Hom(C4, C4) has four elements
     monkeypatch.setattr(abelian, "HOM_CAP", 2)

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from fbr.cyclo import (Cyclotomic, FiniteFieldElem, cyclotomic_polynomial,
-                       factor_cyclotomic_mod_p, find_prime_ideal,
-                       prime_ideals, reduce_mod, render_cyclotomic)
+from fbr.cyclo import (Cyclotomic, FiniteFieldElem, common_den, cyclotomic_polynomial,
+                       factor_cyclotomic_mod_p, find_prime_ideal, prime_ideals,
+                       reduce_mod, render_cyclotomic, sum_products)
 from fbr.errors import InputError, NotIntegralAtPError
 
 
@@ -319,3 +319,28 @@ def test_kernel_matches_sympy_oracle():
         zero = normal(Cyclotomic.zero(n))
         assert (zero.nums, zero.den) == ((0,) * phi, 1)
         assert normal(a - a) == zero
+        # the sum kernel: mixed denominators, a zero operand, a zero
+        # coefficient and an output whose terms cancel
+        values = {k: Cyclotomic(n, [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6)))
+                                    for _ in range(phi)]) for k in range(4)}
+        values["z"] = zero
+        den, nums = common_den(n, values)
+        assert den == math.lcm(*(v.den for v in values.values()))
+        assert all(Cyclotomic(n, [Fraction(c, den) for c in nums[k]]) == v
+                   for k, v in values.items())
+        terms = [(i, j, [(rng.randrange(4), rng.randint(-3, 3))
+                         for _ in range(rng.randint(0, 3))])
+                 for i in values for j in values]
+        terms += [(0, 1, [("c", 2)]), (0, 1, [("c", -2)])]
+        got = sum_products(n, den * den, ((nums[i], nums[j], outs) for i, j, outs in terms))
+        want = {}
+        for i, j, outs in terms:
+            for k, c in outs:
+                want[k] = want.get(k, 0) + to_poly(values[i]) * to_poly(values[j]) * c
+        assert set(got) == set(want)
+        for k, p in want.items():
+            assert normal(got[k]) == from_poly(sympy.rem(p, mod), n)
+        assert got["c"] == zero and (got["c"].nums, got["c"].den) == ((0,) * phi, 1)
+        assert sum_products(n, 5, []) == {}
+        with pytest.raises(InputError):
+            common_den(n, {0: Cyclotomic.one(2 * n + 1)})

@@ -12,7 +12,7 @@ import pytest
 from fbr import burnside
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError
-from fbr.ring import build_ring, conjugate, induce, restrict
+from fbr.ring import RingElement, build_ring, conjugate, induce, restrict
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "c2_a2.json").read_text())
 
@@ -110,6 +110,30 @@ def test_double_coset_order_independence(ring_factory):
             for j in range(i, ring.rank):
                 assert dict(ring.structure_constants(i, j)) == \
                     ring.multiply_basis(i, j, reverse=True)
+
+
+def test_multiply_matches_per_term_reference(kernel_rings, random_element):
+    # the old product: one Cyclotomic product and one sum per structure constant
+    def reference(ring, x, y):
+        out = {}
+        for i, a in x.coeffs.items():
+            for j, b in y.coeffs.items():
+                for k, c in ring.structure_constants(i, j):
+                    term = a * b * c
+                    out[k] = out[k] + term if k in out else term
+        return RingElement(ring, out)
+
+    rng = random.Random(6)
+    for ring in kernel_rings:
+        elems = [ring.zero(), ring.one()] + [
+            random_element(ring, rng, size) for size in (1, 2, 4, ring.rank)]
+        assert any(not v.is_rational() or v.den > 1
+                   for x in elems for v in x.coeffs.values())
+        for x in elems:
+            for y in elems:
+                prod = ring.multiply(x, y)
+                assert prod == reference(ring, x, y)
+                assert all(type(a) is int for v in prod.coeffs.values() for a in v.nums)
 
 
 def test_multiply_level_mismatch():

@@ -10,7 +10,8 @@ import pytest
 from fbr import burnside
 from fbr import species as sp
 from fbr.cyclo import Cyclotomic
-from fbr.errors import InvariantViolationError
+from fbr.errors import InputError, InvariantViolationError
+from fbr.ring import build_ring
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "c2_a2.json").read_text())
 
@@ -206,6 +207,61 @@ def test_idempotent_coordinates(ring_factory):
         for d, c in enumerate(coords):
             rebuilt = rebuilt + sp.idempotent(ring, d).scale(c)
         assert rebuilt == x
+
+
+def test_species_values_match_per_term_reference(kernel_rings, random_element):
+    # the old linear extension: one product and one sum per coefficient
+    def reference(ring, d, x):
+        total = Cyclotomic.zero(ring.level)
+        for k, c in x.coeffs.items():
+            total = total + c * sp.species_table(ring)[d][k]
+        return total
+
+    rng = random.Random(7)
+    for ring in kernel_rings:
+        for x in [ring.zero(), ring.one()] + [
+                random_element(ring, rng, size) for size in (1, 3, ring.rank)]:
+            want = [reference(ring, d, x) for d in range(ring.rank)]
+            assert sp.idempotent_coordinates(ring, x) == want
+            assert [sp.apply_species(ring, d, x) for d in range(ring.rank)] == want
+            duals = [d for d in range(ring.rank) if rng.random() < 0.5]
+            assert sp.species_values(ring, x, duals) == [want[d] for d in duals]
+
+
+def test_species_table_must_be_integral(monkeypatch):
+    ring = build_ring("C2", "2")
+    monkeypatch.setattr(sp, "species_value", lambda ring, d, b:
+                        Cyclotomic.from_rational(ring.level, Fraction(1, 2)))
+    with pytest.raises(InvariantViolationError, match="not integral"):
+        sp.species_table(ring)
+
+
+def test_species_of_element_from_other_ring(ring_factory):
+    ring = ring_factory("S3", "2")
+    x = ring_factory("C4", "2").basis_element(1)
+    with pytest.raises(InputError, match="different rings"):
+        sp.apply_species(ring, 0, x)
+    with pytest.raises(InputError, match="different rings"):
+        sp.idempotent_coordinates(ring, x)
+
+
+@pytest.mark.parametrize("spec,fiber", [
+    ("C2", "2"), ("A4", "2"), ("S3", "3"), ("C4", "4"), ("A4", "3"), ("S3", "6"),
+    ("C6", "6")])
+def test_determinant_matches_sympy_oracle(ring_factory, spec, fiber):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    ring = ring_factory(spec, fiber)
+    table = sp.species_table(ring)
+    matrix = sympy.Matrix([[sum(c * z ** k for k, c in enumerate(v.coefficients()))
+                            for v in row] for row in table])
+    mod = sympy.Poly(sympy.cyclotomic_poly(ring.level, z), z, domain="QQ")
+    want = sympy.rem(sympy.Poly(matrix.det(method="berkowitz"), z, domain="QQ"), mod)
+    det = sp.exact_determinant(table)
+    assert det == sp.species_determinant(ring)
+    assert det.coefficients() == [Fraction(str(want.coeff_monomial(z ** k)))
+                                  for k in range(mod.degree())]
+    assert not det.is_zero()
 
 
 def test_determinant_of_singular_matrix():
