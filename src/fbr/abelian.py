@@ -343,13 +343,6 @@ def conj_values_map(group, values_map, g):
     return {group.conj(g, x): v for x, v in values_map.items()}
 
 
-def restrict_values_map(values_map, sub_elems):
-    missing = [e for e in sub_elems if e not in values_map]
-    if missing:
-        raise InputError("restriction target is not inside the domain")
-    return {e: values_map[e] for e in sub_elems}
-
-
 # ---------------------------------------------------------------------------
 # characters of Hom groups
 

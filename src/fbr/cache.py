@@ -1,13 +1,15 @@
-"""Session cache: lattice, basis and structure constants on disk.
+"""Session cache: subgroup sets, basis and structure constants on disk.
 
 A cache entry is keyed by a digest of the normalized group and fiber
 specs.  Loading checks the format version, the digest and a payload
 checksum, then rebuilds the group from its spec under the order cap
-(so a group over the cap is a ResourceLimitError, not a corrupt entry),
-checks the stored conjugacy classes, to_rep and normalizers against the
-group, and checks the stored basis against the one rebuilt on the cached
-lattice; any other mismatch or corruption makes the caller recompute,
-with a notice on stderr.  Neither the basis nor the structure constants
+(so a group over the cap is a ResourceLimitError, not a corrupt entry).
+The stored subgroup sets must hold element indices of the group and be
+subgroups; the lattice built on them computes the classes, witnesses
+and normalizers, which fails when the sets are not closed under
+conjugation.  The stored basis must match the one rebuilt on that
+lattice, which it does not when a class is missing.  Any other mismatch
+or corruption makes the caller recompute, with a notice on stderr.  Neither the basis nor the structure constants
 depend on the level, so a loaded ring is at the natural level.  The hom
 cap is not part of the key: loading rebuilds the Hom groups, which
 enforce the cap again.
@@ -26,7 +28,7 @@ from .errors import FbrError, ResourceLimitError
 from .perm import DEFAULT_ORDER_CAP, SubgroupLattice, parse_group_spec
 from .ring import FiberedBurnsideRing
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def session_key(group_spec, fiber_spec):
@@ -52,11 +54,6 @@ def ring_payload(ring, group_spec, fiber_spec):
         "fiber_spec": fiber_spec.strip(),
         "digest": session_key(group_spec, fiber_spec),
         "subgroups": [list(s.sorted_elems) for s in lattice.subgroups],
-        "class_index": list(lattice.class_index),
-        "to_rep": list(lattice.to_rep),
-        "classes": [{"rep": c.rep, "members": list(c.members)}
-                    for c in lattice.classes],
-        "normalizers": list(lattice.normalizer_ids),
         "basis": [[o.subgroup_id, o.hom_index] for o in ring.basis.orbits],
         "structure": {
             f"{i},{j}": [[k, c] for k, c in val]
@@ -78,11 +75,11 @@ def ring_from_payload(payload, order_cap):
         return None
     group = parse_group_spec(payload["group_spec"], order_cap)
     fiber = parse_fiber_spec(payload["fiber_spec"])
-    lattice = SubgroupLattice.from_data(
-        group, payload["subgroups"], payload["class_index"], payload["to_rep"],
-        [(c["rep"], c["members"]) for c in payload["classes"]],
-        payload["normalizers"])
-    if not _classes_agree(lattice):
+    sets = payload["subgroups"]
+    if not all(type(x) is int and 0 <= x < group.order for s in sets for x in s):
+        return None
+    lattice = SubgroupLattice(group, sets)
+    if any(group.closure(s.gens) != s.elems for s in lattice.subgroups):
         return None
     ring = FiberedBurnsideRing(group, fiber, lattice=lattice)
     stored_basis = [tuple(b) for b in payload["basis"]]
@@ -93,48 +90,6 @@ def ring_from_payload(payload, order_cap):
         i, j = (int(t) for t in key.split(","))
         ring._structure[(i, j)] = tuple((int(k), int(c)) for k, c in val)
     return ring
-
-
-def _classes_agree(lattice):
-    """Whether the stored classes, class_index, to_rep and normalizers are
-    those of the lattice's subgroups, up to the choice of each to_rep
-    witness (which no output depends on).
-
-    The classes must partition the subgroups in canonical order (each
-    rep its class's least member, reps increasing) and agree with
-    class_index; to_rep[s] must conjugate s onto its class rep; the
-    generators of the stored N(s) must normalize s, with |N(s)| equal to
-    |G| over the class size.  N(s) then is the whole normalizer and each
-    class a whole conjugacy class.  Only generators are conjugated, so
-    the check costs far less than rebuilding the lattice.
-    """
-    group, subs, classes = lattice.group, lattice.subgroups, lattice.classes
-    m = len(subs)
-    if not len(lattice.class_index) == len(lattice.to_rep) == \
-            len(lattice.normalizer_ids) == m:
-        return False
-    if sorted(s for c in classes for s in c.members) != list(range(m)):
-        return False
-    last_rep = -1
-    for c in classes:
-        if c.rep != min(c.members) or c.rep <= last_rep:
-            return False
-        last_rep = c.rep
-        rep_elems = subs[c.rep].elems
-        for s in c.members:
-            w, n = lattice.to_rep[s], lattice.normalizer_ids[s]
-            if lattice.class_index[s] != c.index or not (
-                    0 <= w < group.order and 0 <= n < m):
-                return False
-            # a conjugate of H inside a subgroup of |H| elements is that subgroup
-            h = subs[s]
-            if h.order != len(rep_elems) or not all(
-                    group.conj(w, x) in rep_elems for x in h.gens):
-                return False
-            if subs[n].order * len(c.members) != group.order or not all(
-                    group.conj(g, x) in h.elems for g in subs[n].gens for x in h.gens):
-                return False
-    return True
 
 
 def cache_path(cache_dir, group_spec, fiber_spec):

@@ -22,44 +22,49 @@ from .perm import DEFAULT_ORDER_CAP, cycle_string, parse_group_spec
 from .ring import build_ring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbr",
         description="Exact computation in fibered Burnside rings",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_group=True):
-        if needs_group:
-            p.add_argument("--group", required=True,
-                           help="C<n>, D<n>, S<n>, A<n>, Q8, V4 or perm:<deg>:<cycles;...>")
-            p.add_argument("--fiber", default="1",
-                           help="invariant factors like 2x4, or 1 for the trivial fiber")
+    def ring_verb(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--group", required=True,
+                       help="C<n>, D<n>, S<n>, A<n>, Q8, V4 or perm:<deg>:<cycles;...>")
+        p.add_argument("--fiber", default="1",
+                       help="invariant factors like 2x4, or 1 for the trivial fiber")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--cache-dir", default=os.environ.get("FBR_CACHE_DIR"))
         p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
-        p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+        return p
 
-    common(sub.add_parser("basis", help="list the monomial basis orbits"))
-    p = sub.add_parser("multiply", help="product of two basis orbits")
-    common(p)
+    ring_verb("basis", "list the monomial basis orbits")
+    p = ring_verb("multiply", "product of two basis orbits")
     p.add_argument("left", type=int)
     p.add_argument("right", type=int)
-    common(sub.add_parser("species", help="emit the species table"))
-    common(sub.add_parser("idempotents", help="emit the primitive idempotents"))
-    p = sub.add_parser("spectrum", help="P-equivalence partition of dual pairs")
-    common(p)
+    ring_verb("species", "emit the species table")
+    ring_verb("idempotents", "emit the primitive idempotents")
+    p = ring_verb("spectrum", "P-equivalence partition of dual pairs")
     p.add_argument("--char", required=True,
                    help="residue characteristic: 0 or a prime p")
-    common(sub.add_parser("blocks", help="block idempotents and block bases"))
-    p = sub.add_parser("weyl", help="inflation bijection onto a block")
-    common(p)
+    ring_verb("blocks", "block idempotents and block bases")
+    p = ring_verb("weyl", "inflation bijection onto a block")
     p.add_argument("--perfect", required=True,
                    help="perfect subgroup selector: 1 or a named group of matching order")
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     p.add_argument("--group", default=None, help="restrict the catalog to one group")
     p.add_argument("--fiber", default=None, help="restrict the catalog to one fiber")
-    common(p, needs_group=False)
+    p.add_argument("--format", choices=["json", "table"], default="json")
+    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     return parser
 
 

@@ -475,10 +475,6 @@ class FiniteFieldElem:
         coeffs = list(coeffs)[: d] + [0] * max(0, d - len(coeffs))
         self.coeffs = tuple(c % p for c in coeffs[:d]) if d else ()
 
-    @classmethod
-    def from_int(cls, p, factor, value):
-        return cls(p, factor, [value % p])
-
     def __add__(self, other):
         return FiniteFieldElem(self.p, self.factor,
                                _pm_add(list(self.coeffs), list(other.coeffs), self.p))
@@ -494,9 +490,6 @@ class FiniteFieldElem:
 
     def __hash__(self):
         return hash((self.p, self.factor, self.coeffs))
-
-    def is_one(self):
-        return self.coeffs[:1] == (1,) and all(c == 0 for c in self.coeffs[1:])
 
     def to_json(self):
         return {"p": self.p, "factor": list(self.factor), "coeffs": list(self.coeffs)}

@@ -294,71 +294,60 @@ class SubgroupLattice:
     lexicographically least element set.
     """
 
-    def __init__(self, group):
-        sets = _enumerate_subgroup_sets(group)
-        self._set_up(group, sorted(sets, key=lambda fs: (len(fs), tuple(sorted(fs)))))
-        self._build_classes()
-
-    @classmethod
-    def from_data(cls, group, subgroup_elems, class_index, to_rep, classes,
-                  normalizer_ids):
-        """Lattice from the data of an earlier build: the subgroups' element
-        indices in lattice order, class_index and to_rep per subgroup,
-        (rep, members) per class, and the normalizer id per subgroup."""
-        lattice = cls.__new__(cls)
-        lattice._set_up(group, [frozenset(elems) for elems in subgroup_elems])
-        lattice.class_index = list(class_index)
-        lattice.to_rep = list(to_rep)
-        lattice.classes = [SubgroupClass(i, rep, tuple(members))
-                           for i, (rep, members) in enumerate(classes)]
-        lattice.normalizer_ids = list(normalizer_ids)
-        return lattice
-
-    # -- construction ------------------------------------------------------
-
-    def _set_up(self, group, ordered_sets):
-        """Subgroup records, inclusion and empty memos for sets in lattice order."""
+    def __init__(self, group, sets=None):
+        """Lattice of all subgroups, enumerated, or from sets: the element
+        index sets of every subgroup, in any order, as an earlier build
+        found them.  Classes, witnesses and normalizers are always
+        computed here."""
+        if sets is None:
+            sets = _enumerate_subgroup_sets(group)
         self.group = group
         self.subgroups = []
-        for i, fs in enumerate(ordered_sets):
+        ordered = sorted({frozenset(fs) for fs in sets},
+                         key=lambda fs: (len(fs), tuple(sorted(fs))))
+        for i, fs in enumerate(ordered):
             selems = tuple(sorted(fs))
             self.subgroups.append(
                 Subgroup(i, fs, selems, len(fs), _greedy_gens(group, selems))
             )
         self.by_set = {s.elems: s.id for s in self.subgroups}
         self._build_inclusion()
+        self._build_classes()
         self._mobius = {}
         self._derived = {}
         self._op_residual = {}
         self._dcosets = {}
 
+    # -- construction ------------------------------------------------------
+
     def _build_classes(self):
         """Classes, to_rep (the inverse of the least g taking the class
-        representative S to each member) and normalizers, N(^g S) = ^g N(S)."""
+        representative S to each member) and normalizers, N(^g S) = ^g N(S).
+
+        N(S) is found by conjugating the generators of S only.  The g
+        with ^g S = T form one left coset g N(S), whose least element the
+        coset scan of double_coset_reps picks."""
         group = self.group
         m = len(self.subgroups)
         self.class_index = [None] * m
         self.to_rep = [None] * m
         self.normalizer_ids = [None] * m
         self.classes = []
-        for i in range(m):
-            if self.class_index[i] is not None:
+        for s in self.subgroups:
+            if self.class_index[s.id] is not None:
                 continue
-            found = {}
-            norm = []
-            for g in range(group.order):
-                t = self.by_set[group.conj_set(g, self.subgroups[i].sorted_elems)]
-                if t not in found:
-                    found[t] = g
-                if t == i:
-                    norm.append(g)
+            norm = [g for g in range(group.order)
+                    if all(group.conj(g, x) in s.elems for x in s.gens)]
             cidx = len(self.classes)
-            for t, g in found.items():
+            members = []
+            for g in double_coset_reps(group, (group.identity,), norm):
+                t = self.conj_subgroup_id(g, s.id)
                 self.class_index[t] = cidx
-                # ^g S_i = S_t, so ^(g^-1) S_t = S_i = class rep
+                # ^g S = T, so ^(g^-1) T = S = class rep
                 self.to_rep[t] = group.inverse[g]
                 self.normalizer_ids[t] = self.by_set[group.conj_set(g, norm)]
-            self.classes.append(SubgroupClass(cidx, i, tuple(sorted(found))))
+                members.append(t)
+            self.classes.append(SubgroupClass(cidx, s.id, tuple(sorted(members))))
 
     def _build_inclusion(self):
         subs = self.subgroups

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from . import abelian, perm
 from .abelian import HomGroup, conj_values_map
 from .cyclo import Cyclotomic, common_den, sum_products
-from .errors import InputError, InvariantViolationError
+from .errors import InputError
 from .perm import FiniteGroup, SubgroupLattice
 
 
@@ -100,14 +100,6 @@ class RingElement:
 
     def is_integral(self):
         return all(v.is_integer() for v in self.coeffs.values())
-
-    def int_coeffs(self):
-        out = {}
-        for k, v in self.coeffs.items():
-            if not v.is_integer():
-                raise InvariantViolationError("element has a non-integer coefficient")
-            out[k] = int(v.rational_value())
-        return out
 
     def to_json(self):
         return {

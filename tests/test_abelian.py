@@ -8,8 +8,7 @@ import pytest
 from fbr.abelian import (FiniteAbelianGroup, HomGroup, character_order,
                          character_p_parts, character_power,
                          conj_values_map, dual_character_values,
-                         normalize_invariant_factors, parse_fiber_spec,
-                         restrict_values_map)
+                         normalize_invariant_factors, parse_fiber_spec)
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
@@ -242,18 +241,6 @@ def test_conjugation_preserves_kernel_conjugacy():
         moved = conj_values_map(g, vm, a)
         moved_ker = frozenset(x for x, v in moved.items() if v == zero)
         assert moved_ker == g.conj_set(a, sorted(ker))
-
-
-def test_restriction():
-    g = parse_group_spec("S3")
-    lat = SubgroupLattice(g)
-    hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
-    sign = hg.values_map(1)
-    a3 = next(s for s in lat.subgroups if s.order == 3)
-    restricted = restrict_values_map(sign, a3.sorted_elems)
-    assert all(v == (0,) for v in restricted.values())
-    with pytest.raises(InputError):
-        restrict_values_map(restricted, lat.subgroups[lat.full_group_id()].sorted_elems)
 
 
 # -- characters ------------------------------------------------------------------------

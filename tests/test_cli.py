@@ -11,7 +11,7 @@ import pytest
 from fbr import abelian, cache
 from fbr.abelian import parse_fiber_spec
 from fbr.cli import main
-from fbr.perm import parse_group_spec
+from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import FiberedBurnsideRing
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
@@ -134,6 +134,14 @@ def test_exit_codes(capsys):
     code, _ = run(capsys, "weyl", "--group", "S3", "--fiber", "2",
                   "--perfect", "C2")
     assert code == 1
+    # usage errors are input errors too, not the resource cap's exit 2
+    for argv in (("basis",), ("basis", "--group", "S3", "--cap-order", "abc")):
+        code = main(list(argv))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--help"])
+    assert exc.value.code == 0
 
 
 def test_byte_identical_runs(capsys):
@@ -186,7 +194,7 @@ def test_cache_round_trip(tmp_path, ring_factory):
 def test_cache_corruption_recovers(tmp_path, ring_factory, capsys):
     ring = ring_factory("S3", "2")
     path = cache.save_session(tmp_path, ring, "S3", "2")
-    path.write_text(path.read_text().replace('"to_rep"', '"to_rp"', 1))
+    path.write_text(path.read_text().replace('"subgroups"', '"subgroup"', 1))
     assert cache.load_session(tmp_path, "S3", "2") is None
     assert "recomputing" in capsys.readouterr().err
 
@@ -280,24 +288,38 @@ def test_cache_entry_edited_and_rechecksummed_is_recomputed(
     assert cache.load_session(tmp_path, "S3", "2") is not None
 
 
-@pytest.mark.parametrize("key,edit", [
-    # every subgroup claims the identity as its witness
-    ("to_rep", lambda to_rep: [0] * len(to_rep)),
-    # every subgroup claims the class of the trivial subgroup
-    ("class_index", lambda class_index: [0] * len(class_index)),
-    # every subgroup claims the whole group as its normalizer
-    ("normalizers", lambda normalizers: [len(normalizers) - 1] * len(normalizers)),
-    # two classes trade places, and with them their class indices
-    ("classes", lambda classes: [classes[1], classes[0]] + classes[2:]),
-], ids=["to_rep", "class_index", "normalizers", "classes"])
-def test_cache_entry_with_edited_classes_is_recomputed(
-        tmp_path, ring_factory, capsys, key, edit):
+def _drop_class_member(subgroups):
+    # one member of a class of order-2 subgroups goes missing
+    return subgroups[:1] + subgroups[2:]
+
+
+def _non_closed_4_set(subgroups):
+    # a 4-subgroup trades its last element for one outside it
+    i = next(i for i, s in enumerate(subgroups) if len(s) == 4)
+    outside = next(x for x in range(24) if x not in subgroups[i])
+    return subgroups[:i] + [subgroups[i][:3] + [outside]] + subgroups[i + 1:]
+
+
+def _drop_class(subgroups):
+    # every subgroup of order 8 (one class, the Sylow 2-subgroups) goes
+    return [s for s in subgroups if len(s) != 8]
+
+
+def _out_of_range(subgroups):
+    return [[0, 99]] + subgroups[1:]
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_class_member, _non_closed_4_set, _drop_class, _out_of_range,
+], ids=["member", "non_closed", "class", "out_of_range"])
+def test_cache_entry_with_edited_subgroups_is_recomputed(
+        tmp_path, ring_factory, capsys, edit):
     args = ("idempotents", "--group", "S4", "--fiber", "2")
     code, plain = run(capsys, *args)
     assert code == 0
     path = cache.save_session(tmp_path, ring_factory("S4", "2"), "S4", "2")
     payload = json.loads(path.read_text())
-    payload[key] = edit(payload[key])
+    payload["subgroups"] = edit(payload["subgroups"])
     payload["checksum"] = cache._payload_checksum(payload)
     path.write_text(json.dumps(payload))
     code = main([*args, "--cache-dir", str(tmp_path)])
@@ -306,6 +328,61 @@ def test_cache_entry_with_edited_classes_is_recomputed(
     assert out.out == plain
     assert "recomputing" in out.err
     assert cache.load_session(tmp_path, "S4", "2") is not None
+
+
+def test_cache_entry_with_reordered_subgroups_loads(tmp_path, ring_factory, capsys):
+    # the lattice sorts the stored sets itself, so their order is free
+    args = ("idempotents", "--group", "S4", "--fiber", "2")
+    code, plain = run(capsys, *args)
+    assert code == 0
+    path = cache.save_session(tmp_path, ring_factory("S4", "2"), "S4", "2")
+    payload = json.loads(path.read_text())
+    payload["subgroups"] = payload["subgroups"][::-1]
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    code = main([*args, "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == plain
+    assert out.err == ""
+    assert json.loads(path.read_text())["subgroups"] != payload["subgroups"]
+
+
+def test_cache_entry_with_a_non_subgroup_is_refused(tmp_path, ring_factory):
+    # a normal set that is no subgroup, stored with the basis it leads to
+    path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
+    payload = json.loads(path.read_text())
+    group = parse_group_spec("S3")
+    involutions = [x for x in range(group.order) if group.element_orders[x] == 2]
+    payload["subgroups"].append([0, *involutions])
+    fake = FiberedBurnsideRing(group, parse_fiber_spec("2"),
+                               lattice=SubgroupLattice(group, payload["subgroups"]))
+    payload["basis"] = [[o.subgroup_id, o.hom_index] for o in fake.basis.orbits]
+    payload["checksum"] = cache._payload_checksum(payload)
+    assert cache.ring_from_payload(payload, group.order) is None
+
+
+def test_cache_entry_of_format_2_is_recomputed_once(tmp_path, ring_factory, capsys):
+    args = ("basis", "--group", "S3", "--fiber", "2", "--cache-dir", str(tmp_path))
+    path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
+    payload = json.loads(path.read_text())
+    lattice = ring_factory("S3", "2").lattice
+    payload.update(format_version=2, class_index=lattice.class_index,
+                   to_rep=lattice.to_rep, normalizers=lattice.normalizer_ids,
+                   classes=[{"rep": c.rep, "members": list(c.members)}
+                            for c in lattice.classes])
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    code = main(list(args))
+    first = capsys.readouterr()
+    assert code == 0
+    assert "recomputing" in first.err
+    assert json.loads(path.read_text())["format_version"] == cache.FORMAT_VERSION
+    code = main(list(args))
+    second = capsys.readouterr()
+    assert code == 0
+    assert second.out == first.out
+    assert second.err == ""
 
 
 def test_hom_cap_exits_2(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Group machinery: closure, lattices, cosets, residuals, Moebius."""
 
 import itertools
+import random
 from math import log2
 
 import pytest
@@ -200,6 +201,22 @@ def test_lattice_matches_join_fixpoint_oracle(spec):
     assert [s.gens for s in lat.subgroups] == gens
     assert [c.rep for c in lat.classes] == [
         class_index.index(c) for c in range(len(lat.classes))]
+
+
+@pytest.mark.parametrize("spec", CATALOG_GROUPS + (GL32,))
+def test_lattice_from_sets_matches_enumeration(spec):
+    # the sets of an earlier build, shuffled and as lists, give the same lattice
+    g = parse_group_spec(spec)
+    lat = SubgroupLattice(g)
+    sets = [list(s.sorted_elems) for s in lat.subgroups]
+    random.Random(len(sets)).shuffle(sets)
+    again = SubgroupLattice(g, sets)
+    assert [s.elems for s in again.subgroups] == [s.elems for s in lat.subgroups]
+    assert [s.gens for s in again.subgroups] == [s.gens for s in lat.subgroups]
+    assert again.class_index == lat.class_index
+    assert again.to_rep == lat.to_rep
+    assert again.normalizer_ids == lat.normalizer_ids
+    assert again.classes == lat.classes
 
 
 def test_subgroup_count_a6():
