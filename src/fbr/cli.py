@@ -29,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _order_cap(text):
+    """--cap-order: a positive int; a cap below 1 is a usage error."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {cap}")
+    return cap
+
+
 def _parser():
     parser = _Parser(
         prog="fbr",
@@ -44,7 +55,7 @@ def _parser():
                        help="invariant factors like 2x4, or 1 for the trivial fiber")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--cache-dir", default=os.environ.get("FBR_CACHE_DIR"))
-        p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
+        p.add_argument("--cap-order", type=_order_cap, default=DEFAULT_ORDER_CAP)
         return p
 
     ring_verb("basis", "list the monomial basis orbits")

@@ -419,17 +419,28 @@ class SubgroupLattice:
     # -- derived series and residuals ----------------------------------------
 
     def derived_id(self, hid):
+        """The commutator subgroup H', as the normal closure in H of the
+        commutators [x, y] = x^-1 y^-1 x y of the generators of H.
+
+        A conjugate of a generator by a generator of H that falls outside
+        the subgroup generated so far joins the generators; a finite
+        subgroup whose generators stay inside under conjugation by the
+        generators of H is normal in H."""
         val = self._derived.get(hid)
         if val is None:
             group = self.group
-            elems = self.subgroups[hid].sorted_elems
-            comms = set()
-            for x in elems:
-                xi = group.inverse[x]
-                for y in elems:
-                    comms.add(group.mul(group.mul(xi, group.inverse[y]),
-                                        group.mul(x, y)))
-            val = self.by_set[group.closure(sorted(comms))]
+            mul, inv = group.mul, group.inverse
+            hgens = self.subgroups[hid].gens
+            gens = sorted({mul(mul(inv[x], inv[y]), mul(x, y))
+                           for x in hgens for y in hgens})
+            current = group.closure(gens)
+            for s in gens:  # gens grows during the loop
+                for h in hgens:
+                    c = group.conj(h, s)
+                    if c not in current:
+                        gens.append(c)
+                        current = group.closure(gens)
+            val = self.by_set[current]
             self._derived[hid] = val
         return val
 

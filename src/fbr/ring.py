@@ -165,19 +165,26 @@ class FiberedBurnsideRing:
     def hom_action(self, rep_id):
         """For a class representative H: the permutation of Hom(H, A)
         induced by each element of the normalizer, n -> sigma_n with
-        sigma_n[k] = index of ^n(phi_k)."""
+        sigma_n[k] = index of ^n(phi_k).
+
+        Only the generators g of N(H) conjugate value maps.  Since
+        ^(xg)phi = ^x(^g phi), sigma_(xg)[k] = sigma_x[sigma_g[k]], and a
+        walk from the identity over the generators reaches all of N(H)."""
         act = self._actions.get(rep_id)
         if act is None:
+            group = self.group
             hg = self.hom_group(rep_id)
-            norm_elems = self.lattice.subgroups[
-                self.lattice.normalizer_ids[rep_id]].sorted_elems
-            act = {}
-            for n in norm_elems:
-                perm_map = []
-                for k in range(hg.size):
-                    moved = conj_values_map(self.group, hg.values_map(k), n)
-                    perm_map.append(hg.index_of_map(moved))
-                act[n] = tuple(perm_map)
+            by_gen = [(g, tuple(hg.index_of_map(conj_values_map(
+                          group, hg.values_map(k), g)) for k in range(hg.size)))
+                      for g in self.lattice.normalizer(rep_id).gens]
+            act = {group.identity: tuple(range(hg.size))}
+            reached = [group.identity]
+            for x in reached:  # reached grows during the loop
+                for g, sg in by_gen:
+                    xg = group.mul(x, g)
+                    if xg not in act:
+                        act[xg] = tuple(act[x][i] for i in sg)
+                        reached.append(xg)
             self._actions[rep_id] = act
         return act
 

@@ -26,7 +26,7 @@ from .arith import is_prime
 from .cyclo import PrimeIdealData, find_prime_ideal, reduce_mod
 from .errors import (InputError, InvariantViolationError,
                      TheoremViolationError)
-from .perm import quotient_group, sylow_subgroup
+from .perm import SubgroupLattice, quotient_group, sylow_subgroup
 from .ring import FiberedBurnsideRing, RingElement
 
 
@@ -311,13 +311,21 @@ def block_basis(ring, component):
 
 def weyl_ring(ring, perfect_id):
     """Ring of the Weyl group N(J)/J at the ambient level, with the
-    quotient map data."""
+    quotient map data.
+
+    The subgroups of N(J)/J are the images of the S with J <= S <= N(J),
+    which the ambient lattice already holds, so the quotient's lattice
+    is built on their images and never enumerated."""
     lattice = ring.lattice
     nid = lattice.normalizer_ids[perfect_id]
     n_elems = lattice.subgroups[nid].sorted_elems
     j_elems = lattice.subgroups[perfect_id].elems
     quotient, onto, cosets = quotient_group(ring.group, n_elems, j_elems)
-    wring = FiberedBurnsideRing(quotient, ring.fiber, level=ring.level)
+    sets = [{onto[x] for x in lattice.subgroups[sid].elems}
+            for sid in lattice.subs_of[nid]
+            if j_elems <= lattice.subgroups[sid].elems]
+    wring = FiberedBurnsideRing(quotient, ring.fiber, level=ring.level,
+                                lattice=SubgroupLattice(quotient, sets))
     return wring, onto, cosets
 
 

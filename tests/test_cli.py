@@ -135,7 +135,9 @@ def test_exit_codes(capsys):
                   "--perfect", "C2")
     assert code == 1
     # usage errors are input errors too, not the resource cap's exit 2
-    for argv in (("basis",), ("basis", "--group", "S3", "--cap-order", "abc")):
+    for argv in (("basis",), ("basis", "--group", "S3", "--cap-order", "abc"),
+                 ("basis", "--group", "S3", "--cap-order", "0"),
+                 ("basis", "--group", "S3", "--cap-order", "-5")):
         code = main(list(argv))
         assert code == 1
         assert capsys.readouterr().err.startswith("input error: ")

@@ -320,6 +320,21 @@ def test_derived_subgroups():
     assert a5.derived_id(a5.full_group_id()) == a5.full_group_id()
 
 
+def all_pairs_derived(group, elems):
+    """H' as the closure of the commutator of every pair of elements."""
+    return group.closure({group.mul(group.mul(group.inverse[x], group.inverse[y]),
+                                    group.mul(x, y))
+                          for x in elems for y in elems})
+
+
+@pytest.mark.parametrize("spec", CATALOG_GROUPS + (GL32, "A6"))
+def test_derived_id_matches_all_pairs_oracle(spec):
+    lat = lattice(spec)
+    for s in lat.subgroups:
+        assert lat.subgroups[lat.derived_id(s.id)].elems == \
+            all_pairs_derived(lat.group, s.sorted_elems)
+
+
 def test_derived_series_terminates_quickly():
     for spec in ("S4", "D4", "Q8"):
         lat = lattice(spec)

@@ -10,9 +10,16 @@ from pathlib import Path
 import pytest
 
 from fbr import burnside
+from fbr import ring as ring_mod
+from fbr.abelian import conj_values_map, parse_fiber_spec
+from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError
-from fbr.ring import RingElement, build_ring, conjugate, induce, restrict
+from fbr.perm import SubgroupLattice, parse_group_spec
+from fbr.ring import (FiberedBurnsideRing, RingElement, build_ring, conjugate,
+                      induce, restrict)
+
+GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "c2_a2.json").read_text())
 
@@ -53,7 +60,6 @@ def test_canonicalize_well_defined(ring_factory):
         # canonical input returns itself with an identity-acting witness
         oidx, w = ring.canonicalize_pair(o.subgroup_id, values)
         assert oidx == i
-        from fbr.abelian import conj_values_map
         assert conj_values_map(g, values, w) == values
         # arbitrary conjugates land on the same orbit
         for _ in range(4):
@@ -63,6 +69,42 @@ def test_canonicalize_well_defined(ring_factory):
             oidx2, w2 = ring.canonicalize_pair(sid, moved)
             assert oidx2 == i
             assert conj_values_map(g, moved, w2) == values
+
+
+def per_element_hom_action(ring, rep):
+    """hom_action by conjugating every hom's value map by every n in N(H)."""
+    hg = ring.hom_group(rep)
+    return {n: tuple(hg.index_of_map(conj_values_map(ring.group, hg.values_map(k), n))
+                     for k in range(hg.size))
+            for n in ring.lattice.normalizer(rep).sorted_elems}
+
+
+@pytest.mark.parametrize("spec,fiber", [
+    (g, f) for g in CATALOG_GROUPS for f in ("1", "2", "6", "2x2")
+] + [(GL32, "1"), (GL32, "2")])
+def test_hom_action_matches_per_element_oracle(ring_factory, spec, fiber):
+    ring = ring_factory(spec, fiber)
+    for cls in ring.lattice.classes:
+        assert ring.hom_action(cls.rep) == per_element_hom_action(ring, cls.rep)
+
+
+def test_hom_action_conjugates_generators_only(monkeypatch):
+    # building S5/2 on a prebuilt lattice conjugates value maps only by
+    # the generators of each normalizer, not by all its elements
+    group, fiber = parse_group_spec("S5"), parse_fiber_spec("2")
+    lattice = SubgroupLattice(group)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return conj_values_map(*args)
+
+    monkeypatch.setattr(ring_mod, "conj_values_map", counted)
+    ring = FiberedBurnsideRing(group, fiber, lattice=lattice)
+    reps = [c.rep for c in lattice.classes]
+    bound = sum(len(lattice.normalizer(r).gens) * ring.hom_group(r).size for r in reps)
+    per_element = sum(lattice.normalizer(r).order * ring.hom_group(r).size for r in reps)
+    assert len(calls) <= bound < per_element
 
 
 # -- multiplication -----------------------------------------------------------------

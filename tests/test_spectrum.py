@@ -2,11 +2,15 @@
 
 import pytest
 
+from fbr import perm
 from fbr import species as sp
 from fbr import spectrum as spc
 from fbr.abelian import character_order, character_p_parts
+from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import prime_ideals
 from fbr.errors import InputError, TheoremViolationError
+
+GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 
 
 def dual_by_subgroup_order(ring, order, char_order=None):
@@ -417,6 +421,32 @@ def test_weyl_iso_s5_block_rank_3(ring_factory):
     assert iso.weyl_ring.group.order == 2
     assert iso.weyl_ring.rank == 3
     assert len(iso.bijection) == 3
+
+
+@pytest.mark.parametrize("spec", CATALOG_GROUPS + (GL32,))
+def test_weyl_lattice_matches_enumeration(ring_factory, spec):
+    # the lattice mapped from J <= S <= N(J) is the enumerated one of N(J)/J
+    ring = ring_factory(spec, "1")
+    for jid in ring.lattice.perfect_class_reps():
+        wring, _, _ = spc.weyl_ring(ring, jid)
+        got, want = wring.lattice, perm.SubgroupLattice(wring.group)
+        assert [s.elems for s in got.subgroups] == [s.elems for s in want.subgroups]
+        assert [s.gens for s in got.subgroups] == [s.gens for s in want.subgroups]
+        assert got.class_index == want.class_index
+        assert got.to_rep == want.to_rep
+        assert got.normalizer_ids == want.normalizer_ids
+
+
+def test_weyl_iso_does_not_enumerate_subgroups(ring_factory, monkeypatch):
+    rings = [ring_factory("S5", "2"), ring_factory(GL32, "1")]
+
+    def refuse(group):
+        raise AssertionError("the Weyl lattice was enumerated")
+
+    monkeypatch.setattr(perm, "_enumerate_subgroup_sets", refuse)
+    for ring in rings:
+        for jid in ring.lattice.perfect_class_reps():
+            spc.weyl_block_iso(ring, jid)
 
 
 def test_weyl_iso_rejects_non_perfect(ring_factory):
