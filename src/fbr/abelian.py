@@ -117,6 +117,36 @@ def parse_fiber_spec(spec):
 # abelianization bases
 
 
+def _quotient(elems, sub, mul, identity):
+    """The quotient of a group on elems by a normal subgroup sub, each
+    coset named by its least element.
+
+    Returns (coset key of each element, sorted keys, product of keys,
+    key of the identity, order of a key in the quotient).
+    """
+    coset_key = {}
+    for x in elems:
+        if x not in coset_key:
+            coset = [mul(x, s) for s in sub]
+            key = min(coset)
+            for y in coset:
+                coset_key[y] = key
+    ident = coset_key[identity]
+
+    def q_mul(a, b):
+        return coset_key[mul(a, b)]
+
+    def q_order(x):
+        o = 1
+        cur = x
+        while cur != ident:
+            cur = q_mul(cur, x)
+            o += 1
+        return o
+
+    return coset_key, sorted(set(coset_key.values())), q_mul, ident, q_order
+
+
 def _pgroup_basis(elems, mul, identity, p, order_of):
     """Cyclic basis of a finite abelian p-group given by explicit data.
 
@@ -138,33 +168,12 @@ def _pgroup_basis(elems, mul, identity, p, order_of):
     for _ in range(og - 1):
         cur = mul(cur, g)
         powers.append(cur)
-    gen_set = set(powers)
     if og == len(elems):
         return [(g, og)]
-    coset_key = {}
-    for x in elems:
-        if x in coset_key:
-            continue
-        coset = sorted(mul(x, s) for s in gen_set)
-        key = coset[0]
-        for y in coset:
-            coset_key[y] = key
-    q_elems = sorted(set(coset_key.values()))
-
-    def q_mul(a, b):
-        return coset_key[mul(a, b)]
-
-    def q_order(x):
-        o = 1
-        cur = x
-        while coset_key[cur] != coset_key[identity]:
-            cur = mul(cur, x)
-            o += 1
-        return o
-
+    _, q_elems, q_mul, q_ident, q_order = _quotient(elems, powers, mul, identity)
     basis = [(g, og)]
     ginv = powers[-1] if og > 1 else identity
-    for xbar, m in _pgroup_basis(q_elems, q_mul, coset_key[identity], p, q_order):
+    for xbar, m in _pgroup_basis(q_elems, q_mul, q_ident, p, q_order):
         x = xbar
         xm = identity
         for _ in range(m):
@@ -188,29 +197,8 @@ def abelianization_basis(group, subgroup, derived_elems):
     abelianization with orders in ascending divisibility, and coords
     maps each element index of H to its exponent tuple in that basis.
     """
-    d_sorted = sorted(derived_elems)
-    coset_key = {}
-    for x in subgroup.sorted_elems:
-        if x in coset_key:
-            continue
-        coset = sorted(group.mul(x, d) for d in d_sorted)
-        key = coset[0]
-        for y in coset:
-            coset_key[y] = key
-    q_elems = sorted(set(coset_key.values()))
-    ident = coset_key[group.identity]
-
-    def q_mul(a, b):
-        return coset_key[group.mul(a, b)]
-
-    def q_order(x):
-        o = 1
-        cur = x
-        while cur != ident:
-            cur = q_mul(cur, x)
-            o += 1
-        return o
-
+    coset_key, q_elems, q_mul, ident, q_order = _quotient(
+        subgroup.sorted_elems, derived_elems, group.mul, group.identity)
     n = len(q_elems)
     per_prime = {}
     for p in factorint(n):
@@ -392,10 +380,7 @@ def character_p_parts(values, p, level):
     o = character_order(values, level)
     pa = p_part(o, p)
     m = o // pa
-    if pa == 1:
-        return character_power(values, 0, level), values
-    if m == 1:
-        return values, character_power(values, 0, level)
+    # pow(x, -1, 1) == 0, so a trivial part needs no case of its own
     tp = m * pow(m, -1, pa)
     tq = pa * pow(pa, -1, m)
     return character_power(values, tp, level), character_power(values, tq, level)

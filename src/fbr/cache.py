@@ -8,9 +8,12 @@ The stored subgroup sets must hold element indices of the group and be
 subgroups; the lattice built on them computes the classes, witnesses
 and normalizers, which fails when the sets are not closed under
 conjugation.  The stored basis must match the one rebuilt on that
-lattice, which it does not when a class is missing.  Any other mismatch
-or corruption makes the caller recompute, with a notice on stderr.  Neither the basis nor the structure constants
-depend on the level, so a loaded ring is at the natural level.  The hom
+lattice, which it does not when a class is missing.  The structure
+constants must be a dict of "i,j" keys with 0 <= i <= j < rank whose
+values are lists of int pairs [k, c] with 0 <= k < rank.  Any other
+mismatch or corruption makes the caller recompute, with a notice on
+stderr.  Neither the basis nor the structure constants depend on the
+level, so a loaded ring is at the natural level.  The hom
 cap is not part of the key: loading rebuilds the Hom groups, which
 enforce the cap again.
 """
@@ -86,9 +89,17 @@ def ring_from_payload(payload, order_cap):
     rebuilt = [(o.subgroup_id, o.hom_index) for o in ring.basis.orbits]
     if stored_basis != rebuilt:
         return None
-    for key, val in payload["structure"].items():
+    structure = payload["structure"]
+    if not isinstance(structure, dict):
+        return None
+    n = ring.rank
+    for key, val in structure.items():
         i, j = (int(t) for t in key.split(","))
-        ring._structure[(i, j)] = tuple((int(k), int(c)) for k, c in val)
+        if not (0 <= i <= j < n and isinstance(val, list) and all(
+                isinstance(t, list) and len(t) == 2 and all(type(x) is int for x in t)
+                and 0 <= t[0] < n for t in val)):
+            return None
+        ring._structure[(i, j)] = tuple(map(tuple, val))
     return ring
 
 

@@ -1,10 +1,15 @@
 """Command line front end.
 
 Verbs: basis, multiply, species, idempotents, spectrum, blocks, weyl,
-verify-all.  Output is JSON (default) or an aligned text table; both
-are byte-stable for a fixed configuration and seed.  Exit codes: 0 ok,
-1 input error, 2 resource cap exceeded, 3 theorem or invariant
-violation (including failed verify-all criteria).
+verify-all; each sub-parser names its handler with set_defaults(run=...).
+The seven ring verbs share one protocol (_run_ring_verb): load the ring
+from --cache-dir or build it, start the document with the envelope
+{command, group, fiber, level, rank}, run the verb's body
+(args, ring, doc) -> table lines, which fills in its own fields, emit,
+and save the ring to the cache.  Output is JSON (default) or an aligned
+text table; both are byte-stable for a fixed configuration and seed.
+Exit codes: 0 ok, 1 input error, 2 resource cap exceeded, 3 theorem or
+invariant violation (including failed verify-all criteria).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from . import acceptance, cache, species as sp, spectrum as spc
 from .cyclo import render_cyclotomic
 from .errors import (FbrError, InputError, InvariantViolationError,
                      ResourceLimitError, TheoremViolationError)
-from .perm import DEFAULT_ORDER_CAP, cycle_string, parse_group_spec
+from .perm import DEFAULT_ORDER_CAP, parse_group_spec
 from .ring import build_ring
 
 
@@ -47,8 +52,9 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def ring_verb(name, summary):
+    def ring_verb(name, summary, body):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=lambda args: _run_ring_verb(args, body))
         p.add_argument("--group", required=True,
                        help="C<n>, D<n>, S<n>, A<n>, Q8, V4 or perm:<deg>:<cycles;...>")
         p.add_argument("--fiber", default="1",
@@ -58,17 +64,17 @@ def _parser():
         p.add_argument("--cap-order", type=_order_cap, default=DEFAULT_ORDER_CAP)
         return p
 
-    ring_verb("basis", "list the monomial basis orbits")
-    p = ring_verb("multiply", "product of two basis orbits")
+    ring_verb("basis", "list the monomial basis orbits", cmd_basis)
+    p = ring_verb("multiply", "product of two basis orbits", cmd_multiply)
     p.add_argument("left", type=int)
     p.add_argument("right", type=int)
-    ring_verb("species", "emit the species table")
-    ring_verb("idempotents", "emit the primitive idempotents")
-    p = ring_verb("spectrum", "P-equivalence partition of dual pairs")
+    ring_verb("species", "emit the species table", cmd_species)
+    ring_verb("idempotents", "emit the primitive idempotents", cmd_idempotents)
+    p = ring_verb("spectrum", "P-equivalence partition of dual pairs", cmd_spectrum)
     p.add_argument("--char", required=True,
                    help="residue characteristic: 0 or a prime p")
-    ring_verb("blocks", "block idempotents and block bases")
-    p = ring_verb("weyl", "inflation bijection onto a block")
+    ring_verb("blocks", "block idempotents and block bases", cmd_blocks)
+    p = ring_verb("weyl", "inflation bijection onto a block", cmd_weyl)
     p.add_argument("--perfect", required=True,
                    help="perfect subgroup selector: 1 or a named group of matching order")
     p = sub.add_parser("verify-all", help="run the acceptance suite")
@@ -76,21 +82,26 @@ def _parser():
     p.add_argument("--fiber", default=None, help="restrict the catalog to one fiber")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    p.set_defaults(run=cmd_verify_all)
     return parser
 
 
-def _load_ring(args):
+def _run_ring_verb(args, body):
+    """The protocol of every ring verb: load the ring from --cache-dir or
+    build it, fill the envelope, let the verb's body add its fields and
+    give its table lines, emit, and save the ring to the cache."""
+    ring = None
     if args.cache_dir:
         ring = cache.load_session(args.cache_dir, args.group, args.fiber,
                                   args.cap_order)
-        if ring is not None:
-            return ring
-    return build_ring(args.group, args.fiber, order_cap=args.cap_order)
-
-
-def _save_ring(args, ring):
+    if ring is None:
+        ring = build_ring(args.group, args.fiber, order_cap=args.cap_order)
+    doc = {"command": args.verb, "group": args.group, "fiber": args.fiber,
+           "level": ring.level, "rank": ring.rank}
+    _emit(args, doc, body(args, ring, doc))
     if args.cache_dir:
         cache.save_session(args.cache_dir, ring, args.group, args.fiber)
+    return 0
 
 
 def _emit(args, doc, table_lines):
@@ -101,90 +112,50 @@ def _emit(args, doc, table_lines):
             print(line)
 
 
-def _envelope(args, verb, ring=None):
-    doc = {"command": verb, "group": args.group, "fiber": args.fiber}
-    if ring is not None:
-        doc["level"] = ring.level
-        doc["rank"] = ring.rank
-    return doc
-
-
-def _orbit_label(ring, i):
-    d = ring.orbit_descriptor(i)
-    gens = ",".join(d["subgroup"]["generators"]) or "1"
-    images = d["hom"]["images"]
-    return f"[{gens} | {images}]"
-
-
-def cmd_basis(args):
-    ring = _load_ring(args)
-    doc = _envelope(args, "basis", ring)
+def cmd_basis(args, ring, doc):
     doc["orbits"] = [ring.orbit_descriptor(i) for i in range(ring.rank)]
     lines = [f"rank {ring.rank}  level {ring.level}"]
-    for i in range(ring.rank):
-        o = ring.basis.orbits[i]
-        lines.append(f"b{i:<3} order {ring.lattice.subgroups[o.subgroup_id].order:<4}"
-                     f" size {o.orbit_size:<4} {_orbit_label(ring, i)}")
-    _emit(args, doc, lines)
-    _save_ring(args, ring)
-    return 0
+    for i, o in enumerate(doc["orbits"]):
+        gens = ",".join(o["subgroup"]["generators"]) or "1"
+        lines.append(f"b{i:<3} order {o['subgroup']['order']:<4}"
+                     f" size {o['orbit_size']:<4} [{gens} | {o['hom']['images']}]")
+    return lines
 
 
-def cmd_multiply(args):
-    ring = _load_ring(args)
+def cmd_multiply(args, ring, doc):
     if not (0 <= args.left < ring.rank and 0 <= args.right < ring.rank):
         raise InputError(f"orbit indices must lie in 0..{ring.rank - 1}")
     prod = ring.multiply(ring.basis_element(args.left),
                          ring.basis_element(args.right))
-    doc = _envelope(args, "multiply", ring)
     doc["left"] = args.left
     doc["right"] = args.right
     doc["product"] = prod.to_json()
-    lines = [f"b{args.left} * b{args.right} =" ] + [
+    return [f"b{args.left} * b{args.right} ="] + [
         f"  {render_cyclotomic(prod.coeffs[k]):>8} * b{k}" for k in prod.support()
     ]
-    _emit(args, doc, lines)
-    _save_ring(args, ring)
-    return 0
 
 
-def cmd_species(args):
-    ring = _load_ring(args)
+def cmd_species(args, ring, doc):
     table = sp.species_table(ring)
-    doc = _envelope(args, "species", ring)
     doc["rows"] = [sp.dual_descriptor(ring, d) for d in range(ring.rank)]
     doc["cols"] = [ring.orbit_descriptor(i) for i in range(ring.rank)]
     doc["values"] = [[v.to_json() for v in row] for row in table]
     width = max((len(render_cyclotomic(v)) for row in table for v in row),
                 default=1)
-    lines = [" ".join(f"{render_cyclotomic(v):>{width}}" for v in row)
-             for row in table]
-    _emit(args, doc, lines)
-    _save_ring(args, ring)
-    return 0
+    return [" ".join(f"{render_cyclotomic(v):>{width}}" for v in row)
+            for row in table]
 
 
-def cmd_idempotents(args):
-    ring = _load_ring(args)
-    doc = _envelope(args, "idempotents", ring)
+def cmd_idempotents(args, ring, doc):
+    elems = [sp.idempotent(ring, d) for d in range(ring.rank)]
     doc["idempotents"] = [
-        {"dual": sp.dual_descriptor(ring, d),
-         "element": sp.idempotent(ring, d).to_json()}
-        for d in range(ring.rank)
+        {"dual": sp.dual_descriptor(ring, d), "element": e.to_json()}
+        for d, e in enumerate(elems)
     ]
-    lines = []
-    for d in range(ring.rank):
-        e = sp.idempotent(ring, d)
-        terms = " + ".join(f"({render_cyclotomic(e.coeffs[k])})*b{k}"
-                           for k in e.support())
-        lines.append(f"e{d} = {terms}")
-    _emit(args, doc, lines)
-    _save_ring(args, ring)
-    return 0
+    return [f"e{d} = {e.render()}" for d, e in enumerate(elems)]
 
 
-def cmd_spectrum(args):
-    ring = _load_ring(args)
+def cmd_spectrum(args, ring, doc):
     char = args.char.strip()
     if char == "0":
         prime = spc.PrimeDescriptor.char_zero()
@@ -195,7 +166,6 @@ def cmd_spectrum(args):
             raise InputError(f"--char must be 0 or a prime, got {char!r}") from None
         prime = spc.PrimeDescriptor.char_p(p, ring.level)
     part = spc.p_equivalence_partition(ring, prime)
-    doc = _envelope(args, "spectrum", ring)
     doc["characteristic"] = prime.characteristic
     doc["ideal"] = prime.ideal.to_json() if prime.ideal else None
     doc["classes"] = [list(c) for c in part.classes]
@@ -209,41 +179,26 @@ def cmd_spectrum(args):
         rep = ("" if part.regular_representatives is None
                else f"  regular rep d{part.regular_representatives[i]}")
         lines.append(f"  class {i}: {list(c)}{rep}")
-    _emit(args, doc, lines)
-    _save_ring(args, ring)
-    return 0
+    return lines
 
 
-def _subgroup_descriptor(ring, sid):
-    sub = ring.lattice.subgroups[sid]
-    return {"order": sub.order,
-            "class": ring.lattice.class_index[sid],
-            "generators": [cycle_string(ring.group.elements[g]) for g in sub.gens]}
-
-
-def cmd_blocks(args):
-    ring = _load_ring(args)
+def cmd_blocks(args, ring, doc):
     comps = spc.components(ring)
-    doc = _envelope(args, "blocks", ring)
     doc["blocks"] = []
     lines = [f"{len(comps)} blocks"]
     for comp in comps:
-        bi = spc.block_idempotent(ring, comp)
+        e = spc.block_idempotent(ring, comp).element
         basis = spc.block_basis(ring, comp)
         doc["blocks"].append({
-            "perfect": _subgroup_descriptor(ring, comp.perfect_id),
+            "perfect": ring.subgroup_descriptor(comp.perfect_id),
             "dual_orbits": list(comp.dual_orbits),
             "basis_orbits": list(comp.basis_orbits),
-            "idempotent": bi.element.to_json(),
+            "idempotent": e.to_json(),
             "basis": [x.to_json() for x in basis],
         })
-        terms = " + ".join(f"({render_cyclotomic(bi.element.coeffs[k])})*b{k}"
-                           for k in bi.element.support())
         lines.append(f"block J order {ring.lattice.subgroups[comp.perfect_id].order}:"
-                     f" rank {len(comp.basis_orbits)}, e = {terms}")
-    _emit(args, doc, lines)
-    _save_ring(args, ring)
-    return 0
+                     f" rank {len(comp.basis_orbits)}, e = {e.render()}")
+    return lines
 
 
 def _resolve_perfect(ring, selector):
@@ -261,12 +216,10 @@ def _resolve_perfect(ring, selector):
     return matches[0]
 
 
-def cmd_weyl(args):
-    ring = _load_ring(args)
+def cmd_weyl(args, ring, doc):
     jid = _resolve_perfect(ring, args.perfect)
     iso = spc.weyl_block_iso(ring, jid)
-    doc = _envelope(args, "weyl", ring)
-    doc["perfect"] = _subgroup_descriptor(ring, jid)
+    doc["perfect"] = ring.subgroup_descriptor(jid)
     doc["weyl_group_order"] = iso.weyl_ring.group.order
     doc["bijection"] = [
         {"weyl_orbit": iso.weyl_ring.orbit_descriptor(w), "orbit": ring.orbit_descriptor(g)}
@@ -277,9 +230,7 @@ def cmd_weyl(args):
              f"block rank {len(iso.bijection)}; verified"]
     for w, g in iso.bijection:
         lines.append(f"  w{w} -> b{g}")
-    _emit(args, doc, lines)
-    _save_ring(args, ring)
-    return 0
+    return lines
 
 
 def cmd_verify_all(args):
@@ -297,26 +248,10 @@ def cmd_verify_all(args):
     return 0 if report["passed"] else 3
 
 
-_COMMANDS = {
-    "basis": cmd_basis,
-    "multiply": cmd_multiply,
-    "species": cmd_species,
-    "idempotents": cmd_idempotents,
-    "spectrum": cmd_spectrum,
-    "blocks": cmd_blocks,
-    "weyl": cmd_weyl,
-    "verify-all": cmd_verify_all,
-}
-
-
-def run_command(argv):
-    args = _parser().parse_args(argv)
-    return _COMMANDS[args.verb](args)
-
-
 def main(argv=None):
     try:
-        code = run_command(sys.argv[1:] if argv is None else argv)
+        args = _parser().parse_args(sys.argv[1:] if argv is None else argv)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

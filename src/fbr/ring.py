@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from . import abelian, perm
 from .abelian import HomGroup, conj_values_map
-from .cyclo import Cyclotomic, common_den, sum_products
+from .cyclo import Cyclotomic, common_den, render_cyclotomic, sum_products
 from .errors import InputError
 from .perm import FiniteGroup, SubgroupLattice
 
@@ -107,12 +107,13 @@ class RingElement:
             "coeffs": {str(k): self.coeffs[k].to_json() for k in self.support()},
         }
 
+    def render(self):
+        """The terms as (c)*bk + ..., in basis order."""
+        return " + ".join(f"({render_cyclotomic(self.coeffs[k])})*b{k}"
+                          for k in self.support())
+
     def __repr__(self):
-        if not self.coeffs:
-            return "RingElement(0)"
-        from .cyclo import render_cyclotomic
-        parts = [f"({render_cyclotomic(v)})*b{k}" for k, v in sorted(self.coeffs.items())]
-        return "RingElement(" + " + ".join(parts) + ")"
+        return f"RingElement({self.render() or 0})"
 
 
 def natural_level(group, fiber):
@@ -387,18 +388,21 @@ class FiberedBurnsideRing:
 
     # -- descriptors ------------------------------------------------------------
 
+    def subgroup_descriptor(self, sid):
+        sub = self.lattice.subgroups[sid]
+        return {"order": sub.order, "class": self.lattice.class_index[sid],
+                "generators": [perm.cycle_string(self.group.elements[g])
+                               for g in sub.gens]}
+
     def orbit_descriptor(self, i):
         o = self.basis.orbits[i]
-        sub = self.lattice.subgroups[o.subgroup_id]
+        gens = self.lattice.subgroups[o.subgroup_id].gens
         hg = self.hom_group(o.subgroup_id)
         table = hg.tables[o.hom_index]
-        gens = [perm.cycle_string(self.group.elements[g]) for g in sub.gens]
-        images = [list(table[hg.pos[g]]) for g in sub.gens]
         return {
             "index": i,
-            "subgroup": {"order": sub.order, "class": o.class_index,
-                         "generators": gens},
-            "hom": {"images": images},
+            "subgroup": self.subgroup_descriptor(o.subgroup_id),
+            "hom": {"images": [list(table[hg.pos[g]]) for g in gens]},
             "stabilizer_order": o.stabilizer_order,
             "orbit_size": o.orbit_size,
         }

@@ -18,7 +18,6 @@ from .abelian import (character_gen_exponents, character_order,
                       dual_character_values, evaluate_character)
 from .cyclo import Cyclotomic, common_den, sum_products
 from .errors import InputError, InvariantViolationError, TheoremViolationError
-from .perm import cycle_string
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,8 @@ def canonicalize_dual(ring, sid, values):
 
 
 def species_value(ring, d, b):
-    """Species of the dual orbit d evaluated on the basis orbit b."""
-    dual = dual_orbits(ring)[d] if isinstance(d, int) else d
+    """Species of the dual orbit with index d evaluated on the basis orbit b."""
+    dual = dual_orbits(ring)[d]
     orbit = ring.basis.orbits[b]
     h = ring.lattice.subgroups[dual.subgroup_id]
     k = ring.lattice.subgroups[orbit.subgroup_id]
@@ -121,9 +120,8 @@ def species_table(ring):
     denominator is an invariant violation.
     """
     def build():
-        rows = []
-        for d in dual_orbits(ring):
-            rows.append(tuple(species_value(ring, d, b) for b in range(ring.rank)))
+        rows = [tuple(species_value(ring, d, b) for b in range(ring.rank))
+                for d in range(ring.rank)]
         if any(v.den != 1 for row in rows for v in row):
             raise InvariantViolationError("species table entry is not integral")
         return tuple(rows)
@@ -150,15 +148,15 @@ def species_values(ring, x, duals):
 
 
 def apply_species(ring, d, x):
-    """Linear extension of a species to an arbitrary element."""
-    return species_values(ring, x, (d if isinstance(d, int) else d.index,))[0]
+    """Linear extension of the species of dual orbit d to an arbitrary element."""
+    return species_values(ring, x, (d,))[0]
 
 
 def species_value_composite(ring, d, b):
     """Oracle path for one species value: restrict to the subgroup ring,
     retract onto the full-subgroup span there, then apply the character
     linearly.  Must agree with the double coset form."""
-    dual = dual_orbits(ring)[d] if isinstance(d, int) else d
+    dual = dual_orbits(ring)[d]
     sub = ring.subring(dual.subgroup_id)
     res = ring_mod.restrict(ring.basis_element(b), sub)
     pi = sub.pi_retraction(res)
@@ -178,19 +176,18 @@ def species_value_composite(ring, d, b):
 
 
 def idempotent(ring, d):
-    """Primitive idempotent attached to a dual orbit, in the standard basis.
+    """Primitive idempotent of the dual orbit with index d, in the standard basis.
 
     The formula runs over every subgroup K below the representative H
     (not just class representatives) and every homomorphism phi of H,
     weighting [K, phi restricted] by |K| mu(K, H) times the conjugate
     character value, then divides by |N_G(H, Phi)| |Hom(H, A)|.
     """
-    didx = d if isinstance(d, int) else d.index
-    return ring.memo(("idempotent", didx), lambda: _idempotent(ring, didx))
+    return ring.memo(("idempotent", d), lambda: _idempotent(ring, d))
 
 
-def _idempotent(ring, didx):
-    dual = dual_orbits(ring)[didx]
+def _idempotent(ring, d):
+    dual = dual_orbits(ring)[d]
     hid = dual.subgroup_id
     hg = ring.hom_group(hid)
     lattice = ring.lattice
@@ -269,18 +266,14 @@ def species_determinant(ring):
 
 
 def dual_descriptor(ring, d):
-    dual = dual_orbits(ring)[d if isinstance(d, int) else d.index]
-    sub = ring.lattice.subgroups[dual.subgroup_id]
+    dual = dual_orbits(ring)[d]
+    gens = ring.lattice.subgroups[dual.subgroup_id].gens
     hg = ring.hom_group(dual.subgroup_id)
-    gens = [cycle_string(ring.group.elements[g]) for g in sub.gens]
-    hom_gens = [
-        [list(hg.tables[gi][hg.pos[g]]) for g in sub.gens]
-        for gi in hg.gen_indices
-    ]
+    hom_gens = [[list(hg.tables[gi][hg.pos[g]]) for g in gens]
+                for gi in hg.gen_indices]
     return {
         "index": dual.index,
-        "subgroup": {"order": sub.order, "class": dual.class_index,
-                     "generators": gens},
+        "subgroup": ring.subgroup_descriptor(dual.subgroup_id),
         "character": {
             "order": character_order(dual.values, ring.level),
             "hom_generators": hom_gens,

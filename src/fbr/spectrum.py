@@ -107,7 +107,7 @@ def _dual_pair_stabilizer(ring, sid, values):
 
 def is_p_regular(ring, d, p):
     """p divides neither the character order nor the normalizer index."""
-    dual = species_mod.dual_orbits(ring)[d if isinstance(d, int) else d.index]
+    dual = species_mod.dual_orbits(ring)[d]
     o = character_order(dual.values, ring.level)
     h_order = ring.lattice.subgroups[dual.subgroup_id].order
     index = dual.stabilizer_order // h_order
@@ -128,7 +128,7 @@ def p_regularize(ring, d, p, reverse=False):
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    dual = species_mod.dual_orbits(ring)[d if isinstance(d, int) else d.index]
+    dual = species_mod.dual_orbits(ring)[d]
     sid = dual.subgroup_id
     _, values = character_p_parts(dual.values, p, ring.level)
     lattice = ring.lattice
@@ -156,7 +156,7 @@ def p_regularize(ring, d, p, reverse=False):
 
 def reduced_species_row(ring, d, prime):
     """Species row of a dual orbit reduced modulo the prime ideal."""
-    row = species_mod.species_table(ring)[d if isinstance(d, int) else d.index]
+    row = species_mod.species_table(ring)[d]
     if prime.characteristic == 0:
         return row
     return tuple(reduce_mod(v, prime.ideal) for v in row)
@@ -216,7 +216,7 @@ def p_equivalence_partition(ring, prime):
 def galois_orbit(ring, d):
     """Orbit of a dual pair under zeta -> zeta^t for all t coprime to
     the level: (H, Phi) goes to (H, Phi^t)."""
-    dual = species_mod.dual_orbits(ring)[d if isinstance(d, int) else d.index]
+    dual = species_mod.dual_orbits(ring)[d]
     n = ring.level
     out = set()
     for t in range(1, n + 1):

@@ -173,6 +173,28 @@ def test_table_format(capsys):
     assert out.splitlines() == [" 2  1  1", " 0  1  1", " 0  1 -1"]
 
 
+TABLES = json.loads((Path(__file__).parent / "golden" / "tables.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(TABLES["tables"]))
+def test_table_format_golden(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert out.splitlines() == TABLES["tables"][argv]
+
+
+@pytest.mark.parametrize("spec", ["perm:5:(1 2 3 4 5);(1 2 3)",
+                                  "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"],
+                         ids=["A5", "GL32"])
+def test_verify_all_outside_catalog(capsys, spec):
+    # a nonsolvable group outside the catalog names has one block per
+    # class of perfect subgroups, as A5 and S5 do inside it
+    code, out = run(capsys, "verify-all", "--group", spec, "--fiber", "1",
+                    "--format", "table")
+    assert code == 0
+    assert "FAIL" not in out
+
+
 # -- cache ---------------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path, ring_factory):
@@ -199,6 +221,28 @@ def test_cache_corruption_recovers(tmp_path, ring_factory, capsys):
     path.write_text(path.read_text().replace('"subgroups"', '"subgroup"', 1))
     assert cache.load_session(tmp_path, "S3", "2") is None
     assert "recomputing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("structure", [
+    [], {"0,1": [[999, 1]]}, {"3,1": [[0, 1]]}, {"0,1": [[0, "1"]]},
+], ids=["not_dict", "orbit_out_of_range", "key_order", "not_int"])
+def test_cache_entry_with_malformed_structure_is_recomputed(
+        tmp_path, ring_factory, capsys, structure):
+    args = ("multiply", "--group", "S3", "--fiber", "2", "0", "1")
+    code, plain = run(capsys, *args)
+    assert code == 0
+    path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
+    payload = json.loads(path.read_text())
+    payload["structure"] = structure
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    assert cache.load_session(tmp_path, "S3", "2") is None
+    assert "recomputing" in capsys.readouterr().err
+    code = main([*args, "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == plain
+    assert "recomputing" in out.err
 
 
 @pytest.mark.parametrize("text", ['{"format_version": 1, "ch', "[]"])

@@ -65,7 +65,7 @@ def test_species_normalizer_index_on_trivial_pairs(ring_factory):
             sub = lat.subgroups[d.subgroup_id]
             norm = lat.subgroups[lat.normalizer_ids[d.subgroup_id]]
             b = ring.trivial_pair_orbit(d.subgroup_id)
-            v = sp.species_value(ring, d, b)
+            v = sp.species_value(ring, d.index, b)
             assert as_int(v) == norm.order // sub.order
 
 
@@ -82,7 +82,7 @@ def test_species_of_full_group_kills_proper(ring_factory):
     for d in full_duals:
         for b in range(ring.rank):
             if ring.basis.orbits[b].subgroup_id != full:
-                assert sp.species_value(ring, d, b).is_zero()
+                assert sp.species_value(ring, d.index, b).is_zero()
 
 
 def test_trivial_fiber_table_is_table_of_marks(ring_factory):
