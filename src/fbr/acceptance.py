@@ -19,7 +19,6 @@ from .ring import build_ring
 
 CATALOG_GROUPS = ("C2", "C4", "V4", "C6", "S3", "D4", "Q8", "A4", "S4", "A5", "S5")
 CATALOG_FIBERS = ("1", "2", "6")
-RANK_CAP_FIBER6 = 60
 EXHAUSTIVE_RANK = 15
 SAMPLE_PAIRS = 200
 DEFAULT_SEED = 1729
@@ -44,14 +43,7 @@ class Session:
         return self._rings[key]
 
     def pairs(self):
-        out = []
-        for g in self.groups:
-            for f in self.fibers:
-                ring = self.ring(g, f)
-                if f == "6" and ring.rank > RANK_CAP_FIBER6:
-                    continue
-                out.append((g, f))
-        return out
+        return [(g, f) for g in self.groups for f in self.fibers]
 
     def pair_seed(self, gspec, fspec):
         i = self.groups.index(gspec) * len(CATALOG_FIBERS) + \
@@ -302,26 +294,30 @@ def criterion_block_bases(session):
 
 
 def criterion_weyl_isomorphism(session):
-    """Inflation bijection for (A5, J=A5) and (S5, J=A5), fibers 1 and 2."""
+    """Inflation bijection onto each nontrivial perfect block: for the
+    catalog, (A5, J=A5) and (S5, J=A5) at fibers 1 and 2; for any other
+    group, every nontrivial perfect class of every ring."""
     bad = []
-    cases = [(g, f) for g in ("A5", "S5") for f in ("1", "2")
-             if g in session.groups and f in session.fibers]
-    for g, f in cases:
+    cases = 0
+    for g, f in session.pairs():
+        if g in CATALOG_GROUPS and (g not in ("A5", "S5") or f not in ("1", "2")):
+            continue
         ring = session.ring(g, f)
         perfect = [j for j in ring.lattice.perfect_class_reps() if j != 0]
-        if len(perfect) != 1:
+        if g in CATALOG_GROUPS and len(perfect) != 1:
             bad.append(f"{g}/{f}: expected one nontrivial perfect class")
             continue
-        try:
-            iso = spc.weyl_block_iso(ring, perfect[0])
-        except FbrError as exc:
-            bad.append(f"{g}/{f}: {exc}")
-            continue
-        comp = next(c for c in spc.components(ring)
-                    if c.perfect_id == perfect[0])
-        if len(iso.bijection) != len(comp.basis_orbits):
-            bad.append(f"{g}/{f}: bijection size mismatch")
-    detail = f"{len(cases)} cases verified" if not bad else "; ".join(bad)
+        for jid in perfect:
+            cases += 1
+            try:
+                iso = spc.weyl_block_iso(ring, jid)
+            except FbrError as exc:
+                bad.append(f"{g}/{f}: {exc}")
+                continue
+            comp = next(c for c in spc.components(ring) if c.perfect_id == jid)
+            if len(iso.bijection) != len(comp.basis_orbits):
+                bad.append(f"{g}/{f}: bijection size mismatch")
+    detail = f"{cases} cases verified" if not bad else "; ".join(bad)
     return _result(8, "weyl-isomorphism", not bad, detail)
 
 

@@ -38,16 +38,15 @@ def table_of_marks(lattice):
     return [marks_row(lattice, c.index) for c in lattice.classes]
 
 
-def product_via_marks(lattice, class_a, class_b, marks=None):
-    """Coefficients of [G/A][G/B] over transitive sets, solved from marks.
+def product_via_marks(lattice, class_a, class_b, marks):
+    """Coefficients of [G/A][G/B] over transitive sets, solved from the
+    table of marks (table_of_marks(lattice)).
 
     The mark vector of the product is the pointwise product of the mark
     vectors; the marks matrix is triangular with respect to subgroup
     order, so back substitution from the largest class down recovers
     integer coefficients.
     """
-    if marks is None:
-        marks = table_of_marks(lattice)
     m = len(lattice.classes)
     target = [marks[l][class_a] * marks[l][class_b] for l in range(m)]
     coeffs = {}

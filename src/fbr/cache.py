@@ -10,12 +10,12 @@ and normalizers, which fails when the sets are not closed under
 conjugation.  The stored basis must match the one rebuilt on that
 lattice, which it does not when a class is missing.  The structure
 constants must be a dict of "i,j" keys with 0 <= i <= j < rank whose
-values are lists of int pairs [k, c] with 0 <= k < rank.  Any other
-mismatch or corruption makes the caller recompute, with a notice on
-stderr.  Neither the basis nor the structure constants depend on the
-level, so a loaded ring is at the natural level.  The hom
-cap is not part of the key: loading rebuilds the Hom groups, which
-enforce the cap again.
+values are lists of int pairs [k, c] with 0 <= k < rank, and each entry
+must respect the degree homomorphism [K, psi] -> |G:K|: deg(i) deg(j)
+equals the sum of c deg(k), which an edit that keeps the degrees
+passes.  Any other mismatch or corruption makes the caller recompute,
+with a notice on stderr.  Neither the basis nor the structure constants
+depend on the level, so a loaded ring is at the natural level.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .abelian import parse_fiber_spec
 from .errors import FbrError, ResourceLimitError
-from .perm import DEFAULT_ORDER_CAP, SubgroupLattice, parse_group_spec
+from .perm import SubgroupLattice, parse_group_spec
 from .ring import FiberedBurnsideRing
 
 FORMAT_VERSION = 3
@@ -67,7 +67,7 @@ def ring_payload(ring, group_spec, fiber_spec):
     return payload
 
 
-def ring_from_payload(payload, order_cap):
+def ring_from_payload(payload):
     """Rebuild a ring session from a payload; None if it does not verify."""
     if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
         return None
@@ -76,7 +76,7 @@ def ring_from_payload(payload, order_cap):
     if payload.get("digest") != session_key(payload["group_spec"],
                                             payload["fiber_spec"]):
         return None
-    group = parse_group_spec(payload["group_spec"], order_cap)
+    group = parse_group_spec(payload["group_spec"])
     fiber = parse_fiber_spec(payload["fiber_spec"])
     sets = payload["subgroups"]
     if not all(type(x) is int and 0 <= x < group.order for s in sets for x in s):
@@ -93,11 +93,15 @@ def ring_from_payload(payload, order_cap):
     if not isinstance(structure, dict):
         return None
     n = ring.rank
+    deg = [group.order // lattice.subgroups[o.subgroup_id].order
+           for o in ring.basis.orbits]
     for key, val in structure.items():
         i, j = (int(t) for t in key.split(","))
         if not (0 <= i <= j < n and isinstance(val, list) and all(
                 isinstance(t, list) and len(t) == 2 and all(type(x) is int for x in t)
                 and 0 <= t[0] < n for t in val)):
+            return None
+        if deg[i] * deg[j] != sum(c * deg[k] for k, c in val):
             return None
         ring._structure[(i, j)] = tuple(map(tuple, val))
     return ring
@@ -123,14 +127,14 @@ def save_session(cache_dir, ring, group_spec, fiber_spec):
     return path
 
 
-def load_session(cache_dir, group_spec, fiber_spec, order_cap=DEFAULT_ORDER_CAP):
+def load_session(cache_dir, group_spec, fiber_spec):
     """Ring from cache, or None (with a stderr notice) when unusable."""
     path = cache_path(cache_dir, group_spec, fiber_spec)
     if not path.exists():
         return None
     try:
         payload = json.loads(path.read_text())
-        ring = ring_from_payload(payload, order_cap)
+        ring = ring_from_payload(payload)
     except ResourceLimitError:
         # a cap is exceeded, which recomputing would hit again
         raise

@@ -23,7 +23,7 @@ from . import acceptance, cache, species as sp, spectrum as spc
 from .cyclo import render_cyclotomic
 from .errors import (FbrError, InputError, InvariantViolationError,
                      ResourceLimitError, TheoremViolationError)
-from .perm import DEFAULT_ORDER_CAP, parse_group_spec
+from .perm import parse_group_spec
 from .ring import build_ring
 
 
@@ -32,17 +32,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
-
-
-def _order_cap(text):
-    """--cap-order: a positive int; a cap below 1 is a usage error."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {cap}")
-    return cap
 
 
 def _parser():
@@ -61,7 +50,6 @@ def _parser():
                        help="invariant factors like 2x4, or 1 for the trivial fiber")
         p.add_argument("--format", choices=["json", "table"], default="json")
         p.add_argument("--cache-dir", default=os.environ.get("FBR_CACHE_DIR"))
-        p.add_argument("--cap-order", type=_order_cap, default=DEFAULT_ORDER_CAP)
         return p
 
     ring_verb("basis", "list the monomial basis orbits", cmd_basis)
@@ -92,10 +80,9 @@ def _run_ring_verb(args, body):
     give its table lines, emit, and save the ring to the cache."""
     ring = None
     if args.cache_dir:
-        ring = cache.load_session(args.cache_dir, args.group, args.fiber,
-                                  args.cap_order)
+        ring = cache.load_session(args.cache_dir, args.group, args.fiber)
     if ring is None:
-        ring = build_ring(args.group, args.fiber, order_cap=args.cap_order)
+        ring = build_ring(args.group, args.fiber)
     doc = {"command": args.verb, "group": args.group, "fiber": args.fiber,
            "level": ring.level, "rank": ring.rank}
     _emit(args, doc, body(args, ring, doc))

@@ -6,7 +6,7 @@ stored as phi(n) integer numerators over one positive denominator in
 lowest terms, so that triple is a normal form.  The cyclotomic
 polynomial is monic and integral, so products reduce in integers;
 Fraction appears only where values enter or leave (rational scalars,
-JSON, rendering, reduction mod p, inverses).
+JSON, rendering, reduction mod p).
 
 Linear combinations, such as ring products over structure constants
 and species extended linearly, go through one kernel: common_den puts
@@ -273,16 +273,17 @@ class Cyclotomic:
         return _normal(n, tuple(out), self.den)
 
     def inverse(self):
-        """Multiplicative inverse via extended gcd against the cyclotomic
-        polynomial.  Internal helper for exact linear algebra."""
+        """Multiplicative inverse: x times the product of its other Galois
+        conjugates is its norm, a nonzero rational, so the inverse is that
+        product divided by the norm."""
         if self.is_zero():
             raise InputError("inverse of zero")
         n = self.level
-        _, poly, _ = _level_data(n)
-        # (nums / den)^-1 = den * nums^-1
-        inv = [c * self.den for c in _poly_modular_inverse(
-            [Fraction(a) for a in self.nums], [Fraction(c) for c in poly])]
-        return Cyclotomic(n, inv + [0] * (len(poly) - 1 - len(inv)))
+        rest = Cyclotomic.one(n)
+        for t in range(2, n):
+            if gcd(t, n) == 1:
+                rest = rest * self.galois(t)
+        return rest.scalar_div((self * rest).rational_value())
 
     def is_zero(self):
         return not any(self.nums)
@@ -323,38 +324,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.level}, {render_cyclotomic(self)!r})"
-
-
-def _poly_modular_inverse(g, f):
-    """Inverse of g modulo f over Q, both as Fraction coefficient lists."""
-
-    def divmod_q(a, b):
-        a = list(a)
-        q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-        inv_lead = 1 / b[-1]
-        for i in range(len(a) - len(b), -1, -1):
-            c = a[i + len(b) - 1] * inv_lead
-            q[i] = c
-            if c:
-                for j, y in enumerate(b):
-                    a[i + j] -= c * y
-        return _pm_trim(q), _pm_trim(a)
-
-    r0, r1 = _pm_trim(f), _pm_trim(g)
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = divmod_q(r0, r1)
-        qs = _poly_mul(q, s1)
-        m = max(len(s0), len(qs))
-        new_s = [(s0[i] if i < len(s0) else Fraction(0))
-                 - (qs[i] if i < len(qs) else Fraction(0)) for i in range(m)]
-        r0, r1 = r1, r
-        s0, s1 = s1, _pm_trim(new_s)
-    if len(r0) != 1:
-        raise InvariantViolationError("element not invertible modulo the level polynomial")
-    # invariant: s0 * g == r0 mod f, and r0 is the (constant) gcd
-    c = r0[0]
-    return [a / c for a in s0]
 
 
 def render_cyclotomic(x):

@@ -165,7 +165,7 @@ class FiniteGroup:
             self._table = None
 
     @classmethod
-    def from_generators(cls, degree, generators, order_cap=DEFAULT_ORDER_CAP):
+    def from_generators(cls, degree, generators):
         if degree < 1:
             raise InputError("degree must be at least 1")
         gens = []
@@ -185,9 +185,9 @@ class FiniteGroup:
                     if y not in known:
                         known.add(y)
                         nxt.append(y)
-            if len(known) > order_cap:
+            if len(known) > DEFAULT_ORDER_CAP:
                 raise ResourceLimitError(
-                    f"group order exceeds cap {order_cap}"
+                    f"group order exceeds cap {DEFAULT_ORDER_CAP}"
                 )
             frontier = nxt
         return cls(degree, known)
@@ -625,7 +625,7 @@ def _named_generators(kind, n):
     return n, [cyc, tuple((n - i) % n for i in range(n))]
 
 
-def parse_group_spec(spec, order_cap=DEFAULT_ORDER_CAP):
+def parse_group_spec(spec):
     """Build a group from the input grammar.
 
     Named entries: C<n>, D<n>, S<n>, A<n>, Q8, V4.  Explicit permutation
@@ -656,4 +656,4 @@ def parse_group_spec(spec, order_cap=DEFAULT_ORDER_CAP):
                 for chunk in parts[2].split(";")] if parts[2].strip() else []
     else:
         raise InputError(f"unrecognized group spec {spec!r}")
-    return FiniteGroup.from_generators(degree, gens, order_cap)
+    return FiniteGroup.from_generators(degree, gens)

@@ -36,7 +36,7 @@ class PairOrbit:
 class StandardBasis:
     def __init__(self, orbits, lookup):
         self.orbits = tuple(orbits)
-        # lookup: class rep subgroup id -> {hom index: (orbit index, witness)}
+        # lookup: class rep subgroup id -> {hom index: orbit index}
         self.lookup = lookup
 
     def __len__(self):
@@ -54,10 +54,6 @@ class RingElement:
 
     def support(self):
         return sorted(self.coeffs)
-
-    def coeff(self, k):
-        c = self.coeffs.get(k)
-        return c if c is not None else Cyclotomic.zero(self.ring.level)
 
     def __add__(self, other):
         if other.ring is not self.ring:
@@ -203,13 +199,12 @@ class FiberedBurnsideRing:
         """Orbits of items over each class representative H under N(H).
 
         orbit_data(rep) gives (items, move, key): the items over H, the
-        image move(n, x) of item x under n in N(H), and the sort key (None
-        for the items' own order) whose least orbit member is the orbit's
-        canonical one.  Returns the
-        orbit_type records (index, rep, canonical item, class index,
-        stabilizer order, orbit size) in canonical order, and the lookup
-        rep -> {item: (orbit index, w)} with w in N(H) moving the item to
-        the canonical one.
+        image move(g, x) of item x under a generator g of N(H), and the
+        sort key (None for the items' own order) whose least orbit member
+        is the orbit's canonical one.  An orbit is a walk from one item
+        over the generators.  Returns the orbit_type records (index, rep,
+        canonical item, class index, stabilizer order, orbit size) in
+        canonical order, and the lookup rep -> {item: orbit index}.
         """
         group = self.group
         orbits = []
@@ -217,55 +212,44 @@ class FiberedBurnsideRing:
         for cls in self.lattice.classes:
             rep = cls.rep
             items, move, key = orbit_data(rep)
-            norm_elems = self.lattice.normalizer(rep).sorted_elems
-            assigned = {}
-            reps_here = []
+            norm = self.lattice.normalizer(rep)
+            members = {}
+            seen = set()
             for x in items:
-                if x in assigned:
+                if x in seen:
                     continue
-                seen = {}
-                for n in norm_elems:
-                    img = move(n, x)
-                    if img not in seen:
-                        seen[img] = n
-                canon = min(seen, key=key)
-                stab = len(norm_elems) // len(seen)
-                n_to_canon = seen[canon]
-                for img, n in seen.items():
-                    # n moves x to img, so n_to_canon * n^-1 moves img to canon
-                    w = group.mul(n_to_canon, group.inverse[n])
-                    assigned[img] = (canon, w, stab)
-                reps_here.append(canon)
-            reps_here.sort(key=key)
-            orbit_of_canon = {}
-            for canon in reps_here:
-                stab = assigned[canon][2]
-                orbit_of_canon[canon] = len(orbits)
+                orbit = [x]
+                seen.add(x)
+                for y in orbit:  # orbit grows during the loop
+                    for g in norm.gens:
+                        z = move(g, y)
+                        if z not in seen:
+                            seen.add(z)
+                            orbit.append(z)
+                members[min(orbit, key=key)] = orbit
+            here = lookup[rep] = {}
+            for canon in sorted(members, key=key):
+                stab = norm.order // len(members[canon])
+                here.update(dict.fromkeys(members[canon], len(orbits)))
                 orbits.append(orbit_type(len(orbits), rep, canon, cls.index,
                                          stab, group.order // stab))
-            lookup[rep] = {x: (orbit_of_canon[canon], w)
-                           for x, (canon, w, _) in assigned.items()}
         return orbits, lookup
 
     @property
     def rank(self):
         return len(self.basis)
 
-    def orbit(self, i):
-        return self.basis.orbits[i]
-
     # -- canonicalization ----------------------------------------------------
 
     def canonicalize_pair(self, sid, values_map):
         """Canonical orbit of the pair (subgroup sid, hom given by its
-        value map), plus a conjugating witness g with ^g(pair) canonical."""
+        value map)."""
         w = self.lattice.to_rep[sid]
         rep = self.lattice.class_rep(sid)
         moved = conj_values_map(self.group, values_map, w)
         hg = self.hom_group(rep)
         k = hg.index_of_map(moved)
-        oidx, n = self.basis.lookup[rep][k]
-        return oidx, self.group.mul(n, w)
+        return self.basis.lookup[rep][k]
 
     def pair_values_map(self, i):
         o = self.basis.orbits[i]
@@ -298,7 +282,7 @@ class FiberedBurnsideRing:
             values = {x: self.fiber.add(phi[x], psi[group.conj(ginv, x)])
                       for x in inter}
             sid = self.lattice.by_set[inter]
-            oidx, _ = self.canonicalize_pair(sid, values)
+            oidx = self.canonicalize_pair(sid, values)
             out[oidx] = out.get(oidx, 0) + 1
         return out
 
@@ -326,10 +310,7 @@ class FiberedBurnsideRing:
         return RingElement(self, {})
 
     def one(self):
-        full = self.lattice.full_group_id()
-        hg = self.hom_group(full)
-        oidx, _ = self.basis.lookup[full][hg.trivial_index()]
-        return self.basis_element(oidx)
+        return self.basis_element(self.trivial_pair_orbit(self.lattice.full_group_id()))
 
     def basis_element(self, i):
         if not 0 <= i < self.rank:
@@ -353,8 +334,7 @@ class FiberedBurnsideRing:
     def trivial_pair_orbit(self, class_rep_id):
         """Orbit index of [H, 1] for a class representative H."""
         hg = self.hom_group(class_rep_id)
-        oidx, _ = self.basis.lookup[class_rep_id][hg.trivial_index()]
-        return oidx
+        return self.basis.lookup[class_rep_id][hg.trivial_index()]
 
     def burnside_embed(self, marks_coeffs):
         """Embedding of the Burnside ring: class index -> [H, 1]."""
@@ -408,10 +388,10 @@ class FiberedBurnsideRing:
         }
 
 
-def build_ring(group_spec, fiber_spec, order_cap=perm.DEFAULT_ORDER_CAP):
+def build_ring(group_spec, fiber_spec):
     """Ring session from spec strings at the natural level; the usual
     entry point."""
-    group = perm.parse_group_spec(group_spec, order_cap)
+    group = perm.parse_group_spec(group_spec)
     fiber = abelian.parse_fiber_spec(fiber_spec)
     return FiberedBurnsideRing(group, fiber)
 
@@ -439,7 +419,7 @@ def induce(x, target):
     for i, c in x.coeffs.items():
         values = _translate_values_map(src, target, src.pair_values_map(i))
         sid = target.lattice.by_set[frozenset(values)]
-        oidx, _ = target.canonicalize_pair(sid, values)
+        oidx = target.canonicalize_pair(sid, values)
         out[oidx] = out[oidx] + c if oidx in out else c
     return RingElement(target, out)
 
@@ -464,7 +444,7 @@ def restrict(x, target):
             values = {y: phi[src.group.conj(ginv, y)] for y in inter}
             tvalues = _translate_values_map(src, target, values)
             sid = target.lattice.by_set[frozenset(tvalues)]
-            oidx, _ = target.canonicalize_pair(sid, tvalues)
+            oidx = target.canonicalize_pair(sid, tvalues)
             out[oidx] = out[oidx] + c if oidx in out else c
     return RingElement(target, out)
 
@@ -486,6 +466,6 @@ def conjugate(x, g_images, target):
                                  g_inv)
             values[target.group.index[moved]] = v
         sid = target.lattice.by_set[frozenset(values)]
-        oidx, _ = target.canonicalize_pair(sid, values)
+        oidx = target.canonicalize_pair(sid, values)
         out[oidx] = out[oidx] + c if oidx in out else c
     return RingElement(target, out)

@@ -37,13 +37,12 @@ class DualOrbit:
 
 
 def _build_dual_data(ring):
-    inv = ring.group.inverse
-
     def orbit_data(rep):
         action = ring.hom_action(rep)
         chars = dual_character_values(ring.hom_group(rep), ring.level)
-        # ^n Phi = Phi o ^(n^-1): its value on phi_k is Phi at sigma_(n^-1)[k]
-        return chars, lambda n, values: tuple(values[s] for s in action[inv[n]]), None
+        # ^n Phi = Phi o ^(n^-1), whose value on phi_k is Phi at
+        # sigma_(n^-1)[k]; the inverses of the generators generate N(H) too
+        return chars, lambda g, values: tuple(values[s] for s in action[g]), None
 
     orbits, lookup = ring.normalizer_orbits(DualOrbit, orbit_data)
     if len(orbits) != ring.rank:
@@ -79,13 +78,9 @@ def conjugate_character(ring, sid, values, g):
 
 
 def canonicalize_dual(ring, sid, values):
-    """Canonical dual orbit of (subgroup sid, character values), with a
-    conjugating witness."""
-    w = ring.lattice.to_rep[sid]
-    rep = ring.lattice.class_rep(sid)
-    _, moved = conjugate_character(ring, sid, values, w)
-    oidx, n = _dual_lookup(ring)[rep][moved]
-    return oidx, ring.group.mul(n, w)
+    """Canonical dual orbit of (subgroup sid, character values)."""
+    _, moved = conjugate_character(ring, sid, values, ring.lattice.to_rep[sid])
+    return _dual_lookup(ring)[ring.lattice.class_rep(sid)][moved]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +197,7 @@ def _idempotent(ring, d):
         for k in range(hg.size):
             coeff = conj_evaluate_character(dual.values, k, level) * kw
             values = {x: hg.tables[k][hg.pos[x]] for x in ksub.sorted_elems}
-            oidx, _ = ring.canonicalize_pair(kid, values)
+            oidx = ring.canonicalize_pair(kid, values)
             acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
     denom = dual.stabilizer_order * hg.size
     return ring_mod.RingElement(

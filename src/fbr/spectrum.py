@@ -136,8 +136,7 @@ def p_regularize(ring, d, p, reverse=False):
         stab = _dual_pair_stabilizer(ring, sid, values)
         k_order = lattice.subgroups[sid].order
         if (len(stab) // k_order) % p != 0:
-            oidx, _ = species_mod.canonicalize_dual(ring, sid, values)
-            return oidx
+            return species_mod.canonicalize_dual(ring, sid, values)
         new_sid = lattice.by_set[sylow_subgroup(
             ring.group, p, reverse, stab, lattice.subgroups[sid].elems)]
         src_hg = ring.hom_group(sid)
@@ -223,8 +222,7 @@ def galois_orbit(ring, d):
         if gcd(t, n) != 1:
             continue
         powered = tuple((v * t) % n for v in dual.values)
-        oidx, _ = species_mod.canonicalize_dual(ring, dual.subgroup_id, powered)
-        out.add(oidx)
+        out.add(species_mod.canonicalize_dual(ring, dual.subgroup_id, powered))
     return tuple(sorted(out))
 
 
@@ -362,8 +360,7 @@ def weyl_block_iso(ring, perfect_id):
         k_elems = sorted(x for wq in wsub.sorted_elems for x in fibers_of[wq])
         values = {x: whom[onto[x]] for x in k_elems}
         sid = lattice.by_set[frozenset(k_elems)]
-        oidx, _ = ring.canonicalize_pair(sid, values)
-        mapping.append((b, oidx))
+        mapping.append((b, ring.canonicalize_pair(sid, values)))
 
     images = [m for _, m in mapping]
     if len(set(images)) != len(images):

@@ -55,3 +55,11 @@ def test_criterion_8_weyl_isomorphism(session):
 
 def test_criterion_9_determinism(session):
     _report(acceptance.criterion_determinism(acceptance.DEFAULT_SEED))
+
+
+def test_session_keeps_every_ring():
+    # C2^4 at fiber 6 has rank 307; the session checks it rather than
+    # dropping it (pairs() builds no ring)
+    c2_4 = "perm:8:(1 2);(3 4);(5 6);(7 8)"
+    session = acceptance.Session(groups=(c2_4,), fibers=("6",))
+    assert session.pairs() == [(c2_4, "6")]

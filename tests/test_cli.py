@@ -126,8 +126,7 @@ def test_verify_all_document(capsys):
 def test_exit_codes(capsys):
     code, _ = run(capsys, "basis", "--group", "X9", "--fiber", "1")
     assert code == 1
-    code, _ = run(capsys, "basis", "--group", "S5", "--fiber", "1",
-                  "--cap-order", "10")
+    code, _ = run(capsys, "basis", "--group", "S8", "--fiber", "1")
     assert code == 2
     code, _ = run(capsys, "multiply", "--group", "C2", "--fiber", "2", "0", "7")
     assert code == 1
@@ -135,12 +134,13 @@ def test_exit_codes(capsys):
                   "--perfect", "C2")
     assert code == 1
     # usage errors are input errors too, not the resource cap's exit 2
-    for argv in (("basis",), ("basis", "--group", "S3", "--cap-order", "abc"),
-                 ("basis", "--group", "S3", "--cap-order", "0"),
-                 ("basis", "--group", "S3", "--cap-order", "-5")):
-        code = main(list(argv))
-        assert code == 1
-        assert capsys.readouterr().err.startswith("input error: ")
+    code = main(["basis"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    # the order cap is fixed, not an option
+    code = main(["basis", "--group", "S3", "--cap-order", "10"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error: unrecognized arguments")
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--help"])
     assert exc.value.code == 0
@@ -193,6 +193,7 @@ def test_verify_all_outside_catalog(capsys, spec):
                     "--format", "table")
     assert code == 0
     assert "FAIL" not in out
+    assert "1 cases verified" in out
 
 
 # -- cache ---------------------------------------------------------------------------
@@ -225,7 +226,8 @@ def test_cache_corruption_recovers(tmp_path, ring_factory, capsys):
 
 @pytest.mark.parametrize("structure", [
     [], {"0,1": [[999, 1]]}, {"3,1": [[0, 1]]}, {"0,1": [[0, "1"]]},
-], ids=["not_dict", "orbit_out_of_range", "key_order", "not_int"])
+    {"1,2": [[0, 5], [2, 1]]},
+], ids=["not_dict", "orbit_out_of_range", "key_order", "not_int", "wrong_degree"])
 def test_cache_entry_with_malformed_structure_is_recomputed(
         tmp_path, ring_factory, capsys, structure):
     args = ("multiply", "--group", "S3", "--fiber", "2", "0", "1")
@@ -257,7 +259,7 @@ def test_cache_unreadable_entry_recovers(tmp_path, ring_factory, capsys, text):
 def test_cache_load_propagates_bugs(tmp_path, ring_factory, monkeypatch):
     cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
 
-    def broken(payload, order_cap):
+    def broken(payload):
         raise AttributeError("a bug, not a corrupt entry")
 
     monkeypatch.setattr(cache, "ring_from_payload", broken)
@@ -282,15 +284,19 @@ def test_cache_save_leaves_no_temp_file(tmp_path, ring_factory, monkeypatch):
     assert path.read_bytes() == before
 
 
-def test_cache_hit_respects_cap_order(tmp_path, capsys):
-    capped = ("basis", "--group", "S4", "--cap-order", "10",
-              "--cache-dir", str(tmp_path))
-    code, _ = run(capsys, *capped)
+def test_cache_hit_respects_order_cap(tmp_path, capsys):
+    # a stored group over the order cap exits 2, as building it does,
+    # instead of being recomputed
+    payload = {"format_version": cache.FORMAT_VERSION, "group_spec": "S8",
+               "fiber_spec": "1", "digest": cache.session_key("S8", "1"),
+               "subgroups": [], "basis": [], "structure": {}}
+    payload["checksum"] = cache._payload_checksum(payload)
+    cache.cache_path(tmp_path, "S8", "1").write_text(json.dumps(payload))
+    code = main(["basis", "--group", "S8", "--cache-dir", str(tmp_path)])
     assert code == 2
-    code, _ = run(capsys, "basis", "--group", "S4", "--cache-dir", str(tmp_path))
-    assert code == 0
-    code, _ = run(capsys, *capped)
-    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ")
+    assert "recomputing" not in err
 
 
 def test_cache_entry_from_other_level_loads_at_natural_level(tmp_path, capsys):
@@ -405,7 +411,7 @@ def test_cache_entry_with_a_non_subgroup_is_refused(tmp_path, ring_factory):
                                lattice=SubgroupLattice(group, payload["subgroups"]))
     payload["basis"] = [[o.subgroup_id, o.hom_index] for o in fake.basis.orbits]
     payload["checksum"] = cache._payload_checksum(payload)
-    assert cache.ring_from_payload(payload, group.order) is None
+    assert cache.ring_from_payload(payload) is None
 
 
 def test_cache_entry_of_format_2_is_recomputed_once(tmp_path, ring_factory, capsys):

@@ -43,7 +43,7 @@ def test_trivial_group():
 
 def test_order_cap():
     with pytest.raises(ResourceLimitError):
-        parse_group_spec("S5", order_cap=10)
+        parse_group_spec("S8")
 
 
 def test_malformed_permutation_rejected():

@@ -57,18 +57,14 @@ def test_canonicalize_well_defined(ring_factory):
     for i in range(ring.rank):
         o = ring.basis.orbits[i]
         values = ring.pair_values_map(i)
-        # canonical input returns itself with an identity-acting witness
-        oidx, w = ring.canonicalize_pair(o.subgroup_id, values)
-        assert oidx == i
-        assert conj_values_map(g, values, w) == values
+        # canonical input returns itself
+        assert ring.canonicalize_pair(o.subgroup_id, values) == i
         # arbitrary conjugates land on the same orbit
         for _ in range(4):
             x = rng.randrange(g.order)
             moved = conj_values_map(g, values, x)
             sid = ring.lattice.by_set[frozenset(moved)]
-            oidx2, w2 = ring.canonicalize_pair(sid, moved)
-            assert oidx2 == i
-            assert conj_values_map(g, moved, w2) == values
+            assert ring.canonicalize_pair(sid, moved) == i
 
 
 def per_element_hom_action(ring, rep):
