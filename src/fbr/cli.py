@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import acceptance, cache, species as sp, spectrum as spc
-from .cyclo import render_cyclotomic
+from .cyclo import find_prime_ideal, render_cyclotomic
 from .errors import (FbrError, InputError, InvariantViolationError,
                      ResourceLimitError, TheoremViolationError)
 from .perm import parse_group_spec
@@ -144,23 +144,23 @@ def cmd_idempotents(args, ring, doc):
 
 def cmd_spectrum(args, ring, doc):
     char = args.char.strip()
-    if char == "0":
-        prime = spc.PrimeDescriptor.char_zero()
-    else:
+    ideal = None
+    if char != "0":
         try:
             p = int(char)
         except ValueError:
             raise InputError(f"--char must be 0 or a prime, got {char!r}") from None
-        prime = spc.PrimeDescriptor.char_p(p, ring.level)
-    part = spc.p_equivalence_partition(ring, prime)
-    doc["characteristic"] = prime.characteristic
-    doc["ideal"] = prime.ideal.to_json() if prime.ideal else None
+        ideal = find_prime_ideal(p, ring.level)
+    part = spc.p_equivalence_partition(ring, ideal)
+    characteristic = ideal.p if ideal else 0
+    doc["characteristic"] = characteristic
+    doc["ideal"] = ideal.to_json() if ideal else None
     doc["classes"] = [list(c) for c in part.classes]
     doc["regular_representatives"] = (
         list(part.regular_representatives)
         if part.regular_representatives is not None else None)
     doc["dual_orbits"] = [sp.dual_descriptor(ring, d) for d in range(ring.rank)]
-    lines = [f"characteristic {prime.characteristic}: "
+    lines = [f"characteristic {characteristic}: "
              f"{len(part.classes)} classes"]
     for i, c in enumerate(part.classes):
         rep = ("" if part.regular_representatives is None
@@ -174,7 +174,7 @@ def cmd_blocks(args, ring, doc):
     doc["blocks"] = []
     lines = [f"{len(comps)} blocks"]
     for comp in comps:
-        e = spc.block_idempotent(ring, comp).element
+        e = spc.block_idempotent(ring, comp)
         basis = spc.block_basis(ring, comp)
         doc["blocks"].append({
             "perfect": ring.subgroup_descriptor(comp.perfect_id),
@@ -228,7 +228,8 @@ def cmd_verify_all(args):
     doc.update(report)
     lines = []
     for c in report["criteria"]:
-        status = "PASS" if c["passed"] else "FAIL"
+        status = ("SKIP" if c.get("skipped")
+                  else "PASS" if c["passed"] else "FAIL")
         lines.append(f"{status}  {c['id']}. {c['name']}  {c['detail']}")
     lines.append("overall " + ("PASS" if report["passed"] else "FAIL"))
     _emit(args, doc, lines)

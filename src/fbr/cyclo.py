@@ -24,11 +24,11 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
+from typing import NamedTuple
 
 from .arith import is_prime, p_part
 from .errors import InputError, InvariantViolationError, NotIntegralAtPError
@@ -418,8 +418,7 @@ def _pm_sub(a, b, p):
     return _pm_trim([(x - y) % p for x, y in zip(a, b)])
 
 
-@dataclass(frozen=True)
-class PrimeIdealData:
+class PrimeIdealData(NamedTuple):
     """Prime of Z[zeta_n] above p, named by an irreducible factor of the
     n-th cyclotomic polynomial mod p."""
 
@@ -430,41 +429,6 @@ class PrimeIdealData:
 
     def to_json(self):
         return {"p": self.p, "level": self.level, "factor": list(self.factor)}
-
-
-class FiniteFieldElem:
-    """Residue in F_p[x]/(factor), coefficients ascending, length = degree."""
-
-    __slots__ = ("p", "factor", "coeffs")
-
-    def __init__(self, p, factor, coeffs):
-        self.p = p
-        self.factor = tuple(factor)
-        d = len(self.factor) - 1
-        coeffs = list(coeffs)[: d] + [0] * max(0, d - len(coeffs))
-        self.coeffs = tuple(c % p for c in coeffs[:d]) if d else ()
-
-    def __add__(self, other):
-        return FiniteFieldElem(self.p, self.factor,
-                               _pm_add(list(self.coeffs), list(other.coeffs), self.p))
-
-    def __mul__(self, other):
-        prod = _pm_mul(list(self.coeffs), list(other.coeffs), self.p)
-        return FiniteFieldElem(self.p, self.factor,
-                               _pm_mod(prod, list(self.factor), self.p))
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteFieldElem) and self.p == other.p
-                and self.factor == other.factor and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.factor, self.coeffs))
-
-    def to_json(self):
-        return {"p": self.p, "factor": list(self.factor), "coeffs": list(self.coeffs)}
-
-    def __repr__(self):
-        return f"FiniteFieldElem(p={self.p}, coeffs={list(self.coeffs)})"
 
 
 def _multiplicative_order(p, m):
@@ -557,7 +521,9 @@ def find_prime_ideal(p, n):
 
 
 def reduce_mod(x, ideal):
-    """Image of a cyclotomic value in the residue field of the ideal.
+    """Image of a cyclotomic value in the residue field F_p[x]/(factor)
+    of the ideal: the coefficients mod p, reduced mod the factor and
+    trimmed, a normal form.
 
     Requires every coefficient denominator to be coprime to p.
     """
@@ -567,5 +533,4 @@ def reduce_mod(x, ideal):
         raise NotIntegralAtPError(f"denominator {bad} not invertible mod {p}")
     inv_den = pow(x.den, -1, p)
     coeffs = [(a * inv_den) % p for a in x.nums]
-    reduced = _pm_mod(_pm_trim(coeffs), list(ideal.factor), p)
-    return FiniteFieldElem(p, ideal.factor, reduced)
+    return tuple(_pm_mod(_pm_trim(coeffs), ideal.factor, p))

@@ -10,9 +10,9 @@ construction and safe to share.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .arith import is_prime, p_part
 from .errors import InputError, InvariantViolationError, ResourceLimitError
@@ -270,8 +270,7 @@ def double_coset_reps(group, h_elems, k_elems, reverse=False):
 # subgroup lattice
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     id: int
     elems: frozenset
     sorted_elems: tuple
@@ -279,8 +278,7 @@ class Subgroup:
     gens: tuple
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     index: int
     rep: int
     members: tuple

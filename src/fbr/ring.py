@@ -11,8 +11,8 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import abelian, perm
 from .abelian import HomGroup, conj_values_map
@@ -21,8 +21,7 @@ from .errors import InputError
 from .perm import FiniteGroup, SubgroupLattice
 
 
-@dataclass(frozen=True)
-class PairOrbit:
+class PairOrbit(NamedTuple):
     """Conjugation orbit [H, phi] with its canonical representative."""
 
     index: int

@@ -10,7 +10,7 @@ explicit idempotent formula gives the primitive idempotents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ring as ring_mod
 from .abelian import (character_gen_exponents, character_order,
@@ -20,8 +20,7 @@ from .cyclo import Cyclotomic, common_den, sum_products
 from .errors import InputError, InvariantViolationError, TheoremViolationError
 
 
-@dataclass(frozen=True)
-class DualOrbit:
+class DualOrbit(NamedTuple):
     """Conjugation orbit [H, Phi] of a dual pair, canonically keyed.
 
     values holds the character as root-of-unity exponents, one per

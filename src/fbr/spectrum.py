@@ -1,12 +1,12 @@
 """Prime spectrum shadow, block decomposition and the Weyl block map.
 
 Primes of the ring are represented combinatorially: a dual pair orbit
-together with a residue characteristic descriptor (zero, or a prime p
-with a chosen prime ideal of the cyclotomic integers above it).  Two
-descriptors name the same prime exactly when the species rows agree
-modulo the ideal, which the partition operations compute both by the
-p-regularization climb and by the exhaustive finite-field congruence
-oracle.
+together with a prime ideal of the cyclotomic integers above some p
+(cyclo.PrimeIdealData, which carries p), or None for characteristic
+zero.  Two dual pairs name the same prime exactly when the species rows
+agree modulo the ideal, which the partition operations compute both by
+the p-regularization climb and by the exhaustive finite-field
+congruence oracle.
 
 Blocks are indexed by conjugacy classes of perfect subgroups: the block
 idempotent at J sums the primitive idempotents of the dual pairs whose
@@ -17,63 +17,32 @@ through inflation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import species as species_mod
 from .abelian import character_p_parts, character_order
 from .arith import is_prime
-from .cyclo import PrimeIdealData, find_prime_ideal, reduce_mod
+from .cyclo import reduce_mod
 from .errors import (InputError, InvariantViolationError,
                      TheoremViolationError)
 from .perm import SubgroupLattice, quotient_group, sylow_subgroup
-from .ring import FiberedBurnsideRing, RingElement
+from .ring import FiberedBurnsideRing
 
 
-@dataclass(frozen=True)
-class PrimeDescriptor:
-    """Residue characteristic of a prime: zero, or (p, ideal above p)."""
-
-    characteristic: int
-    ideal: PrimeIdealData | None
-
-    @classmethod
-    def char_zero(cls):
-        return cls(0, None)
-
-    @classmethod
-    def char_p(cls, p, level, ideal=None):
-        if ideal is None:
-            ideal = find_prime_ideal(p, level)
-        if ideal.p != p:
-            raise InputError("ideal does not lie above p")
-        return cls(p, ideal)
-
-
-@dataclass(frozen=True)
-class EquivalencePartition:
-    prime: PrimeDescriptor
+class EquivalencePartition(NamedTuple):
     classes: tuple
     regular_representatives: tuple | None
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(NamedTuple):
     index: int
     perfect_id: int
     dual_orbits: tuple
     basis_orbits: tuple
 
 
-@dataclass(frozen=True)
-class BlockIdempotent:
-    component: ComponentDescriptor
-    element: RingElement
-
-
-@dataclass(frozen=True)
-class WeylBlockIso:
-    perfect_id: int
+class WeylBlockIso(NamedTuple):
     weyl_ring: FiberedBurnsideRing
     bijection: tuple  # pairs (weyl basis orbit, ambient basis orbit)
 
@@ -82,27 +51,19 @@ class WeylBlockIso:
 # p-regularity and p-regularization
 
 
-def _dual_pair_stabilizer(ring, sid, values):
-    """Elements of N(H) fixing the character; the stabilizer N(H, Phi)."""
+def _dual_pair_stabilizer(ring, rep, values):
+    """Elements of N(H) fixing the character, for H a class
+    representative; the stabilizer N(H, Phi)."""
     lattice = ring.lattice
-    rep = lattice.class_rep(sid)
-    if sid == rep:
-        hg = ring.hom_group(sid)
-        action = ring.hom_action(sid)
-        inv = ring.group.inverse
-        norm = lattice.subgroups[lattice.normalizer_ids[sid]].sorted_elems
-        out = []
-        for n in norm:
-            sigma = action[inv[n]]
-            if all(values[sigma[k]] == values[k] for k in range(hg.size)):
-                out.append(n)
-        return out
-    # work at the class representative and conjugate back
-    w = lattice.to_rep[sid]
-    _, moved = species_mod.conjugate_character(ring, sid, values, w)
-    stab = _dual_pair_stabilizer(ring, rep, moved)
-    winv = ring.group.inverse[w]
-    return sorted(ring.group.conj(winv, x) for x in stab)
+    size = ring.hom_group(rep).size
+    action = ring.hom_action(rep)
+    inv = ring.group.inverse
+    out = []
+    for n in lattice.subgroups[lattice.normalizer_ids[rep]].sorted_elems:
+        sigma = action[inv[n]]
+        if all(values[sigma[k]] == values[k] for k in range(size)):
+            out.append(n)
+    return out
 
 
 def is_p_regular(ring, d, p):
@@ -117,11 +78,12 @@ def is_p_regular(ring, d, p):
 def p_regularize(ring, d, p, reverse=False):
     """Canonical dual orbit of a p-regularization of the given orbit.
 
-    Strips the p-part of the character, then repeatedly climbs to the
-    preimage of a Sylow p-subgroup of N(K, Psi)/K, composing with
-    restriction, until the pair is p-regular.  The preimage is grown in
-    the ambient group (perm.sylow_subgroup with N = N(K, Psi)), without
-    building the quotient.  The subgroup strictly grows, so the climb
+    Strips the p-part of the character, then repeatedly moves (K, Psi)
+    to its class representative and climbs to the preimage of a Sylow
+    p-subgroup of N(K, Psi)/K, composing with restriction, until the
+    pair is p-regular.  The preimage is grown in the ambient group
+    (perm.sylow_subgroup with N = N(K, Psi)), without building the
+    quotient.  The subgroup strictly grows, so the climb
     terminates; the resulting conjugacy class does not depend on the
     Sylow choices.  With reverse=True the Sylow search scans elements in
     reversed order, exercising that fact.
@@ -133,6 +95,9 @@ def p_regularize(ring, d, p, reverse=False):
     _, values = character_p_parts(dual.values, p, ring.level)
     lattice = ring.lattice
     while True:
+        if lattice.class_rep(sid) != sid:
+            sid, values = species_mod.conjugate_character(
+                ring, sid, values, lattice.to_rep[sid])
         stab = _dual_pair_stabilizer(ring, sid, values)
         k_order = lattice.subgroups[sid].order
         if (len(stab) // k_order) % p != 0:
@@ -153,40 +118,44 @@ def p_regularize(ring, d, p, reverse=False):
 # the finite-field congruence oracle
 
 
-def reduced_species_row(ring, d, prime):
-    """Species row of a dual orbit reduced modulo the prime ideal."""
+def reduced_species_row(ring, d, ideal):
+    """Species row of a dual orbit reduced modulo the prime ideal, or
+    the row itself when ideal is None (characteristic 0)."""
     row = species_mod.species_table(ring)[d]
-    if prime.characteristic == 0:
+    if ideal is None:
         return row
-    return tuple(reduce_mod(v, prime.ideal) for v in row)
+    return tuple(reduce_mod(v, ideal) for v in row)
 
 
-def congruent_mod_p(ring, d1, d2, prime):
-    """Species rows agree modulo the prime on every basis element.
+def congruent_mod_p(ring, d1, d2, ideal):
+    """Species rows agree modulo the prime ideal (None: characteristic
+    0) on every basis element.
 
     Species values of basis elements are sums of roots of unity, hence
     integral, so the reduction is always defined.
     """
-    return reduced_species_row(ring, d1, prime) == reduced_species_row(ring, d2, prime)
+    return reduced_species_row(ring, d1, ideal) == reduced_species_row(ring, d2, ideal)
 
 
-def p_equivalence_partition(ring, prime):
-    """Partition of the dual orbits by congruence of species modulo P.
+def p_equivalence_partition(ring, ideal):
+    """Partition of the dual orbits by congruence of species modulo the
+    prime ideal P above p = ideal.p, or at characteristic 0 when ideal
+    is None.
 
     Primary path: group by the conjugacy class of the p-regularization.
     The exhaustive finite-field oracle must reproduce the same
     partition; any discrepancy raises.
     """
     n = ring.rank
-    if prime.characteristic == 0:
+    if ideal is None:
         classes = tuple((d,) for d in range(n))
-        rows = [reduced_species_row(ring, d, prime) for d in range(n)]
+        rows = [reduced_species_row(ring, d, None) for d in range(n)]
         if len(set(rows)) != n:
             raise TheoremViolationError(
                 "distinct dual orbits with equal species rows at characteristic 0"
             )
-        return EquivalencePartition(prime, classes, None)
-    p = prime.characteristic
+        return EquivalencePartition(classes, None)
+    p = ideal.p
     by_regular = {}
     for d in range(n):
         r = p_regularize(ring, d, p)
@@ -197,7 +166,7 @@ def p_equivalence_partition(ring, prime):
         by_regular.items(), key=lambda kv: min(kv[1])))
     by_row = {}
     for d in range(n):
-        by_row.setdefault(reduced_species_row(ring, d, prime), []).append(d)
+        by_row.setdefault(reduced_species_row(ring, d, ideal), []).append(d)
     oracle = set(tuple(sorted(v)) for v in by_row.values())
     if oracle != set(classes):
         raise TheoremViolationError(
@@ -209,7 +178,7 @@ def p_equivalence_partition(ring, prime):
             raise TheoremViolationError(
                 "a P-class does not contain exactly one regular orbit"
             )
-    return EquivalencePartition(prime, classes, regular_reps)
+    return EquivalencePartition(classes, regular_reps)
 
 
 def galois_orbit(ring, d):
@@ -276,7 +245,7 @@ def _block_idempotent(ring, component):
             raise TheoremViolationError(
                 "block idempotent has a non-integer coefficient"
             )
-    return BlockIdempotent(component, total)
+    return total
 
 
 def block_idempotents(ring):
@@ -289,7 +258,7 @@ def block_basis(ring, component):
     Verified square and of full rank against the component's species
     coordinates; rank deficiency is a theorem violation.
     """
-    e = block_idempotent(ring, component).element
+    e = block_idempotent(ring, component)
     elems = [ring.multiply(ring.basis_element(b), e)
              for b in component.basis_orbits]
     if len(component.basis_orbits) != len(component.dual_orbits):
@@ -340,7 +309,7 @@ def weyl_block_iso(ring, perfect_id):
     if lattice.class_rep(perfect_id) != perfect_id:
         raise InputError("perfect subgroup must be a class representative")
     comp = next(c for c in components(ring) if c.perfect_id == perfect_id)
-    e_j = block_idempotent(ring, comp).element
+    e_j = block_idempotent(ring, comp)
 
     wring, onto, _ = weyl_ring(ring, perfect_id)
     fibers_of = {}
@@ -349,7 +318,7 @@ def weyl_block_iso(ring, perfect_id):
 
     wcomp = next(c for c in components(wring)
                  if c.perfect_id == wring.lattice.trivial_id())
-    e_w1 = block_idempotent(wring, wcomp).element
+    e_w1 = block_idempotent(wring, wcomp)
 
     # basis bijection through inflation
     mapping = []
@@ -368,7 +337,7 @@ def weyl_block_iso(ring, perfect_id):
     if set(images) != set(comp.basis_orbits):
         raise TheoremViolationError("inflation map misses part of the block")
 
-    iso = WeylBlockIso(perfect_id, wring, tuple(mapping))
+    iso = WeylBlockIso(wring, tuple(mapping))
     _check_weyl_multiplicative(ring, iso, e_j, e_w1, wcomp)
     return iso
 

@@ -196,6 +196,24 @@ def test_verify_all_outside_catalog(capsys, spec):
     assert "1 cases verified" in out
 
 
+@needs_jsonschema
+def test_verify_all_skips_weyl_without_perfect_class(capsys):
+    # S3 has no nontrivial perfect subgroup, so criterion 8 checks nothing
+    # and says so instead of passing
+    spec = "perm:3:(1 2 3);(1 2)"
+    code, out = run(capsys, "verify-all", "--group", spec, "--fiber", "1",
+                    "--format", "table")
+    assert code == 0
+    assert "SKIP  8. weyl-isomorphism  no nontrivial perfect class to check" \
+        in out.splitlines()
+    assert out.splitlines()[-1] == "overall PASS"
+    code, out = run(capsys, "verify-all", "--group", spec, "--fiber", "1")
+    doc = json.loads(out)
+    validate(doc, "verify-all.json")
+    skipped = [c for c in doc["criteria"] if c.get("skipped")]
+    assert [(c["id"], c["passed"]) for c in skipped] == [(8, True)]
+
+
 # -- cache ---------------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path, ring_factory):

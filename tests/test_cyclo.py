@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from fbr.cyclo import (Cyclotomic, FiniteFieldElem, common_den, cyclotomic_polynomial,
+from fbr import cyclo
+from fbr.cyclo import (Cyclotomic, common_den, cyclotomic_polynomial,
                        factor_cyclotomic_mod_p, find_prime_ideal, prime_ideals,
                        reduce_mod, render_cyclotomic, sum_products)
 from fbr.errors import InputError, NotIntegralAtPError
@@ -153,9 +154,9 @@ def test_ramified_case():
 def test_reduction_examples():
     p = find_prime_ideal(5, 4)
     z = Cyclotomic.zeta_power(4, 1)
-    assert reduce_mod(z, p) == FiniteFieldElem(5, p.factor, [2])
+    assert reduce_mod(z, p) == (2,)
     x = Cyclotomic.from_rational(4, 17)
-    assert reduce_mod(x, p) == FiniteFieldElem(5, p.factor, [2])
+    assert reduce_mod(x, p) == (2,)
     with pytest.raises(NotIntegralAtPError):
         reduce_mod(Cyclotomic.from_rational(4, Fraction(1, 5)), p)
 
@@ -168,8 +169,11 @@ def test_reduction_is_multiplicative():
         for _ in range(6):
             a = Cyclotomic(n, [Fraction(rng.randint(-9, 9)) for _ in range(phi)])
             b = Cyclotomic(n, [Fraction(rng.randint(-9, 9)) for _ in range(phi)])
-            assert reduce_mod(a * b, ideal) == reduce_mod(a, ideal) * reduce_mod(b, ideal)
-            assert reduce_mod(a + b, ideal) == reduce_mod(a, ideal) + reduce_mod(b, ideal)
+            ra, rb = reduce_mod(a, ideal), reduce_mod(b, ideal)
+            prod = cyclo._pm_mod(cyclo._pm_mul(ra, rb, p), ideal.factor, p)
+            total = cyclo._pm_mod(cyclo._pm_add(ra, rb, p), ideal.factor, p)
+            assert reduce_mod(a * b, ideal) == tuple(prod)
+            assert reduce_mod(a + b, ideal) == tuple(total)
 
 
 def test_p_power_roots_reduce_to_one():
@@ -182,7 +186,7 @@ def test_p_power_roots_reduce_to_one():
         while order % p == 0:
             order //= p
         assert order == 1, "test data must use p-power orders"
-        assert reduce_mod(u, ideal) == FiniteFieldElem(p, ideal.factor, [1])
+        assert reduce_mod(u, ideal) == (1,)
 
 
 def poly_divmod_mod_p(a, b, p):

@@ -1,6 +1,6 @@
 """Source layout: each top-level function of the package has one home,
-the package has no floating point, and the names the benchmark's tracer
-wraps exist."""
+the package has no floating point and does not import dataclasses, and
+the names the benchmark's tracer wraps exist."""
 
 import ast
 import importlib.util
@@ -27,6 +27,19 @@ def test_no_float_literal_or_name():
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
                     or isinstance(node, ast.Name) and node.id == "float"):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+
+
+def test_no_dataclasses_import():
+    # records are NamedTuples: importing dataclasses costs every process
+    # about 10 ms of start-up (it loads inspect, ast, dis and tokenize)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n and n.split(".")[0] == "dataclasses" for n in names):
                 found.append(f"{path.stem}:{node.lineno}")
     assert found == []
 

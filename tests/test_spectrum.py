@@ -7,7 +7,7 @@ from fbr import species as sp
 from fbr import spectrum as spc
 from fbr.abelian import character_order, character_p_parts
 from fbr.acceptance import CATALOG_GROUPS
-from fbr.cyclo import prime_ideals
+from fbr.cyclo import find_prime_ideal, prime_ideals
 from fbr.errors import InputError, TheoremViolationError
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -89,7 +89,7 @@ def test_congruence_with_p_prime_part(ring_factory):
         ring = ring_factory(spec, fiber)
         duals = sp.dual_orbits(ring)
         for p in (2, 3):
-            prime = spc.PrimeDescriptor.char_p(p, ring.level)
+            prime = find_prime_ideal(p, ring.level)
             for d in duals:
                 _, pprime = character_p_parts(d.values, p, ring.level)
                 other = sp.canonicalize_dual(ring, d.subgroup_id, pprime)
@@ -98,7 +98,7 @@ def test_congruence_with_p_prime_part(ring_factory):
 
 def test_char_zero_congruence_is_conjugacy(ring_factory):
     ring = ring_factory("S3", "2")
-    prime = spc.PrimeDescriptor.char_zero()
+    prime = None
     for a in range(ring.rank):
         for b in range(ring.rank):
             assert spc.congruent_mod_p(ring, a, b, prime) == (a == b)
@@ -107,7 +107,7 @@ def test_char_zero_congruence_is_conjugacy(ring_factory):
 def test_c2_rows_congruent_mod_2(ring_factory):
     # rows (2,1,1) and (0,1,1) agree modulo 2
     ring = ring_factory("C2", "2")
-    prime = spc.PrimeDescriptor.char_p(2, ring.level)
+    prime = find_prime_ideal(2, ring.level)
     assert spc.congruent_mod_p(ring, 0, 1, prime)
     assert spc.congruent_mod_p(ring, 1, 2, prime)
 
@@ -116,14 +116,14 @@ def test_c2_rows_congruent_mod_2(ring_factory):
 
 def test_partition_c2_single_class(ring_factory):
     ring = ring_factory("C2", "2")
-    part = spc.p_equivalence_partition(ring, spc.PrimeDescriptor.char_p(2, ring.level))
+    part = spc.p_equivalence_partition(ring, find_prime_ideal(2, ring.level))
     assert part.classes == ((0, 1, 2),)
 
 
 def test_partition_char_zero_discrete(ring_factory):
     for spec, fiber in (("S3", "2"), ("D4", "2")):
         ring = ring_factory(spec, fiber)
-        part = spc.p_equivalence_partition(ring, spc.PrimeDescriptor.char_zero())
+        part = spc.p_equivalence_partition(ring, None)
         assert all(len(c) == 1 for c in part.classes)
 
 
@@ -131,7 +131,7 @@ def test_partition_class_count_is_regular_count(ring_factory):
     for spec, fiber in (("S3", "2"), ("S4", "2"), ("A4", "6")):
         ring = ring_factory(spec, fiber)
         for p in (2, 3):
-            prime = spc.PrimeDescriptor.char_p(p, ring.level)
+            prime = find_prime_ideal(p, ring.level)
             part = spc.p_equivalence_partition(ring, prime)
             regular = [d for d in range(ring.rank) if spc.is_p_regular(ring, d, p)]
             assert len(part.classes) == len(regular)
@@ -143,7 +143,7 @@ def test_partition_covers_all_orbits(ring_factory):
     # characteristic-zero classes, with nothing lost or repeated
     ring = ring_factory("S4", "2")
     for p in (2, 3):
-        prime = spc.PrimeDescriptor.char_p(p, ring.level)
+        prime = find_prime_ideal(p, ring.level)
         part = spc.p_equivalence_partition(ring, prime)
         covered = sorted(d for c in part.classes for d in c)
         assert covered == list(range(ring.rank))
@@ -155,8 +155,7 @@ def test_partition_independent_of_ideal(ring_factory):
         for p in (2, 3, 5):
             partitions = []
             for ideal in prime_ideals(p, ring.level):
-                prime = spc.PrimeDescriptor.char_p(p, ring.level, ideal)
-                partitions.append(spc.p_equivalence_partition(ring, prime).classes)
+                partitions.append(spc.p_equivalence_partition(ring, ideal).classes)
             assert len({tuple(p_) for p_ in partitions}) == 1
 
 
@@ -193,7 +192,7 @@ def test_invariant_extension_congruence(ring_factory):
                     continue
                 src_hg = ring.hom_group(hid)
                 dst_hg = ring.hom_group(kid)
-                prime = spc.PrimeDescriptor.char_p(p, ring.level)
+                prime = find_prime_ideal(p, ring.level)
                 for values in dual_character_values(src_hg, ring.level):
                     invariant = True
                     for g in ksub.gens:
@@ -239,7 +238,7 @@ def test_noninvariant_extension_can_fail(ring_factory):
         extended.append(order3[src_hg.index_of_map(restr)])
     d1 = sp.canonicalize_dual(ring, c3, order3)
     d2 = sp.canonicalize_dual(ring, full, tuple(extended))
-    prime = spc.PrimeDescriptor.char_p(2, ring.level)
+    prime = find_prime_ideal(2, ring.level)
     # both pairs are 2-regular and non-conjugate, so they cannot be
     # congruent; this is why the extension congruence needs invariance
     assert spc.is_p_regular(ring, d1, 2)
@@ -254,17 +253,16 @@ def test_regularization_congruent_for_every_ideal(ring_factory):
         ring = ring_factory(spec, fiber)
         for p in (2, 3):
             for ideal in prime_ideals(p, ring.level):
-                prime = spc.PrimeDescriptor.char_p(p, ring.level, ideal)
                 for d in range(ring.rank):
                     r = spc.p_regularize(ring, d, p)
-                    assert spc.congruent_mod_p(ring, d, r, prime)
+                    assert spc.congruent_mod_p(ring, d, r, ideal)
 
 
 def test_distinct_regular_pairs_never_congruent(ring_factory):
     for spec, fiber in (("S4", "2"), ("C6", "6")):
         ring = ring_factory(spec, fiber)
         for p in (2, 3):
-            prime = spc.PrimeDescriptor.char_p(p, ring.level)
+            prime = find_prime_ideal(p, ring.level)
             regular = [d for d in range(ring.rank) if spc.is_p_regular(ring, d, p)]
             for i, a in enumerate(regular):
                 for b in regular[i + 1:]:
@@ -276,7 +274,7 @@ def test_equivalent_pairs_share_perfect_residual_class(ring_factory):
     lat = ring.lattice
     duals = sp.dual_orbits(ring)
     for p in (2, 3, 5):
-        prime = spc.PrimeDescriptor.char_p(p, ring.level)
+        prime = find_prime_ideal(p, ring.level)
         part = spc.p_equivalence_partition(ring, prime)
         for cls in part.classes:
             residuals = {
@@ -347,7 +345,7 @@ def test_block_idempotent_solvable_is_one(ring_factory):
     for spec, fiber in (("S4", "2"), ("C6", "6")):
         ring = ring_factory(spec, fiber)
         comp = spc.components(ring)[0]
-        assert spc.block_idempotent(ring, comp).element == ring.one()
+        assert spc.block_idempotent(ring, comp) == ring.one()
 
 
 def test_block_idempotents_a5(ring_factory):
@@ -355,11 +353,11 @@ def test_block_idempotents_a5(ring_factory):
     blocks = spc.block_idempotents(ring)
     total = ring.zero()
     for b in blocks:
-        total = total + b.element
-        for v in b.element.coeffs.values():
+        total = total + b
+        for v in b.coeffs.values():
             assert v.is_integer()
     assert total == ring.one()
-    assert ring.multiply(blocks[0].element, blocks[1].element).is_zero()
+    assert ring.multiply(blocks[0], blocks[1]).is_zero()
 
 
 def test_block_support_condition(ring_factory):
@@ -368,7 +366,7 @@ def test_block_support_condition(ring_factory):
         ring = ring_factory(spec, fiber)
         lat = ring.lattice
         for comp in spc.components(ring):
-            e = spc.block_idempotent(ring, comp).element
+            e = spc.block_idempotent(ring, comp)
             jid = comp.perfect_id
             for k in e.support():
                 sid = ring.basis.orbits[k].subgroup_id
@@ -382,7 +380,7 @@ def test_block_support_condition(ring_factory):
 def test_block_basis_solvable_fixed(ring_factory):
     ring = ring_factory("S3", "2")
     comp = spc.components(ring)[0]
-    e1 = spc.block_idempotent(ring, comp).element
+    e1 = spc.block_idempotent(ring, comp)
     for b in comp.basis_orbits:
         x = ring.basis_element(b)
         assert ring.multiply(x, e1) == x
