@@ -157,12 +157,16 @@ class FiniteGroup:
         self._by_base = {at_base(e): i for i, e in enumerate(self.elements)}
         # _then[b](a) gives the images of the first k points under a*b
         self._then = [itemgetter(*e[:k]) for e in self.elements]
+        # rows[a][b] is a*b, read from the table or formed from base images
         if self.order <= _MUL_TABLE_LIMIT:
             by_base = self._by_base
             self._table = [tuple(by_base[then(a)] for then in self._then)
                            for a in self.elements]
+            self.rows = self._table
         else:
             self._table = None
+            self.rows = [_ProductRow(x, self._by_base, self._then)
+                         for x in self.elements]
 
     @classmethod
     def from_generators(cls, degree, generators):
@@ -212,24 +216,25 @@ class FiniteGroup:
         return group
 
     def mul(self, a, b):
-        if self._table is not None:
-            return self._table[a][b]
-        return self._by_base[self._then[b](self.elements[a])]
+        return self.rows[a][b]
 
     def conj(self, g, x):
         """Index of g x g^-1."""
-        return self.mul(self.mul(g, x), self.inverse[g])
+        rows = self.rows
+        return rows[rows[g][x]][self.inverse[g]]
 
     def closure(self, seed):
         """Subgroup generated by the given element indices, as a frozenset."""
         known = {self.identity}
         frontier = [self.identity]
         seed = tuple(seed)
+        rows = self.rows
         while frontier:
             nxt = []
             for x in frontier:
+                xrow = rows[x]
                 for g in seed:
-                    y = self.mul(x, g)
+                    y = xrow[g]
                     if y not in known:
                         known.add(y)
                         nxt.append(y)
@@ -237,10 +242,24 @@ class FiniteGroup:
         return frozenset(known)
 
     def conj_set(self, g, elems):
-        return frozenset(self.conj(g, x) for x in elems)
+        rows, grow, ginv = self.rows, self.rows[g], self.inverse[g]
+        return frozenset(rows[grow[x]][ginv] for x in elems)
 
     def __repr__(self):
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
+
+
+class _ProductRow:
+    """Row x of a group too large for a table: [b] forms x*b from the base
+    images of b when it is read, and no product is stored."""
+
+    __slots__ = ("x", "by_base", "then")
+
+    def __init__(self, x, by_base, then):
+        self.x, self.by_base, self.then = x, by_base, then
+
+    def __getitem__(self, b):
+        return self.by_base[self.then[b](self.x)]
 
 
 def double_coset_reps(group, h_elems, k_elems, reverse=False):
@@ -255,14 +274,15 @@ def double_coset_reps(group, h_elems, k_elems, reverse=False):
     h_sorted = sorted(h_elems)
     k_sorted = sorted(k_elems)
     scan = range(group.order - 1, -1, -1) if reverse else range(group.order)
+    rows = group.rows
     for g in scan:
         if covered[g]:
             continue
         reps.append(g)
         for h in h_sorted:
-            hg = group.mul(h, g)
+            hgrow = rows[rows[h][g]]
             for k in k_sorted:
-                covered[group.mul(hg, k)] = 1
+                covered[hgrow[k]] = 1
     return tuple(reps)
 
 
@@ -381,16 +401,18 @@ class SubgroupLattice:
     # -- double cosets -----------------------------------------------------
 
     def double_coset_reps(self, hid, kid):
+        """(reps, meets), memoized per (H, K): the least element g of each
+        double coset HgK, ascending, and the id of H meet ^gK for each."""
         key = (hid, kid)
-        reps = self._dcosets.get(key)
-        if reps is None:
-            reps = double_coset_reps(
-                self.group,
-                self.subgroups[hid].sorted_elems,
-                self.subgroups[kid].sorted_elems,
-            )
-            self._dcosets[key] = reps
-        return reps
+        val = self._dcosets.get(key)
+        if val is None:
+            h = self.subgroups[hid]
+            k = self.subgroups[kid].sorted_elems
+            reps = double_coset_reps(self.group, h.sorted_elems, k)
+            conj_set, by_set = self.group.conj_set, self.by_set
+            val = self._dcosets[key] = (
+                reps, tuple(by_set[h.elems & conj_set(g, k)] for g in reps))
+        return val
 
     # -- Moebius function ----------------------------------------------------
 

@@ -263,24 +263,22 @@ class FiberedBurnsideRing:
         element order; the result must not depend on this.
         """
         oi, oj = self.basis.orbits[i], self.basis.orbits[j]
-        h = self.lattice.subgroups[oi.subgroup_id]
-        k = self.lattice.subgroups[oj.subgroup_id]
+        lattice = self.lattice
         phi = self.pair_values_map(i)
         psi = self.pair_values_map(j)
         group = self.group
         if not reverse:
-            reps = self.lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
+            reps, meets = lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
         else:
-            reps = perm.double_coset_reps(group, h.sorted_elems, k.sorted_elems,
-                                          reverse=True)
+            h = lattice.subgroups[oi.subgroup_id]
+            k = lattice.subgroups[oj.subgroup_id].sorted_elems
+            reps = perm.double_coset_reps(group, h.sorted_elems, k, reverse=True)
+            meets = [lattice.by_set[h.elems & group.conj_set(g, k)] for g in reps]
         out = {}
-        for g in reps:
-            gk = group.conj_set(g, k.sorted_elems)
-            inter = h.elems & gk
+        for g, sid in zip(reps, meets):
             ginv = group.inverse[g]
             values = {x: self.fiber.add(phi[x], psi[group.conj(ginv, x)])
-                      for x in inter}
-            sid = self.lattice.by_set[inter]
+                      for x in lattice.subgroups[sid].sorted_elems}
             oidx = self.canonicalize_pair(sid, values)
             out[oidx] = out.get(oidx, 0) + 1
         return out

@@ -90,17 +90,17 @@ def species_value(ring, d, b):
     """Species of the dual orbit with index d evaluated on the basis orbit b."""
     dual = dual_orbits(ring)[d]
     orbit = ring.basis.orbits[b]
-    h = ring.lattice.subgroups[dual.subgroup_id]
-    k = ring.lattice.subgroups[orbit.subgroup_id]
-    hg = ring.hom_group(dual.subgroup_id)
+    hid = dual.subgroup_id
+    h = ring.lattice.subgroups[hid]
+    hg = ring.hom_group(hid)
     psi = ring.pair_values_map(b)
     group = ring.group
     total = Cyclotomic.zero(ring.level)
-    for g in ring.lattice.double_coset_reps(dual.subgroup_id, orbit.subgroup_id):
-        ginv = group.inverse[g]
-        # H <= ^gK iff g^-1 H g <= K
-        if not all(group.conj(ginv, x) in k.elems for x in h.gens):
+    for g, meet in zip(*ring.lattice.double_coset_reps(hid, orbit.subgroup_id)):
+        # H <= ^gK iff H meet ^gK = H
+        if meet != hid:
             continue
+        ginv = group.inverse[g]
         values = {x: psi[group.conj(ginv, x)] for x in h.sorted_elems}
         idx = hg.index_of_map(values)
         total = total + evaluate_character(dual.values, idx, ring.level)

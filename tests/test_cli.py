@@ -214,6 +214,17 @@ def test_verify_all_skips_weyl_without_perfect_class(capsys):
     assert [(c["id"], c["passed"]) for c in skipped] == [(8, True)]
 
 
+def test_verify_all_skip_names_the_weyl_case_list(capsys):
+    # A5 at fiber 6 has a nontrivial perfect class (A5 itself), but the
+    # catalog checks criterion 8 at fibers 1 and 2 only
+    code, out = run(capsys, "verify-all", "--group", "A5", "--fiber", "6",
+                    "--format", "table")
+    assert code == 0
+    assert "SKIP  8. weyl-isomorphism  catalog checks A5 and S5 at fibers 1 and 2 only" \
+        in out.splitlines()
+    assert out.splitlines()[-1] == "overall PASS"
+
+
 # -- cache ---------------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path, ring_factory):

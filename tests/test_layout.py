@@ -1,6 +1,7 @@
 """Source layout: each top-level function of the package has one home,
-the package has no floating point and does not import dataclasses, and
-the names the benchmark's tracer wraps exist."""
+the package has no floating point and does not import dataclasses, only
+perm.py reads the multiplication table, and the names the benchmark's
+tracer wraps exist."""
 
 import ast
 import importlib.util
@@ -40,6 +41,19 @@ def test_no_dataclasses_import():
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if any(n and n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+
+
+def test_only_perm_reads_the_multiplication_table():
+    # other modules multiply and conjugate through FiniteGroup, so the
+    # code that reads the table has one home
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "perm":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_table":
                 found.append(f"{path.stem}:{node.lineno}")
     assert found == []
 

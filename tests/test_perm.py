@@ -1,5 +1,6 @@
 """Group machinery: closure, lattices, cosets, residuals, Moebius."""
 
+import functools
 import itertools
 import random
 from math import log2
@@ -10,7 +11,7 @@ from fbr.acceptance import CATALOG_GROUPS
 from fbr.arith import p_part
 from fbr.errors import InputError, InvariantViolationError, ResourceLimitError
 from fbr.perm import (FiniteGroup, SubgroupLattice, compose, cycle_string,
-                      double_coset_reps, identity_perm, parse_cycles,
+                      double_coset_reps, identity_perm, invert, parse_cycles,
                       parse_group_spec, perm_order, quotient_group,
                       sylow_subgroup)
 
@@ -99,6 +100,95 @@ def test_products_match_composition_without_table():
     for a in range(0, g.order, 97):
         for b in range(0, g.order, 89):
             assert g.mul(a, b) == g.index[compose(g.elements[a], g.elements[b])]
+
+
+# -- conjugation, closure and double cosets against composition ---------------
+
+@functools.lru_cache(maxsize=None)
+def kernel_group(name):
+    if name == "S5 regular":
+        s5 = parse_group_spec("S5")
+        return quotient_group(s5, range(s5.order), {s5.identity})[0]
+    return parse_group_spec(GL32 if name == "GL32" else name)
+
+
+def kernel_sample(name):
+    """Every element index of a group with a table; a seeded sample of
+    60 of A7, which has none."""
+    g = kernel_group(name)
+    if name == "A7":
+        assert g._table is None
+        return sorted(random.Random(7).sample(range(g.order), 60))
+    assert g._table is not None
+    return range(g.order)
+
+
+def conj_by_composition(g, a, x):
+    e = g.elements
+    return g.index[compose(compose(e[a], e[x]), invert(e[a]))]
+
+
+def closure_by_composition(g, seed):
+    known = {identity_perm(g.degree)}
+    frontier = list(known)
+    while frontier:
+        frontier = [y for y in {compose(x, g.elements[s])
+                                for x in frontier for s in seed} if y not in known]
+        known.update(frontier)
+    return frozenset(g.index[x] for x in known)
+
+
+def double_cosets_by_composition(g, h, k):
+    """The double cosets HaK as index sets, each formed once."""
+    e = g.elements
+    cosets = {}
+    for a in range(g.order):
+        if not any(a in c for c in cosets.values()):
+            cosets[a] = frozenset(g.index[compose(compose(e[x], e[a]), e[y])]
+                                  for x in h for y in k)
+    return list(cosets.values())
+
+
+KERNEL_GROUPS = ["S4", "GL32", "S5 regular", "A7"]
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_conj_matches_composition(name):
+    g = kernel_group(name)
+    sample = kernel_sample(name)
+    for a in sample:
+        assert [g.conj(a, x) for x in sample] == \
+            [conj_by_composition(g, a, x) for x in sample]
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_closure_and_conj_set_match_composition(name):
+    g = kernel_group(name)
+    rng = random.Random(11)
+    sample = list(kernel_sample(name))
+    for _ in range(6):
+        seed = rng.sample(sample, rng.choice((1, 2)))
+        sub = g.closure(seed)
+        assert sub == closure_by_composition(g, seed)
+        for a in rng.sample(sample, 8):
+            assert g.conj_set(a, sorted(sub)) == \
+                frozenset(conj_by_composition(g, a, x) for x in sub)
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_double_coset_reps_match_composition(name):
+    # forward: the least element of each double coset, ascending;
+    # reversed: the greatest, descending
+    g = kernel_group(name)
+    rng = random.Random(13)
+    sample = list(kernel_sample(name))
+    for _ in range(4):
+        h = sorted(closure_by_composition(g, rng.sample(sample, 1)))
+        k = sorted(closure_by_composition(g, rng.sample(sample, 1)))
+        cosets = double_cosets_by_composition(g, h, k)
+        assert double_coset_reps(g, h, k) == tuple(sorted(min(c) for c in cosets))
+        assert double_coset_reps(g, h, k, reverse=True) == \
+            tuple(sorted((max(c) for c in cosets), reverse=True))
 
 
 # -- subgroup enumeration ------------------------------------------------------
@@ -265,19 +355,19 @@ def test_witness_conjugates_to_representative():
 def test_double_cosets_whole_group():
     lat = lattice("S3")
     full = lat.full_group_id()
-    assert lat.double_coset_reps(full, full) == (0,)
+    assert lat.double_coset_reps(full, full) == ((0,), (full,))
 
 
 def test_double_cosets_trivial_in_c2():
     lat = lattice("C2")
-    assert len(lat.double_coset_reps(0, 0)) == 2
+    assert len(lat.double_coset_reps(0, 0)[0]) == 2
 
 
 def test_double_cosets_c2_in_s3_partition():
     g = parse_group_spec("S3")
     lat = SubgroupLattice(g)
     c2 = next(s for s in lat.subgroups if s.order == 2)
-    reps = lat.double_coset_reps(c2.id, c2.id)
+    reps, _ = lat.double_coset_reps(c2.id, c2.id)
     assert len(reps) == 2
     # oracle: the double cosets partition the group, sizes 2 and 4
     cosets = []
@@ -290,6 +380,27 @@ def test_double_cosets_c2_in_s3_partition():
     # the reversed scan picks the greatest element of each double coset
     rev = double_coset_reps(g, c2.sorted_elems, c2.sorted_elems, reverse=True)
     assert sorted(rev) == sorted(max(c) for c in cosets)
+
+
+@pytest.mark.parametrize("spec", CATALOG_GROUPS + (GL32,))
+def test_double_coset_memo_holds_meets(spec):
+    # for class representatives H, K: the memo's g are the forward coset
+    # representatives, its meet is H meet ^gK, and meet == H exactly when
+    # H <= ^gK
+    lat = lattice(spec)
+    g = lat.group
+    reps = [c.rep for c in lat.classes]
+    for hid in reps:
+        h = lat.subgroups[hid]
+        for kid in reps:
+            k = lat.subgroups[kid]
+            memo = lat.double_coset_reps(hid, kid)
+            assert memo[0] == double_coset_reps(g, h.sorted_elems, k.sorted_elems)
+            for a, meet in zip(*memo):
+                gk = frozenset(conj_by_composition(g, a, x) for x in k.elems)
+                assert lat.subgroups[meet].elems == h.elems & gk
+                assert (meet == hid) == (h.elems <= gk)
+            assert lat.double_coset_reps(hid, kid) is memo
 
 
 # -- normalizers ---------------------------------------------------------------
