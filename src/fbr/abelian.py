@@ -14,6 +14,7 @@ from math import gcd, lcm
 
 from .arith import factorint, p_part
 from .errors import InputError, InvariantViolationError, ResourceLimitError
+from .perm import coset_quotient
 
 # largest Hom(H, A) enumerated; a larger one is a ResourceLimitError
 HOM_CAP = 1_000_000
@@ -117,36 +118,6 @@ def parse_fiber_spec(spec):
 # abelianization bases
 
 
-def _quotient(elems, sub, mul, identity):
-    """The quotient of a group on elems by a normal subgroup sub, each
-    coset named by its least element.
-
-    Returns (coset key of each element, sorted keys, product of keys,
-    key of the identity, order of a key in the quotient).
-    """
-    coset_key = {}
-    for x in elems:
-        if x not in coset_key:
-            coset = [mul(x, s) for s in sub]
-            key = min(coset)
-            for y in coset:
-                coset_key[y] = key
-    ident = coset_key[identity]
-
-    def q_mul(a, b):
-        return coset_key[mul(a, b)]
-
-    def q_order(x):
-        o = 1
-        cur = x
-        while cur != ident:
-            cur = q_mul(cur, x)
-            o += 1
-        return o
-
-    return coset_key, sorted(set(coset_key.values())), q_mul, ident, q_order
-
-
 def _pgroup_basis(elems, mul, identity, p, order_of):
     """Cyclic basis of a finite abelian p-group given by explicit data.
 
@@ -170,7 +141,7 @@ def _pgroup_basis(elems, mul, identity, p, order_of):
         powers.append(cur)
     if og == len(elems):
         return [(g, og)]
-    _, q_elems, q_mul, q_ident, q_order = _quotient(elems, powers, mul, identity)
+    _, q_elems, q_mul, q_ident, q_order = coset_quotient(elems, powers, mul, identity)
     basis = [(g, og)]
     ginv = powers[-1] if og > 1 else identity
     for xbar, m in _pgroup_basis(q_elems, q_mul, q_ident, p, q_order):
@@ -197,7 +168,7 @@ def abelianization_basis(group, subgroup, derived_elems):
     abelianization with orders in ascending divisibility, and coords
     maps each element index of H to its exponent tuple in that basis.
     """
-    coset_key, q_elems, q_mul, ident, q_order = _quotient(
+    coset_key, q_elems, q_mul, ident, q_order = coset_quotient(
         subgroup.sorted_elems, derived_elems, group.mul, group.identity)
     n = len(q_elems)
     per_prime = {}
@@ -309,26 +280,23 @@ class HomGroup:
     def value(self, hom_index, elem):
         return self.tables[hom_index][self.pos[elem]]
 
-    def values_map(self, hom_index):
-        return dict(zip(self.domain, self.tables[hom_index]))
-
-    def key_of_map(self, values_map):
-        return tuple(values_map[e] for e in self.domain)
-
-    def index_of_map(self, values_map):
-        key = self.key_of_map(values_map)
-        idx = self.index.get(key)
+    def index_of(self, table):
+        """Index of the homomorphism with this value table, in domain order."""
+        idx = self.index.get(table)
         if idx is None:
-            raise InvariantViolationError("value map is not a homomorphism into the fiber")
+            raise InvariantViolationError("value table is not a homomorphism into the fiber")
         return idx
+
+    def pullback(self, points, target):
+        """The map Hom(H, A) -> Hom(T, A), phi -> phi o f, on indices, where
+        H is this domain, T that of the Hom group target, and f sends the
+        i-th element of target.domain to points[i]."""
+        at = [self.pos[x] for x in points]
+        return tuple(target.index_of(tuple(table[i] for i in at))
+                     for table in self.tables)
 
     def trivial_index(self):
         return self.index[tuple(self.fiber.zero() for _ in self.domain)]
-
-
-def conj_values_map(group, values_map, g):
-    """Conjugate homomorphism ^g(phi) on ^g(domain): x -> phi(g^-1 x g)."""
-    return {group.conj(g, x): v for x, v in values_map.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +352,6 @@ def character_p_parts(values, p, level):
     tp = m * pow(m, -1, pa)
     tq = pa * pow(pa, -1, m)
     return character_power(values, tp, level), character_power(values, tq, level)
-
-
-def evaluate_character(values, hom_index, level):
-    """Value of a character on one homomorphism, a root of unity."""
-    from .cyclo import Cyclotomic
-    return Cyclotomic.zeta_power(level, values[hom_index])
-
-
-def conj_evaluate_character(values, hom_index, level):
-    """Complex conjugate of the character value: zeta -> zeta^-1."""
-    from .cyclo import Cyclotomic
-    return Cyclotomic.zeta_power(level, (-values[hom_index]) % level)
 
 
 def character_gen_exponents(values, hom_group, level):

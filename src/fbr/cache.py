@@ -1,9 +1,11 @@
 """Session cache: subgroup sets, basis and structure constants on disk.
 
 A cache entry is keyed by a digest of the normalized group and fiber
-specs.  Loading checks the format version, the digest and a payload
-checksum, then rebuilds the group from its spec under the order cap
-(so a group over the cap is a ResourceLimitError, not a corrupt entry).
+specs, and is bound to the key it is read under: loading checks the
+format version, a payload checksum and that the stored digest is the
+key of the requested specs, then rebuilds the group and fiber from
+those specs under the order cap (so a group over the cap is a
+ResourceLimitError, not a corrupt entry).
 The stored subgroup sets must hold element indices of the group and be
 subgroups; the lattice built on them computes the classes, witnesses
 and normalizers, which fails when the sets are not closed under
@@ -31,7 +33,9 @@ from .errors import FbrError, ResourceLimitError
 from .perm import SubgroupLattice, parse_group_spec
 from .ring import FiberedBurnsideRing
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+# an entry with other fields was not written in this format
+_FIELDS = {"format_version", "digest", "subgroups", "basis", "structure", "checksum"}
 
 
 def session_key(group_spec, fiber_spec):
@@ -53,8 +57,6 @@ def ring_payload(ring, group_spec, fiber_spec):
     lattice = ring.lattice
     payload = {
         "format_version": FORMAT_VERSION,
-        "group_spec": group_spec.strip(),
-        "fiber_spec": fiber_spec.strip(),
         "digest": session_key(group_spec, fiber_spec),
         "subgroups": [list(s.sorted_elems) for s in lattice.subgroups],
         "basis": [[o.subgroup_id, o.hom_index] for o in ring.basis.orbits],
@@ -67,17 +69,18 @@ def ring_payload(ring, group_spec, fiber_spec):
     return payload
 
 
-def ring_from_payload(payload):
-    """Rebuild a ring session from a payload; None if it does not verify."""
-    if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
+def ring_from_payload(payload, group_spec, fiber_spec):
+    """Rebuild the ring session of the given specs from a payload; None if
+    it does not verify or was stored under another key."""
+    if (not isinstance(payload, dict) or set(payload) != _FIELDS
+            or payload["format_version"] != FORMAT_VERSION):
         return None
-    if payload.get("checksum") != _payload_checksum(payload):
+    if payload["checksum"] != _payload_checksum(payload):
         return None
-    if payload.get("digest") != session_key(payload["group_spec"],
-                                            payload["fiber_spec"]):
+    if payload["digest"] != session_key(group_spec, fiber_spec):
         return None
-    group = parse_group_spec(payload["group_spec"])
-    fiber = parse_fiber_spec(payload["fiber_spec"])
+    group = parse_group_spec(group_spec)
+    fiber = parse_fiber_spec(fiber_spec)
     sets = payload["subgroups"]
     if not all(type(x) is int and 0 <= x < group.order for s in sets for x in s):
         return None
@@ -134,7 +137,7 @@ def load_session(cache_dir, group_spec, fiber_spec):
         return None
     try:
         payload = json.loads(path.read_text())
-        ring = ring_from_payload(payload)
+        ring = ring_from_payload(payload, group_spec, fiber_spec)
     except ResourceLimitError:
         # a cap is exceeded, which recomputing would hit again
         raise

@@ -254,12 +254,6 @@ class Cyclotomic:
         return _normal(self.level, tuple(a * r.numerator for a in self.nums),
                        self.den * r.denominator)
 
-    def conj(self):
-        """Complex conjugation zeta -> zeta^-1."""
-        if self.level <= 2:
-            return self
-        return self.galois(self.level - 1)
-
     def galois(self, t):
         """Galois map zeta -> zeta^t for t coprime to the level."""
         n = self.level
@@ -295,9 +289,6 @@ class Cyclotomic:
         if not self.is_rational():
             raise InputError("value is not rational")
         return Fraction(self.nums[0], self.den)
-
-    def is_integral(self):
-        return self.den == 1
 
     def is_integer(self):
         return self.den == 1 and self.is_rational()

@@ -340,11 +340,7 @@ class SubgroupLattice:
 
     def _build_classes(self):
         """Classes, to_rep (the inverse of the least g taking the class
-        representative S to each member) and normalizers, N(^g S) = ^g N(S).
-
-        N(S) is found by conjugating the generators of S only.  The g
-        with ^g S = T form one left coset g N(S), whose least element the
-        coset scan of double_coset_reps picks."""
+        representative S to each member) and normalizers, N(^g S) = ^g N(S)."""
         group = self.group
         m = len(self.subgroups)
         self.class_index = [None] * m
@@ -354,12 +350,11 @@ class SubgroupLattice:
         for s in self.subgroups:
             if self.class_index[s.id] is not None:
                 continue
-            norm = [g for g in range(group.order)
-                    if all(group.conj(g, x) in s.elems for x in s.gens)]
+            norm, conjugates = _conjugates(group, s.elems, s.gens)
             cidx = len(self.classes)
             members = []
-            for g in double_coset_reps(group, (group.identity,), norm):
-                t = self.conj_subgroup_id(g, s.id)
+            for g, fs in conjugates:
+                t = self.by_set[fs]
                 self.class_index[t] = cidx
                 # ^g S = T, so ^(g^-1) T = S = class rep
                 self.to_rep[t] = group.inverse[g]
@@ -514,12 +509,25 @@ def _greedy_gens(group, sorted_elems):
     return tuple(gens)
 
 
+def _conjugates(group, elems, gens):
+    """(N(S), [(g, ^gS), ...]) for the subgroup S with element set elems
+    and generators gens: one pair per member of the class of S.
+
+    N(S) is found by conjugating the generators of S only.  The g with
+    ^g S = T form one left coset g N(S), whose least element the coset
+    scan of double_coset_reps picks."""
+    norm = [g for g in range(group.order)
+            if all(group.conj(g, x) in elems for x in gens)]
+    return norm, [(g, group.conj_set(g, elems))
+                  for g in double_coset_reps(group, (group.identity,), norm)]
+
+
 def _enumerate_subgroup_sets(group):
     """Every subgroup as a frozenset of element indices.
 
-    Cyclic subgroups are seeded first, then the collection is closed
-    under joins with cyclic subgroups.  Every subgroup is the join of
-    the cyclic subgroups of its elements, and any join can be built one
+    The collection starts from the trivial subgroup and is closed under
+    joins with cyclic subgroups.  Every subgroup is the join of the
+    cyclic subgroups of its elements, and any join can be built one
     cyclic factor at a time, so the fixpoint is the full lattice.  The
     layering reaches nonsolvable subgroups too, which extension by
     normal prime steps alone cannot.
@@ -533,15 +541,13 @@ def _enumerate_subgroup_sets(group):
 
     def add_class(fs, gens):
         if fs not in known:
-            known.update(group.conj_set(g, fs) for g in range(group.order))
+            known.update(t for _, t in _conjugates(group, fs, gens)[1])
             queue.append((fs, gens))
 
     cyclic = {}
     for g in range(1, group.order):
         cyclic.setdefault(group.closure((g,)), g)
     add_class(frozenset({group.identity}), ())
-    for cfs, cgen in cyclic.items():
-        add_class(cfs, (cgen,))
     for s, sgens in queue:  # the queue grows during the loop
         for cfs, cgen in cyclic.items():
             if not cfs <= s:
@@ -553,40 +559,57 @@ def _enumerate_subgroup_sets(group):
 # quotients and Sylow subgroups
 
 
+def coset_quotient(elems, sub, mul, identity):
+    """The quotient of a group on elems by a normal subgroup sub, each
+    coset named by its least element.
+
+    Returns (coset key of each element, sorted keys, product of keys,
+    key of the identity, order of a key in the quotient).
+    """
+    coset_key = {}
+    for x in elems:
+        if x not in coset_key:
+            coset = [mul(x, s) for s in sub]
+            key = min(coset)
+            for y in coset:
+                coset_key[y] = key
+    ident = coset_key[identity]
+
+    def q_mul(a, b):
+        return coset_key[mul(a, b)]
+
+    def q_order(x):
+        o = 1
+        cur = x
+        while cur != ident:
+            cur = q_mul(cur, x)
+            o += 1
+        return o
+
+    return coset_key, sorted(set(coset_key.values())), q_mul, ident, q_order
+
+
 def quotient_group(group, n_elems, k_elems):
     """Quotient N/K as a permutation group on the left cosets of K in N.
 
     Requires K normal in N; the action on cosets is then faithful for
-    the quotient.  Returns (Q, onto, cosets) where onto maps an element
-    index of N to its image index in Q and cosets lists the left cosets
-    in the order of their Q point labels.
+    the quotient.  The points of Q are the cosets in the order of their
+    least elements.  Returns (Q, onto) where onto maps an element index
+    of N to its image index in Q.
     """
     n_sorted = sorted(n_elems)
-    k_sorted = sorted(k_elems)
-    coset_of = {}
-    cosets = []
-    for x in n_sorted:
-        if x in coset_of:
-            continue
-        cs = frozenset(group.mul(x, k) for k in k_sorted)
-        cid = len(cosets)
-        cosets.append(cs)
-        for y in cs:
-            coset_of[y] = cid
-    reps = [min(cs) for cs in cosets]
+    _, keys, q_mul, _, _ = coset_quotient(n_sorted, sorted(k_elems),
+                                          group.mul, group.identity)
+    point = {key: i for i, key in enumerate(keys)}
     perms = {}
     for x in n_sorted:
-        perm = tuple(coset_of[group.mul(x, r)] for r in reps)
+        perm = tuple(point[q_mul(x, r)] for r in keys)
         perms.setdefault(perm, []).append(x)
-    quotient = FiniteGroup.from_elements(len(cosets), perms)
-    if quotient.order * len(k_sorted) != len(n_sorted):
+    quotient = FiniteGroup.from_elements(len(keys), perms)
+    if quotient.order * len(k_elems) != len(n_sorted):
         raise InvariantViolationError("quotient construction requires K normal in N")
-    onto = {}
-    for perm, xs in perms.items():
-        qi = quotient.index[perm]
-        for x in xs:
-            onto[x] = qi
-    return quotient, onto, cosets
+    onto = {x: quotient.index[perm] for perm, xs in perms.items() for x in xs}
+    return quotient, onto
 
 
 def sylow_subgroup(group, p, reverse=False, n_elems=None, k_elems=None):

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import abelian, perm
-from .abelian import HomGroup, conj_values_map
+from .abelian import HomGroup
 from .cyclo import Cyclotomic, common_den, render_cyclotomic, sum_products
 from .errors import InputError
 from .perm import FiniteGroup, SubgroupLattice
@@ -93,9 +93,6 @@ class RingElement:
     def is_zero(self):
         return not self.coeffs
 
-    def is_integral(self):
-        return all(v.is_integer() for v in self.coeffs.values())
-
     def to_json(self):
         return {
             "basis": [self.ring.orbit_descriptor(k) for k in self.support()],
@@ -161,17 +158,17 @@ class FiberedBurnsideRing:
     def hom_action(self, rep_id):
         """For a class representative H: the permutation of Hom(H, A)
         induced by each element of the normalizer, n -> sigma_n with
-        sigma_n[k] = index of ^n(phi_k).
+        sigma_n[k] = index of ^n(phi_k), where ^n(phi)(y) = phi(n^-1 y n).
 
-        Only the generators g of N(H) conjugate value maps.  Since
+        Only the generators g of N(H) pull homomorphisms back.  Since
         ^(xg)phi = ^x(^g phi), sigma_(xg)[k] = sigma_x[sigma_g[k]], and a
         walk from the identity over the generators reaches all of N(H)."""
         act = self._actions.get(rep_id)
         if act is None:
             group = self.group
             hg = self.hom_group(rep_id)
-            by_gen = [(g, tuple(hg.index_of_map(conj_values_map(
-                          group, hg.values_map(k), g)) for k in range(hg.size)))
+            by_gen = [(g, hg.pullback([group.conj(group.inverse[g], y)
+                                       for y in hg.domain], hg))
                       for g in self.lattice.normalizer(rep_id).gens]
             act = {group.identity: tuple(range(hg.size))}
             reached = [group.identity]
@@ -243,16 +240,18 @@ class FiberedBurnsideRing:
     def canonicalize_pair(self, sid, values_map):
         """Canonical orbit of the pair (subgroup sid, hom given by its
         value map)."""
-        w = self.lattice.to_rep[sid]
+        # ^w S is the representative, where ^w phi(y) = phi(w^-1 y w)
+        group = self.group
+        winv = group.inverse[self.lattice.to_rep[sid]]
         rep = self.lattice.class_rep(sid)
-        moved = conj_values_map(self.group, values_map, w)
         hg = self.hom_group(rep)
-        k = hg.index_of_map(moved)
+        k = hg.index_of(tuple(values_map[group.conj(winv, y)] for y in hg.domain))
         return self.basis.lookup[rep][k]
 
     def pair_values_map(self, i):
         o = self.basis.orbits[i]
-        return self.hom_group(o.subgroup_id).values_map(o.hom_index)
+        hg = self.hom_group(o.subgroup_id)
+        return dict(zip(hg.domain, hg.tables[o.hom_index]))
 
     # -- multiplication ------------------------------------------------------
 
@@ -375,11 +374,10 @@ class FiberedBurnsideRing:
         o = self.basis.orbits[i]
         gens = self.lattice.subgroups[o.subgroup_id].gens
         hg = self.hom_group(o.subgroup_id)
-        table = hg.tables[o.hom_index]
         return {
             "index": i,
             "subgroup": self.subgroup_descriptor(o.subgroup_id),
-            "hom": {"images": [list(table[hg.pos[g]]) for g in gens]},
+            "hom": {"images": [list(hg.value(o.hom_index, g)) for g in gens]},
             "stabilizer_order": o.stabilizer_order,
             "orbit_size": o.orbit_size,
         }
@@ -397,13 +395,18 @@ def build_ring(group_spec, fiber_spec):
 # maps between rings over nested subgroups
 
 
-def _translate_elem(src_group, dst_group, idx):
-    return dst_group.index[src_group.elements[idx]]
-
-
-def _translate_values_map(src_ring, dst_ring, values_map):
-    return {_translate_elem(src_ring.group, dst_ring.group, x): v
-            for x, v in values_map.items()}
+def _terms_in(target, terms):
+    """The element sum of c [U, phi] of the target ring over terms (c,
+    values), where values maps the elements of U, as permutation image
+    tuples, to the values of phi."""
+    index = target.group.index
+    out = {}
+    for c, values in terms:
+        tvalues = {index[x]: v for x, v in values.items()}
+        sid = target.lattice.by_set[frozenset(tvalues)]
+        oidx = target.canonicalize_pair(sid, tvalues)
+        out[oidx] = out[oidx] + c if oidx in out else c
+    return RingElement(target, out)
 
 
 def induce(x, target):
@@ -412,38 +415,32 @@ def induce(x, target):
     for e in src.group.elements:
         if e not in target.group.index:
             raise InputError("induction target does not contain the source group")
-    out = {}
-    for i, c in x.coeffs.items():
-        values = _translate_values_map(src, target, src.pair_values_map(i))
-        sid = target.lattice.by_set[frozenset(values)]
-        oidx = target.canonicalize_pair(sid, values)
-        out[oidx] = out[oidx] + c if oidx in out else c
-    return RingElement(target, out)
+    elements = src.group.elements
+    return _terms_in(target, (
+        (c, {elements[y]: v for y, v in src.pair_values_map(i).items()})
+        for i, c in x.coeffs.items()))
 
 
 def restrict(x, target):
-    """Restriction along an inclusion, by the double coset formula."""
+    """Restriction along an inclusion, by the double coset formula: [U, phi]
+    goes to the sum over K g U of [K meet ^gU, ^g phi restricted]."""
     src = x.ring
     for e in target.group.elements:
         if e not in src.group.index:
             raise InputError("restriction target is not a subgroup of the source")
-    k_elems = sorted(src.group.index[e] for e in target.group.elements)
-    k_set = frozenset(k_elems)
-    out = {}
-    for i, c in x.coeffs.items():
-        o = src.basis.orbits[i]
-        u = src.lattice.subgroups[o.subgroup_id]
-        phi = src.pair_values_map(i)
-        for g in perm.double_coset_reps(src.group, k_elems, u.sorted_elems):
-            gu = src.group.conj_set(g, u.sorted_elems)
-            inter = k_set & gu
-            ginv = src.group.inverse[g]
-            values = {y: phi[src.group.conj(ginv, y)] for y in inter}
-            tvalues = _translate_values_map(src, target, values)
-            sid = target.lattice.by_set[frozenset(tvalues)]
-            oidx = target.canonicalize_pair(sid, tvalues)
-            out[oidx] = out[oidx] + c if oidx in out else c
-    return RingElement(target, out)
+    group, lattice = src.group, src.lattice
+    kid = lattice.by_set[frozenset(group.index[e] for e in target.group.elements)]
+
+    def terms():
+        for i, c in x.coeffs.items():
+            phi = src.pair_values_map(i)
+            uid = src.basis.orbits[i].subgroup_id
+            for g, meet in zip(*lattice.double_coset_reps(kid, uid)):
+                ginv = group.inverse[g]
+                yield c, {group.elements[y]: phi[group.conj(ginv, y)]
+                          for y in lattice.subgroups[meet].sorted_elems}
+
+    return _terms_in(target, terms())
 
 
 def conjugate(x, g_images, target):
@@ -454,15 +451,8 @@ def conjugate(x, g_images, target):
     """
     src = x.ring
     g_inv = perm.invert(g_images)
-    out = {}
-    for i, c in x.coeffs.items():
-        phi = src.pair_values_map(i)
-        values = {}
-        for xidx, v in phi.items():
-            moved = perm.compose(perm.compose(g_images, src.group.elements[xidx]),
-                                 g_inv)
-            values[target.group.index[moved]] = v
-        sid = target.lattice.by_set[frozenset(values)]
-        oidx = target.canonicalize_pair(sid, values)
-        out[oidx] = out[oidx] + c if oidx in out else c
-    return RingElement(target, out)
+    elements = src.group.elements
+    return _terms_in(target, (
+        (c, {perm.compose(perm.compose(g_images, elements[y]), g_inv): v
+             for y, v in src.pair_values_map(i).items()})
+        for i, c in x.coeffs.items()))

@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 from . import ring as ring_mod
 from .abelian import (character_gen_exponents, character_order,
-                      conj_evaluate_character, conj_values_map,
-                      dual_character_values, evaluate_character)
+                      dual_character_values)
 from .cyclo import Cyclotomic, common_den, sum_products
 from .errors import InputError, InvariantViolationError, TheoremViolationError
 
@@ -67,13 +66,10 @@ def conjugate_character(ring, sid, values, g):
     """
     tid = ring.lattice.conj_subgroup_id(g, sid)
     src = ring.hom_group(sid)
-    dst = ring.hom_group(tid)
-    ginv = ring.group.inverse[g]
-    out = []
-    for k in range(dst.size):
-        pulled = conj_values_map(ring.group, dst.values_map(k), ginv)
-        out.append(values[src.index_of_map(pulled)])
-    return tid, tuple(out)
+    # ^(g^-1)psi(x) = psi(g x g^-1) for psi in Hom(^gH, A)
+    pulled = ring.hom_group(tid).pullback([ring.group.conj(g, x) for x in src.domain],
+                                          src)
+    return tid, tuple(values[k] for k in pulled)
 
 
 def canonicalize_dual(ring, sid, values):
@@ -91,7 +87,6 @@ def species_value(ring, d, b):
     dual = dual_orbits(ring)[d]
     orbit = ring.basis.orbits[b]
     hid = dual.subgroup_id
-    h = ring.lattice.subgroups[hid]
     hg = ring.hom_group(hid)
     psi = ring.pair_values_map(b)
     group = ring.group
@@ -101,9 +96,8 @@ def species_value(ring, d, b):
         if meet != hid:
             continue
         ginv = group.inverse[g]
-        values = {x: psi[group.conj(ginv, x)] for x in h.sorted_elems}
-        idx = hg.index_of_map(values)
-        total = total + evaluate_character(dual.values, idx, ring.level)
+        idx = hg.index_of(tuple(psi[group.conj(ginv, x)] for x in hg.domain))
+        total = total + Cyclotomic.zeta_power(ring.level, dual.values[idx])
     return total
 
 
@@ -157,11 +151,10 @@ def species_value_composite(ring, d, b):
     hg = ring.hom_group(dual.subgroup_id)
     total = Cyclotomic.zero(ring.level)
     for k, c in pi.coeffs.items():
-        values_child = sub.pair_values_map(k)
-        values = {ring.group.index[sub.group.elements[x]]: v
-                  for x, v in values_child.items()}
-        idx = hg.index_of_map(values)
-        total = total + c * evaluate_character(dual.values, idx, ring.level)
+        values = sub.pair_values_map(k)
+        idx = hg.index_of(tuple(values[sub.group.index[ring.group.elements[x]]]
+                                for x in hg.domain))
+        total = total + c * Cyclotomic.zeta_power(ring.level, dual.values[idx])
     return total
 
 
@@ -194,8 +187,9 @@ def _idempotent(ring, d):
         kw = lattice.subgroups[kid].order * mu
         ksub = lattice.subgroups[kid]
         for k in range(hg.size):
-            coeff = conj_evaluate_character(dual.values, k, level) * kw
-            values = {x: hg.tables[k][hg.pos[x]] for x in ksub.sorted_elems}
+            # the complex conjugate of the character value
+            coeff = Cyclotomic.zeta_power(level, -dual.values[k]) * kw
+            values = {x: hg.value(k, x) for x in ksub.sorted_elems}
             oidx = ring.canonicalize_pair(kid, values)
             acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
     denom = dual.stabilizer_order * hg.size
@@ -263,7 +257,7 @@ def dual_descriptor(ring, d):
     dual = dual_orbits(ring)[d]
     gens = ring.lattice.subgroups[dual.subgroup_id].gens
     hg = ring.hom_group(dual.subgroup_id)
-    hom_gens = [[list(hg.tables[gi][hg.pos[g]]) for g in gens]
+    hom_gens = [[list(hg.value(gi, g)) for g in gens]
                 for gi in hg.gen_indices]
     return {
         "index": dual.index,

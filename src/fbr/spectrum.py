@@ -104,14 +104,10 @@ def p_regularize(ring, d, p, reverse=False):
             return species_mod.canonicalize_dual(ring, sid, values)
         new_sid = lattice.by_set[sylow_subgroup(
             ring.group, p, reverse, stab, lattice.subgroups[sid].elems)]
+        # the character phi -> Psi(phi restricted to K) of Hom(new, A)
         src_hg = ring.hom_group(sid)
-        dst_hg = ring.hom_group(new_sid)
-        sub_elems = lattice.subgroups[sid].sorted_elems
-        new_values = []
-        for k in range(dst_hg.size):
-            restricted = {x: dst_hg.value(k, x) for x in sub_elems}
-            new_values.append(values[src_hg.index_of_map(restricted)])
-        sid, values = new_sid, tuple(new_values)
+        res = ring.hom_group(new_sid).pullback(src_hg.domain, src_hg)
+        sid, values = new_sid, tuple(values[k] for k in res)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +283,13 @@ def weyl_ring(ring, perfect_id):
     nid = lattice.normalizer_ids[perfect_id]
     n_elems = lattice.subgroups[nid].sorted_elems
     j_elems = lattice.subgroups[perfect_id].elems
-    quotient, onto, cosets = quotient_group(ring.group, n_elems, j_elems)
+    quotient, onto = quotient_group(ring.group, n_elems, j_elems)
     sets = [{onto[x] for x in lattice.subgroups[sid].elems}
             for sid in lattice.subs_of[nid]
             if j_elems <= lattice.subgroups[sid].elems]
     wring = FiberedBurnsideRing(quotient, ring.fiber, level=ring.level,
                                 lattice=SubgroupLattice(quotient, sets))
-    return wring, onto, cosets
+    return wring, onto
 
 
 def weyl_block_iso(ring, perfect_id):
@@ -311,7 +307,7 @@ def weyl_block_iso(ring, perfect_id):
     comp = next(c for c in components(ring) if c.perfect_id == perfect_id)
     e_j = block_idempotent(ring, comp)
 
-    wring, onto, _ = weyl_ring(ring, perfect_id)
+    wring, onto = weyl_ring(ring, perfect_id)
     fibers_of = {}
     for x, q in onto.items():
         fibers_of.setdefault(q, []).append(x)

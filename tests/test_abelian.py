@@ -7,13 +7,14 @@ import pytest
 
 from fbr.abelian import (FiniteAbelianGroup, HomGroup, character_order,
                          character_p_parts, character_power,
-                         conj_values_map, dual_character_values,
-                         normalize_invariant_factors, parse_fiber_spec)
+                         dual_character_values, normalize_invariant_factors,
+                         parse_fiber_spec)
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
 from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import natural_level
+from oracles import conj_values_map, values_map
 
 
 def hom_group_of(lat, sid, fiber):
@@ -195,10 +196,21 @@ def test_hom_tables_are_homomorphisms():
     hg = hom_group_of(lat, lat.full_group_id(), fiber)
     g = lat.group
     for k in range(hg.size):
-        vm = hg.values_map(k)
+        vm = values_map(hg, k)
         for x in hg.domain:
             for y in hg.domain:
                 assert vm[g.mul(x, y)] == fiber.add(vm[x], vm[y])
+
+
+def test_index_of_refuses_a_non_homomorphism():
+    lat = SubgroupLattice(parse_group_spec("S3"))
+    hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
+    sign = hg.tables[1]
+    assert hg.index_of(sign) == 1
+    # the sign with one transposition sent to 0 is no homomorphism
+    odd = next(i for i, v in enumerate(sign) if v == (1,))
+    with pytest.raises(InvariantViolationError):
+        hg.index_of(sign[:odd] + ((0,),) + sign[odd + 1:])
 
 
 # -- conjugation and restriction -----------------------------------------------------
@@ -209,7 +221,7 @@ def test_conjugate_hom_moves_domain():
     fiber = parse_fiber_spec("2")
     c2 = next(s for s in lat.subgroups if s.order == 2)
     hg = hom_group_of(lat, c2.id, fiber)
-    nontrivial = hg.values_map(1)
+    nontrivial = values_map(hg, 1)
     mover = next(x for x in range(g.order)
                  if g.conj_set(x, c2.sorted_elems) != c2.elems)
     moved = conj_values_map(g, nontrivial, mover)
@@ -222,7 +234,7 @@ def test_conjugation_composition_law():
     g = parse_group_spec("S3")
     lat = SubgroupLattice(g)
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
-    vm = hg.values_map(1)
+    vm = values_map(hg, 1)
     for a in range(g.order):
         for b in range(g.order):
             lhs = conj_values_map(g, conj_values_map(g, vm, b), a)
@@ -234,7 +246,7 @@ def test_conjugation_preserves_kernel_conjugacy():
     g = parse_group_spec("S3")
     lat = SubgroupLattice(g)
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
-    vm = hg.values_map(1)
+    vm = values_map(hg, 1)
     zero = parse_fiber_spec("2").zero()
     ker = frozenset(x for x, v in vm.items() if v == zero)
     for a in range(g.order):
@@ -309,16 +321,17 @@ def test_character_p_parts_degenerate():
 
 
 def test_evaluate_character():
-    from fbr.abelian import conj_evaluate_character, evaluate_character
+    # a character's value on hom k is zeta^e for its exponent e at k, and
+    # zeta^-e is the complex conjugate
     lat = SubgroupLattice(parse_group_spec("C2"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
     trivial, sign = dual_character_values(hg, 2)
     one = Cyclotomic.one(2)
     for k in range(hg.size):
-        assert evaluate_character(trivial, k, 2) == one
-        v = evaluate_character(sign, k, 2)
-        assert v * conj_evaluate_character(sign, k, 2) == one
-    assert evaluate_character(sign, 1, 2) == -one
+        assert Cyclotomic.zeta_power(2, trivial[k]) == one
+        v = Cyclotomic.zeta_power(2, sign[k])
+        assert v * Cyclotomic.zeta_power(2, -sign[k]) == one
+    assert Cyclotomic.zeta_power(2, sign[1]) == -one
 
 
 def test_character_power_arithmetic():

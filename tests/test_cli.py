@@ -288,7 +288,7 @@ def test_cache_unreadable_entry_recovers(tmp_path, ring_factory, capsys, text):
 def test_cache_load_propagates_bugs(tmp_path, ring_factory, monkeypatch):
     cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
 
-    def broken(payload):
+    def broken(payload, group_spec, fiber_spec):
         raise AttributeError("a bug, not a corrupt entry")
 
     monkeypatch.setattr(cache, "ring_from_payload", broken)
@@ -316,8 +316,8 @@ def test_cache_save_leaves_no_temp_file(tmp_path, ring_factory, monkeypatch):
 def test_cache_hit_respects_order_cap(tmp_path, capsys):
     # a stored group over the order cap exits 2, as building it does,
     # instead of being recomputed
-    payload = {"format_version": cache.FORMAT_VERSION, "group_spec": "S8",
-               "fiber_spec": "1", "digest": cache.session_key("S8", "1"),
+    payload = {"format_version": cache.FORMAT_VERSION,
+               "digest": cache.session_key("S8", "1"),
                "subgroups": [], "basis": [], "structure": {}}
     payload["checksum"] = cache._payload_checksum(payload)
     cache.cache_path(tmp_path, "S8", "1").write_text(json.dumps(payload))
@@ -351,8 +351,8 @@ def test_cache_entry_from_other_level_loads_at_natural_level(tmp_path, capsys):
 @pytest.mark.parametrize("key,edit", [
     # the stored basis no longer matches the one rebuilt on the lattice
     ("basis", lambda basis: basis[::-1]),
-    # the group spec no longer matches the digest
-    ("group_spec", lambda spec: "C3"),
+    # the digest is the key of another group spec
+    ("digest", lambda digest: cache.session_key("C3", "2")),
 ], ids=["basis", "group_spec"])
 def test_cache_entry_edited_and_rechecksummed_is_recomputed(
         tmp_path, ring_factory, capsys, key, edit):
@@ -367,6 +367,37 @@ def test_cache_entry_edited_and_rechecksummed_is_recomputed(
                   "--cache-dir", str(tmp_path))
     assert code == 0
     assert cache.load_session(tmp_path, "S3", "2") is not None
+
+
+def test_cache_entry_of_another_key_is_recomputed(tmp_path, ring_factory, capsys):
+    # an S4 entry copied to the path of S5 is not read as S5's
+    args = ("basis", "--group", "S5", "--fiber", "2", "--format", "table")
+    code, plain = run(capsys, *args)
+    assert code == 0
+    src = cache.save_session(tmp_path, ring_factory("S4", "2"), "S4", "2")
+    cache.cache_path(tmp_path, "S5", "2").write_text(src.read_text())
+    code = main([*args, "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == plain
+    assert "recomputing" in out.err
+
+
+def test_cache_entry_with_a_stored_spec_is_recomputed(tmp_path, ring_factory, capsys):
+    # a stored fiber spec, a field of format 3, here not even a string
+    args = ("basis", "--group", "S4", "--fiber", "2")
+    code, plain = run(capsys, *args)
+    assert code == 0
+    path = cache.save_session(tmp_path, ring_factory("S4", "2"), "S4", "2")
+    payload = json.loads(path.read_text())
+    payload["fiber_spec"] = 2
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    code = main([*args, "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == plain
+    assert "recomputing" in out.err
 
 
 def _drop_class_member(subgroups):
@@ -440,7 +471,7 @@ def test_cache_entry_with_a_non_subgroup_is_refused(tmp_path, ring_factory):
                                lattice=SubgroupLattice(group, payload["subgroups"]))
     payload["basis"] = [[o.subgroup_id, o.hom_index] for o in fake.basis.orbits]
     payload["checksum"] = cache._payload_checksum(payload)
-    assert cache.ring_from_payload(payload) is None
+    assert cache.ring_from_payload(payload, "S3", "2") is None
 
 
 def test_cache_entry_of_format_2_is_recomputed_once(tmp_path, ring_factory, capsys):

@@ -1,11 +1,12 @@
 """Source layout: each top-level function of the package has one home,
-the package has no floating point and does not import dataclasses, only
-perm.py reads the multiplication table, and the names the benchmark's
-tracer wraps exist."""
+the package imports only the standard library, has no floating point and
+does not import dataclasses, only perm.py reads the multiplication table,
+and the names the benchmark's tracer wraps exist."""
 
 import ast
 import importlib.util
 import inspect
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -20,6 +21,31 @@ def test_no_function_defined_in_two_modules():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 homes[node.name].append(path.stem)
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def non_stdlib_imports(source):
+    """Absolute imports of a module source outside the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_imports_only_the_standard_library():
+    # the runtime is pure standard library (README); relative imports
+    # stay inside the package
+    found = {path.stem: non_stdlib_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {stem: names for stem, names in found.items() if names} == {}
+    source = (SRC / "ring.py").read_text()
+    assert non_stdlib_imports(source + "\nimport numpy\n") == ["numpy"]
+    assert non_stdlib_imports(source + "\nfrom numpy import linalg\n") == ["numpy"]
 
 
 def test_no_float_literal_or_name():

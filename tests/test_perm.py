@@ -10,10 +10,10 @@ import pytest
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.arith import p_part
 from fbr.errors import InputError, InvariantViolationError, ResourceLimitError
-from fbr.perm import (FiniteGroup, SubgroupLattice, compose, cycle_string,
-                      double_coset_reps, identity_perm, invert, parse_cycles,
-                      parse_group_spec, perm_order, quotient_group,
-                      sylow_subgroup)
+from fbr.perm import (FiniteGroup, SubgroupLattice, _conjugates, compose,
+                      cycle_string, double_coset_reps, identity_perm, invert,
+                      parse_cycles, parse_group_spec, perm_order,
+                      quotient_group, sylow_subgroup)
 
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -87,7 +87,7 @@ def test_from_elements_rejects_non_closed_set_without_table():
 
 def test_products_match_composition():
     s5 = parse_group_spec("S5")
-    regular, _, _ = quotient_group(s5, range(s5.order), {s5.identity})
+    regular, _ = quotient_group(s5, range(s5.order), {s5.identity})
     for g in (parse_group_spec("S4"), parse_group_spec(GL32), regular):
         for a, x in enumerate(g.elements):
             assert [g.mul(a, b) for b in range(g.order)] == \
@@ -307,6 +307,23 @@ def test_lattice_from_sets_matches_enumeration(spec):
     assert again.to_rep == lat.to_rep
     assert again.normalizer_ids == lat.normalizer_ids
     assert again.classes == lat.classes
+
+
+@pytest.mark.parametrize("spec", CATALOG_GROUPS + (GL32, "A6"))
+def test_conjugates_witnesses_are_least(spec):
+    # for each class representative S: N(S), the class of S, and for each
+    # member T the least g in G with ^gS = T, all by a scan of G
+    lat = lattice(spec)
+    g = lat.group
+    for cls in lat.classes:
+        s = lat.subgroups[cls.rep]
+        least = {}
+        for x in range(g.order):
+            least.setdefault(g.conj_set(x, s.sorted_elems), x)
+        norm, pairs = _conjugates(g, s.elems, s.gens)
+        assert norm == [x for x in range(g.order)
+                        if g.conj_set(x, s.sorted_elems) == s.elems]
+        assert pairs == sorted((x, t) for t, x in least.items())
 
 
 def test_subgroup_count_a6():
@@ -535,11 +552,44 @@ def test_quotient_s3_mod_a3():
     g = parse_group_spec("S3")
     lat = SubgroupLattice(g)
     a3 = next(s for s in lat.subgroups if s.order == 3)
-    q, onto, cosets = quotient_group(g, lat.subgroups[lat.full_group_id()].sorted_elems,
-                                     a3.elems)
+    q, onto = quotient_group(g, lat.subgroups[lat.full_group_id()].sorted_elems,
+                             a3.elems)
     assert q.order == 2
-    assert len(cosets) == 2
+    assert len(set(onto.values())) == 2
     assert all(onto[x] == 0 for x in a3.sorted_elems)
+
+
+def explicit_quotient(group, n_elems, k_elems):
+    """The permutation of each x in N on the left cosets of K, listed in
+    the order of their least elements."""
+    cosets = sorted({frozenset(group.mul(x, k) for k in k_elems) for x in n_elems},
+                    key=min)
+    label = {y: i for i, c in enumerate(cosets) for y in c}
+    return {x: tuple(label[group.mul(x, min(c))] for c in cosets) for x in n_elems}
+
+
+def weyl_pairs():
+    for spec in ("A5", "S5", GL32):
+        lat = lattice(spec)
+        for jid in lat.perfect_class_reps():
+            yield lat.group, lat.normalizer(jid).sorted_elems, lat.subgroups[jid].elems
+    for spec, order in (("S5", 60), ("S4", 4)):
+        lat = lattice(spec)
+        # A5 in S5, and V4 (the normal subgroup of order 4) in S4
+        k = next(s for s in lat.subgroups if s.order == order
+                 and lat.normalizer(s.id).order == lat.group.order)
+        yield lat.group, range(lat.group.order), k.elems
+
+
+def test_quotient_points_are_cosets_by_least_element():
+    count = 0
+    for group, n_elems, k_elems in weyl_pairs():
+        q, onto = quotient_group(group, n_elems, k_elems)
+        want = explicit_quotient(group, n_elems, k_elems)
+        assert set(onto) == set(want)
+        assert all(q.elements[onto[x]] == perm for x, perm in want.items())
+        count += 1
+    assert count == 8
 
 
 def test_sylow_subgroups():

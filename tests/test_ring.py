@@ -10,14 +10,14 @@ from pathlib import Path
 import pytest
 
 from fbr import burnside
-from fbr import ring as ring_mod
-from fbr.abelian import conj_values_map, parse_fiber_spec
+from fbr.abelian import HomGroup, parse_fiber_spec
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError
 from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import (FiberedBurnsideRing, RingElement, build_ring, conjugate,
                       induce, restrict)
+from oracles import conj_values_map, index_of_map, restrict_by_scan, values_map
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 
@@ -70,7 +70,7 @@ def test_canonicalize_well_defined(ring_factory):
 def per_element_hom_action(ring, rep):
     """hom_action by conjugating every hom's value map by every n in N(H)."""
     hg = ring.hom_group(rep)
-    return {n: tuple(hg.index_of_map(conj_values_map(ring.group, hg.values_map(k), n))
+    return {n: tuple(index_of_map(hg, conj_values_map(ring.group, values_map(hg, k), n))
                      for k in range(hg.size))
             for n in ring.lattice.normalizer(rep).sorted_elems}
 
@@ -84,23 +84,45 @@ def test_hom_action_matches_per_element_oracle(ring_factory, spec, fiber):
         assert ring.hom_action(cls.rep) == per_element_hom_action(ring, cls.rep)
 
 
+@pytest.mark.parametrize("spec,fiber", [
+    (g, f) for g in CATALOG_GROUPS for f in ("1", "2", "6", "2x2")
+] + [(GL32, "1"), (GL32, "2")])
+def test_pullback_matches_value_map_composition(ring_factory, spec, fiber):
+    # conjugation by each normalizer generator and restriction to each
+    # K <= H, for every class representative H
+    ring = ring_factory(spec, fiber)
+    group, lattice = ring.group, ring.lattice
+    for cls in lattice.classes:
+        hg = ring.hom_group(cls.rep)
+        for g in lattice.normalizer(cls.rep).gens:
+            points = [group.conj(group.inverse[g], y) for y in hg.domain]
+            assert hg.pullback(points, hg) == tuple(
+                index_of_map(hg, conj_values_map(group, values_map(hg, k), g))
+                for k in range(hg.size))
+        for kid in lattice.subs_of[cls.rep]:
+            kg = ring.hom_group(kid)
+            assert hg.pullback(kg.domain, kg) == tuple(
+                index_of_map(kg, {x: values_map(hg, k)[x] for x in kg.domain})
+                for k in range(hg.size))
+
+
 def test_hom_action_conjugates_generators_only(monkeypatch):
-    # building S5/2 on a prebuilt lattice conjugates value maps only by
-    # the generators of each normalizer, not by all its elements
+    # building S5/2 on a prebuilt lattice pulls homomorphisms back only
+    # along the generators of each normalizer, not along all its elements
     group, fiber = parse_group_spec("S5"), parse_fiber_spec("2")
     lattice = SubgroupLattice(group)
     calls = []
+    pullback = HomGroup.pullback
 
-    def counted(*args):
+    def counted(self, points, target):
         calls.append(None)
-        return conj_values_map(*args)
+        return pullback(self, points, target)
 
-    monkeypatch.setattr(ring_mod, "conj_values_map", counted)
-    ring = FiberedBurnsideRing(group, fiber, lattice=lattice)
+    monkeypatch.setattr(HomGroup, "pullback", counted)
+    FiberedBurnsideRing(group, fiber, lattice=lattice)
     reps = [c.rep for c in lattice.classes]
-    bound = sum(len(lattice.normalizer(r).gens) * ring.hom_group(r).size for r in reps)
-    per_element = sum(lattice.normalizer(r).order * ring.hom_group(r).size for r in reps)
-    assert len(calls) <= bound < per_element
+    bound = sum(len(lattice.normalizer(r).gens) for r in reps)
+    assert 0 < len(calls) <= bound < sum(lattice.normalizer(r).order for r in reps)
 
 
 # -- multiplication -----------------------------------------------------------------
@@ -276,6 +298,20 @@ def test_restriction_example(ring_factory):
     res = restrict(ring.basis_element(c2_triv), sub_a3)
     assert int_coeffs(res) == {0: 1}
     assert sub_a3.basis.orbits[0].subgroup_id == sub_a3.lattice.trivial_id()
+
+
+@pytest.mark.parametrize("spec,fiber", [
+    ("S3", "2"), ("D4", "2x2"), ("Q8", "2"), ("A4", "6"), ("S4", "2"),
+])
+def test_restrict_matches_independent_scan(ring_factory, spec, fiber):
+    # the lattice's double coset memo against a scan of its own, on every
+    # basis element and every class representative subgroup
+    ring = ring_factory(spec, fiber)
+    for cls in ring.lattice.classes:
+        sub = ring.subring(cls.rep)
+        for b in range(ring.rank):
+            x = ring.basis_element(b)
+            assert restrict(x, sub) == restrict_by_scan(x, sub)
 
 
 def test_induce_restrict_identity(ring_factory):
