@@ -178,7 +178,12 @@ def criterion_structure_constants(session):
             prod = ring.multiply(ring.basis_element(a), ring.basis_element(b))
             coords = sp.idempotent_coordinates(ring, prod)
             for d in range(n):
-                if coords[d] != table[d][a] * table[d][b]:
+                sa, sb = table[d][a], table[d][b]
+                if sa.is_zero() or sb.is_zero():
+                    ok = coords[d].is_zero()
+                else:
+                    ok = coords[d] == sa * sb
+                if not ok:
                     bad.append(f"{g}/{f}: s{d}({a}*{b})")
                     break
             if bad:

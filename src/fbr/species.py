@@ -3,8 +3,11 @@
 A species is indexed by the orbit of a dual pair (H, Phi): a subgroup
 together with a character of Hom(H, A).  Its value on a basis orbit
 [K, psi] is the double coset sum over the g with H contained in ^gK of
-Phi(^g(psi) restricted to H).  The table of all species values against
-the standard basis is square and invertible; inverting it through the
+Phi(^g(psi) restricted to H), so it is zero unless H <=_G K: ordered by
+subgroup class, the table is block triangular like the table of marks,
+and it is evaluated and read only where H <=_G K.  The table of all
+species values against the standard basis is square and invertible
+(its determinant is taken block by block); inverting it through the
 explicit idempotent formula gives the primitive idempotents.
 """
 
@@ -108,8 +111,15 @@ def species_table(ring):
     denominator is an invariant violation.
     """
     def build():
-        rows = [tuple(species_value(ring, d, b) for b in range(ring.rank))
-                for d in range(ring.rank)]
+        lattice = ring.lattice
+        # below[c]: the classes subconjugate to class c
+        below = [{lattice.class_index[s] for s in lattice.subs_of[c.rep]}
+                 for c in lattice.classes]
+        zero = Cyclotomic.zero(ring.level)
+        rows = [tuple(species_value(ring, dual.index, b)
+                      if dual.class_index in below[o.class_index] else zero
+                      for b, o in enumerate(ring.basis.orbits))
+                for dual in dual_orbits(ring)]
         if any(v.den != 1 for row in rows for v in row):
             raise InvariantViolationError("species table entry is not integral")
         return tuple(rows)
@@ -123,14 +133,15 @@ def species_values(ring, x, duals):
 
     x goes over one common denominator once, and each value is one
     cyclo.sum_products sum over x's numerators and those of the memoized
-    species table, whose entries are integral.
+    species table, whose entries are integral; zero entries are skipped.
     """
     if x.ring is not ring:
         raise InputError("elements from different rings")
     table = species_table(ring)
     den, nums = common_den(ring.level, x.coeffs)
     out = sum_products(ring.level, den, (
-        (a, table[d][k].nums, ((d, 1),)) for d in duals for k, a in nums.items()))
+        (a, table[d][k].nums, ((d, 1),)) for d in duals for k, a in nums.items()
+        if not table[d][k].is_zero()))
     zero = Cyclotomic.zero(ring.level)
     return [out.get(d, zero) for d in duals]
 
@@ -209,13 +220,67 @@ def idempotent_coordinates(ring, x):
 
 
 def exact_determinant(rows):
+    """Exact determinant of a square matrix of Cyclotomic values at one
+    level: the product of those of its diagonal blocks, the strongly
+    connected components of i -> j where rows[i][j] is not zero.  Ordered
+    topologically, they make the matrix block triangular by a symmetric
+    permutation, which leaves the determinant unchanged."""
+    if not rows:
+        raise InputError("empty matrix")
+    det = Cyclotomic.one(rows[0][0].level)
+    for block in _diagonal_blocks(rows):
+        d = _eliminate([[rows[i][j] for j in block] for i in block])
+        if d.is_zero():
+            return d
+        det = det * d
+    return det
+
+
+def _diagonal_blocks(rows):
+    """The strongly connected components of i -> j, rows[i][j] nonzero,
+    as sorted index lists: Tarjan's algorithm, iterative, since ranks
+    reach the hundreds."""
+    succ = [[j for j, v in enumerate(r) if not v.is_zero()] for r in rows]
+    order, low, at = {}, {}, {}  # discovery index, low link, stack position
+    stack, blocks, work = [], [], []
+
+    def push(v):
+        order[v] = low[v] = len(order)
+        at[v] = len(stack)
+        stack.append(v)
+        work.append((v, iter(succ[v])))
+
+    for root in range(len(rows)):
+        if root not in order:
+            push(root)
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in order:
+                    push(w)
+                    break
+                if w in at:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    block = stack[at[v]:]
+                    del stack[at[v]:]
+                    for w in block:
+                        del at[w]
+                    blocks.append(sorted(block))
+    return blocks
+
+
+def _eliminate(rows):
     """Determinant by Gaussian elimination with exact pivot inversion.
 
     Entries are Cyclotomic values at one level; no rounding anywhere.
     """
     n = len(rows)
-    if n == 0:
-        raise InputError("empty matrix")
     level = rows[0][0].level
     m = [list(r) for r in rows]
     det = Cyclotomic.one(level)
@@ -246,8 +311,7 @@ def exact_determinant(rows):
 
 
 def species_determinant(ring):
-    table = species_table(ring)
-    det = exact_determinant([list(r) for r in table])
+    det = exact_determinant(species_table(ring))
     if det.is_zero():
         raise TheoremViolationError("species table is singular")
     return det

@@ -120,7 +120,7 @@ def reduced_species_row(ring, d, ideal):
     row = species_mod.species_table(ring)[d]
     if ideal is None:
         return row
-    return tuple(reduce_mod(v, ideal) for v in row)
+    return tuple(() if v.is_zero() else reduce_mod(v, ideal) for v in row)
 
 
 def congruent_mod_p(ring, d1, d2, ideal):
@@ -254,11 +254,11 @@ def block_basis(ring, component):
     Verified square and of full rank against the component's species
     coordinates; rank deficiency is a theorem violation.
     """
+    if len(component.basis_orbits) != len(component.dual_orbits):
+        raise TheoremViolationError("block basis and dual counts differ")
     e = block_idempotent(ring, component)
     elems = [ring.multiply(ring.basis_element(b), e)
              for b in component.basis_orbits]
-    if len(component.basis_orbits) != len(component.dual_orbits):
-        raise TheoremViolationError("block basis and dual counts differ")
     matrix = [species_mod.species_values(ring, x, component.dual_orbits)
               for x in elems]
     if elems:

@@ -9,11 +9,15 @@ import pytest
 
 from fbr import burnside
 from fbr import species as sp
+from fbr import spectrum as spc
+from fbr.acceptance import CATALOG_FIBERS, CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
 from fbr.ring import build_ring
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "c2_a2.json").read_text())
+GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
+CATALOG_RINGS = [(g, f) for g in CATALOG_GROUPS for f in CATALOG_FIBERS]
 
 
 def as_int(v):
@@ -245,20 +249,37 @@ def test_species_of_element_from_other_ring(ring_factory):
         sp.idempotent_coordinates(ring, x)
 
 
-@pytest.mark.parametrize("spec,fiber", [
-    ("C2", "2"), ("A4", "2"), ("S3", "3"), ("C4", "4"), ("A4", "3"), ("S3", "6"),
-    ("C6", "6")])
-def test_determinant_matches_sympy_oracle(ring_factory, spec, fiber):
+SYMPY_CASES = [("C2", "2", False), ("A4", "2", False), ("S3", "3", False),
+               ("C4", "4", False), ("A4", "3", False), ("S3", "6", False),
+               ("C6", "6", False), ("S5", "2", True)]
+
+
+def block_matrices(ring):
+    """The matrix block_basis checks for each component: the species of
+    the component's dual orbits on its block basis."""
+    return [[sp.species_values(ring, x, c.dual_orbits) for x in spc.block_basis(ring, c)]
+            for c in spc.components(ring)]
+
+
+@pytest.mark.parametrize("spec,fiber,nonsolvable_block", SYMPY_CASES,
+                         ids=[f"{g}-{f}" + ("-nonsolvable-block" if b else "")
+                              for g, f, b in SYMPY_CASES])
+def test_determinant_matches_sympy_oracle(ring_factory, spec, fiber, nonsolvable_block):
     sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")
     ring = ring_factory(spec, fiber)
-    table = sp.species_table(ring)
-    matrix = sympy.Matrix([[sum(c * z ** k for k, c in enumerate(v.coefficients()))
-                            for v in row] for row in table])
+    if nonsolvable_block:
+        comp = next(c for c in spc.components(ring) if c.perfect_id != 0)
+        matrix = block_matrices(ring)[comp.index]
+    else:
+        matrix = sp.species_table(ring)
+    oracle = sympy.Matrix([[sum(c * z ** k for k, c in enumerate(v.coefficients()))
+                            for v in row] for row in matrix])
     mod = sympy.Poly(sympy.cyclotomic_poly(ring.level, z), z, domain="QQ")
-    want = sympy.rem(sympy.Poly(matrix.det(method="berkowitz"), z, domain="QQ"), mod)
-    det = sp.exact_determinant(table)
-    assert det == sp.species_determinant(ring)
+    want = sympy.rem(sympy.Poly(oracle.det(method="berkowitz"), z, domain="QQ"), mod)
+    det = sp.exact_determinant(matrix)
+    if not nonsolvable_block:
+        assert det == sp.species_determinant(ring)
     assert det.coefficients() == [Fraction(str(want.coeff_monomial(z ** k)))
                                   for k in range(mod.degree())]
     assert not det.is_zero()
@@ -269,3 +290,130 @@ def test_determinant_of_singular_matrix():
     o = Cyclotomic.one(4)
     assert sp.exact_determinant([[o, o], [o, o]]).is_zero()
     assert sp.exact_determinant([[o, z], [z, o]]) == o
+
+
+# -- the triangular shape of the table -----------------------------------------------
+
+ZERO_PATTERN_RINGS = CATALOG_RINGS + [("S4", "2x2"), (GL32, "1"), (GL32, "2")]
+
+
+@pytest.mark.parametrize("spec,fiber", ZERO_PATTERN_RINGS)
+def test_species_table_matches_dense_evaluation(ring_factory, spec, fiber):
+    # the table evaluates only where H is subconjugate to K; everywhere
+    # else the dense double coset evaluation must be zero
+    ring = ring_factory(spec, fiber)
+    lattice = ring.lattice
+    table = sp.species_table(ring)
+    below = [{lattice.class_index[s] for s in lattice.subs_of[c.rep]}
+             for c in lattice.classes]
+    for dual in sp.dual_orbits(ring):
+        for b, orbit in enumerate(ring.basis.orbits):
+            dense = sp.species_value(ring, dual.index, b)
+            assert table[dual.index][b] == dense
+            if dual.class_index not in below[orbit.class_index]:
+                assert dense.is_zero()
+
+
+def test_species_table_double_cosets_only_below(monkeypatch):
+    ring = build_ring("S5", "2")
+    lattice = ring.lattice
+    sp.dual_orbits(ring)
+    calls = []
+    real = lattice.double_coset_reps
+    monkeypatch.setattr(lattice, "double_coset_reps",
+                        lambda h, k: calls.append((h, k)) or real(h, k))
+    sp.species_table(ring)
+    subconjugate = {(lattice.class_index[h], c.index)
+                    for c in lattice.classes for h in lattice.subs_of[c.rep]}
+    assert calls
+    assert all((lattice.class_index[h], lattice.class_index[k]) in subconjugate
+               for h, k in calls)
+    assert len(calls) < ring.rank ** 2
+
+
+@pytest.mark.parametrize("spec,fiber", CATALOG_RINGS + [(GL32, "1")])
+def test_determinant_matches_dense_elimination(ring_factory, spec, fiber):
+    ring = ring_factory(spec, fiber)
+    for matrix in [sp.species_table(ring)] + block_matrices(ring):
+        if matrix:
+            assert sp.exact_determinant(matrix) == sp._eliminate(matrix)
+
+
+def random_entry(rng, level, nonzero=False):
+    phi = len(Cyclotomic.one(level).nums)
+    while True:
+        v = Cyclotomic(level, [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                               for _ in range(phi)])
+        if not (nonzero and v.is_zero()):
+            return v
+
+
+def block_triangular(rng, level, sizes, fill=0.5):
+    """A block upper triangular matrix with dense diagonal blocks of the
+    given sizes and random entries above them, and its block index sets."""
+    owner = [k for k, size in enumerate(sizes) for _ in range(size)]
+    zero = Cyclotomic.zero(level)
+    rows = [[random_entry(rng, level, nonzero=True) if bi == bj
+             else random_entry(rng, level) if bi < bj and rng.random() < fill else zero
+             for bj in owner] for bi in owner]
+    blocks = [[i for i, k in enumerate(owner) if k == b] for b in range(len(sizes))]
+    return rows, blocks
+
+
+@pytest.mark.parametrize("level", [1, 4, 6])
+def test_determinant_of_permuted_block_triangular_matrices(level):
+    rng = random.Random(level)
+    for _ in range(8):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        rows, blocks = block_triangular(rng, level, sizes)
+        want = Cyclotomic.one(level)
+        for block in blocks:
+            want = want * sp._eliminate([[rows[i][j] for j in block] for i in block])
+        n = len(rows)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        at = {old: new for new, old in enumerate(perm)}
+        assert sorted(map(sorted, ([at[i] for i in b] for b in blocks))) == \
+            sorted(sp._diagonal_blocks(moved))
+        assert sp.exact_determinant(moved) == want == sp._eliminate(moved)
+
+
+def test_determinant_edge_cases():
+    rng = random.Random(5)
+    level = 4
+    zero = Cyclotomic.zero(level)
+    x = random_entry(rng, level, nonzero=True)
+    assert sp.exact_determinant([[x]]) == x
+    assert sp.exact_determinant([[zero]]).is_zero()
+    # a singular diagonal block: its two rows are equal
+    rows, blocks = block_triangular(rng, level, [2, 2, 3])
+    i, j = blocks[1]
+    rows[j][i], rows[j][j] = rows[i][i], rows[i][j]
+    assert sp._eliminate(rows).is_zero()
+    assert sp.exact_determinant(rows).is_zero()
+    # a zero row
+    rows, _ = block_triangular(rng, level, [3, 2])
+    rows[2] = [zero] * len(rows)
+    assert sp.exact_determinant(rows).is_zero()
+    with pytest.raises(InputError, match="empty"):
+        sp.exact_determinant([])
+
+
+def test_determinant_multiplies_only_inside_blocks(monkeypatch):
+    # k diagonal blocks of size b: O(k b^3) products, not O((k b)^3)
+    k, b = 6, 3
+    rows, _ = block_triangular(random.Random(11), 4, [b] * k, fill=0)
+    count = 0
+    real = Cyclotomic.__mul__
+
+    def counting(x, y):
+        nonlocal count
+        count += 1
+        return real(x, y)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting)
+    sp._eliminate(rows)
+    dense, count = count, 0
+    sp.exact_determinant(rows)
+    assert count <= k * b ** 3 < dense

@@ -113,6 +113,22 @@ def test_c2_rows_congruent_mod_2(ring_factory):
     assert spc.congruent_mod_p(ring, 1, 2, prime)
 
 
+def test_reduced_rows_skip_zero_entries(ring_factory, monkeypatch):
+    # a zero entry's residue is (), as reduce_mod gives, without reducing it
+    reduce_mod = spc.reduce_mod
+    for spec, fiber in (("A4", "6"), ("S5", "2")):
+        ring = ring_factory(spec, fiber)
+        table = sp.species_table(ring)
+        for ideal in prime_ideals(2, ring.level) + prime_ideals(3, ring.level):
+            reduced = []
+            monkeypatch.setattr(spc, "reduce_mod",
+                                lambda v, i: reduced.append(v) or reduce_mod(v, i))
+            rows = [spc.reduced_species_row(ring, d, ideal) for d in range(ring.rank)]
+            monkeypatch.setattr(spc, "reduce_mod", reduce_mod)
+            assert rows == [tuple(reduce_mod(v, ideal) for v in row) for row in table]
+            assert reduced and not any(v.is_zero() for v in reduced)
+
+
 # -- partitions ------------------------------------------------------------------------
 
 def test_partition_c2_single_class(ring_factory):
@@ -385,6 +401,15 @@ def test_block_basis_solvable_fixed(ring_factory):
     for b in comp.basis_orbits:
         x = ring.basis_element(b)
         assert ring.multiply(x, e1) == x
+
+
+def test_block_basis_checks_counts_before_multiplying(ring_factory, monkeypatch):
+    ring = ring_factory("S3", "2")
+    comp = spc.components(ring)[0]
+    uneven = comp._replace(dual_orbits=comp.dual_orbits[1:])
+    monkeypatch.setattr(ring, "multiply", lambda *args: pytest.fail("multiplied"))
+    with pytest.raises(TheoremViolationError, match="counts differ"):
+        spc.block_basis(ring, uneven)
 
 
 def test_block_basis_s5(ring_factory):
