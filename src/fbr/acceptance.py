@@ -5,10 +5,16 @@ string, plus skipped: true when it had nothing to check.  Everything is
 exact arithmetic, so there are no tolerances; sampling (only above rank
 15, where exhaustive pair scans are ruled out) is seeded and therefore
 reproducible byte for byte.
+
+The ring is commutative by construction (structure constants are kept
+per unordered pair of basis orbits), so criterion 2, which checks
+e_a e_b over ordered pairs of idempotents, forms each product once per
+unordered pair: at (b, a) it reuses the zero found at (a, b).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -55,8 +61,7 @@ class Session:
         return [(g, f) for g in self.groups for f in self.fibers]
 
     def pair_seed(self, gspec, fspec):
-        i = self.groups.index(gspec) * len(CATALOG_FIBERS) + \
-            self.fibers.index(fspec)
+        i = self.groups.index(gspec) * len(self.fibers) + self.fibers.index(fspec)
         return self.seed * 1000003 + i
 
 
@@ -116,14 +121,18 @@ def criterion_idempotents(session):
             total = total + sp.idempotent(ring, d)
         if total != ring.one():
             bad.append(f"{g}/{f}: idempotents do not sum to 1")
+        zeros = set()  # the (a, b), a != b, with e_a e_b checked to be zero
         for a, b in pairs:
-            ea = sp.idempotent(ring, a)
             eb = sp.idempotent(ring, b)
-            prod = ring.multiply(ea, eb)
-            want = ea if a == b else ring.zero()
-            if prod != want:
-                bad.append(f"{g}/{f}: e{a}*e{b} wrong")
-                break
+            if (b, a) not in zeros:
+                ea = sp.idempotent(ring, a)
+                prod = ring.multiply(ea, eb)
+                want = ea if a == b else ring.zero()
+                if prod != want:
+                    bad.append(f"{g}/{f}: e{a}*e{b} wrong")
+                    break
+                if a != b:
+                    zeros.add((a, b))
             v = sp.apply_species(ring, a, eb)
             expect = 1 if a == b else 0
             if not (v.is_rational() and v.rational_value() == expect):
@@ -174,12 +183,16 @@ def criterion_structure_constants(session):
         n = ring.rank
         pairs = _upper_pairs(n, random.Random(session.pair_seed(g, f) + 1))
         table = sp.species_table(ring)
+        rational = ring.level <= 2  # phi(level) = 1: one numerator, den 1
         for a, b in pairs:
-            prod = ring.multiply(ring.basis_element(a), ring.basis_element(b))
+            prod = ring.element_from_ints(dict(ring.structure_constants(a, b)))
             coords = sp.idempotent_coordinates(ring, prod)
             for d in range(n):
                 sa, sb = table[d][a], table[d][b]
-                if sa.is_zero() or sb.is_zero():
+                if rational:
+                    ok = (coords[d].den == 1
+                          and coords[d].nums == (sa.nums[0] * sb.nums[0],))
+                elif sa.is_zero() or sb.is_zero():
                     ok = coords[d].is_zero()
                 else:
                     ok = coords[d] == sa * sb
@@ -367,11 +380,16 @@ def run_all(groups=None, fibers=None, seed=DEFAULT_SEED):
     """Full acceptance report as a JSON-ready dict."""
     session = Session(groups=groups, fibers=fibers, seed=seed)
     criteria = run_criteria(session)
+    groups, fibers = list(session.groups), list(session.fibers)
+    # finished rings are cyclic garbage (ring -> memo -> element -> ring):
+    # free them before criterion 9 builds its own
+    del session
+    gc.collect()
     criteria.append(criterion_determinism(seed))
     return {
         "seed": seed,
-        "groups": list(session.groups),
-        "fibers": list(session.fibers),
+        "groups": groups,
+        "fibers": fibers,
         "criteria": criteria,
         "passed": all(c["passed"] for c in criteria),
     }

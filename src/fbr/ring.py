@@ -43,13 +43,25 @@ class StandardBasis:
 
 
 class RingElement:
-    """Finite coefficient vector over the monomial basis, no stored zeros."""
+    """Finite coefficient vector over the monomial basis, no stored zeros.
 
-    __slots__ = ("ring", "coeffs")
+    Elements are never changed after construction, so the coefficients
+    over one common denominator are computed once, on first use.
+    """
+
+    __slots__ = ("ring", "coeffs", "_common")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        self._common = None
+
+    def common(self):
+        """(den, {basis index: numerators}): cyclo.common_den of the
+        coefficients."""
+        if self._common is None:
+            self._common = common_den(self.ring.level, self.coeffs)
+        return self._common
 
     def support(self):
         return sorted(self.coeffs)
@@ -294,11 +306,17 @@ class FiberedBurnsideRing:
     def multiply(self, x, y):
         if x.ring is not self or y.ring is not self:
             raise InputError("elements from different rings")
-        xden, xnums = common_den(self.level, x.coeffs)
-        yden, ynums = common_den(self.level, y.coeffs)
-        sc = self.structure_constants
-        return RingElement(self, sum_products(self.level, xden * yden, (
-            (a, b, sc(i, j)) for i, a in xnums.items() for j, b in ynums.items())))
+        xden, xnums = x.common()
+        yden, ynums = y.common()
+        structure, sc = self._structure, self.structure_constants
+
+        def terms():
+            for i, a in xnums.items():
+                for j, b in ynums.items():
+                    c = structure.get((i, j) if i <= j else (j, i))
+                    yield a, b, c if c is not None else sc(i, j)
+
+        return RingElement(self, sum_products(self.level, xden * yden, terms()))
 
     # -- element constructors -------------------------------------------------
 

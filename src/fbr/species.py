@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import ring as ring_mod
 from .abelian import (character_gen_exponents, character_order,
                       dual_character_values)
-from .cyclo import Cyclotomic, common_den, sum_products
+from .cyclo import Cyclotomic, sum_products
 from .errors import InputError, InvariantViolationError, TheoremViolationError
 
 
@@ -104,6 +104,22 @@ def species_value(ring, d, b):
     return total
 
 
+def _duals_below(ring):
+    """For each subgroup class c, the indices of the dual orbits whose
+    class is subconjugate to c: the rows where a species table column
+    of class c can be nonzero."""
+    def build():
+        lattice = ring.lattice
+        duals = dual_orbits(ring)
+        out = []
+        for c in lattice.classes:
+            below = {lattice.class_index[s] for s in lattice.subs_of[c.rep]}
+            out.append(tuple(d.index for d in duals if d.class_index in below))
+        return tuple(out)
+
+    return ring.memo("duals below", build)
+
+
 def species_table(ring):
     """Full species table: rows are dual orbits, columns basis orbits.
 
@@ -111,18 +127,15 @@ def species_table(ring):
     denominator is an invariant violation.
     """
     def build():
-        lattice = ring.lattice
-        # below[c]: the classes subconjugate to class c
-        below = [{lattice.class_index[s] for s in lattice.subs_of[c.rep]}
-                 for c in lattice.classes]
+        below = _duals_below(ring)
         zero = Cyclotomic.zero(ring.level)
-        rows = [tuple(species_value(ring, dual.index, b)
-                      if dual.class_index in below[o.class_index] else zero
-                      for b, o in enumerate(ring.basis.orbits))
-                for dual in dual_orbits(ring)]
+        rows = [[zero] * ring.rank for _ in range(ring.rank)]
+        for b, o in enumerate(ring.basis.orbits):
+            for d in below[o.class_index]:
+                rows[d][b] = species_value(ring, d, b)
         if any(v.den != 1 for row in rows for v in row):
             raise InvariantViolationError("species table entry is not integral")
-        return tuple(rows)
+        return tuple(map(tuple, rows))
 
     return ring.memo("species", build)
 
@@ -131,17 +144,23 @@ def species_values(ring, x, duals):
     """The species of each dual orbit index in duals, extended linearly
     and evaluated on the element x, as a list.
 
-    x goes over one common denominator once, and each value is one
-    cyclo.sum_products sum over x's numerators and those of the memoized
-    species table, whose entries are integral; zero entries are skipped.
+    Each value is one cyclo.sum_products sum over x's numerators, over
+    one common denominator (RingElement.common), and those of the
+    memoized species table, whose entries are integral.  The loop runs
+    over x's support and, for each basis orbit k there, over the dual
+    orbits in duals whose class is subconjugate to k's, the only rows
+    where column k of the table can be nonzero.
     """
     if x.ring is not ring:
         raise InputError("elements from different rings")
     table = species_table(ring)
-    den, nums = common_den(ring.level, x.coeffs)
+    below = _duals_below(ring)
+    orbits = ring.basis.orbits
+    den, nums = x.common()
+    wanted = set(duals)
     out = sum_products(ring.level, den, (
-        (a, table[d][k].nums, ((d, 1),)) for d in duals for k, a in nums.items()
-        if not table[d][k].is_zero()))
+        (a, table[d][k].nums, ((d, 1),)) for k, a in nums.items()
+        for d in below[orbits[k].class_index] if d in wanted))
     zero = Cyclotomic.zero(ring.level)
     return [out.get(d, zero) for d in duals]
 
@@ -298,10 +317,12 @@ def _eliminate(rows):
             sign = -sign
         pv = m[col][col]
         det = det * pv
-        pv_inv = pv.inverse()
+        pv_inv = None  # inverted only for a row below that needs it
         for r in range(col + 1, n):
             if m[r][col].is_zero():
                 continue
+            if pv_inv is None:
+                pv_inv = pv.inverse()
             factor = m[r][col] * pv_inv
             for c in range(col, n):
                 m[r][c] = m[r][c] - factor * m[col][c]

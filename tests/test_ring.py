@@ -196,6 +196,17 @@ def test_multiply_matches_per_term_reference(kernel_rings, random_element):
                 assert all(type(a) is int for v in prod.coeffs.values() for a in v.nums)
 
 
+@pytest.mark.parametrize("spec,fiber", [("S4", "6"), ("A5", "6"), ("Q8", "2x2")])
+def test_multiply_commutes_on_random_elements(ring_factory, random_element, spec, fiber):
+    # criterion 2 checks e_a e_b once per unordered pair on the strength of this
+    ring = ring_factory(spec, fiber)
+    rng = random.Random(16)
+    elems = [random_element(ring, rng, size) for size in (1, 2, 3, 5, 8)]
+    for x in elems:
+        for y in elems:
+            assert ring.multiply(x, y) == ring.multiply(y, x)
+
+
 def test_multiply_level_mismatch():
     r1 = build_ring("C2", "2")
     r2 = build_ring("C2", "1")

@@ -232,6 +232,33 @@ def test_species_values_match_per_term_reference(kernel_rings, random_element):
             assert sp.species_values(ring, x, duals) == [want[d] for d in duals]
 
 
+@pytest.mark.parametrize("spec,fiber", CATALOG_RINGS)
+def test_species_values_match_dense_sum(ring_factory, random_element, spec, fiber):
+    # species_values reads only the rows whose class is below each column's;
+    # the reference sums x_k s_d(b_k) over the whole support, each value
+    # evaluated by species_value, zeros included
+    ring = ring_factory(spec, fiber)
+    values = {}
+
+    def dense(x, d):
+        total = Cyclotomic.zero(ring.level)
+        for k, c in x.coeffs.items():
+            if (d, k) not in values:
+                values[d, k] = sp.species_value(ring, d, k)
+            total = total + c * values[d, k]
+        return total
+
+    rng = random.Random(17)
+    subsets = [[d] for d in range(ring.rank)] + [
+        list(c.dual_orbits) for c in spc.components(ring)]
+    for x in [ring.one()] + [random_element(ring, rng, size)
+                             for size in (1, 4, ring.rank)]:
+        want = [dense(x, d) for d in range(ring.rank)]
+        assert sp.idempotent_coordinates(ring, x) == want
+        for duals in subsets:
+            assert sp.species_values(ring, x, duals) == [want[d] for d in duals]
+
+
 def test_species_table_must_be_integral(monkeypatch):
     ring = build_ring("C2", "2")
     monkeypatch.setattr(sp, "species_value", lambda ring, d, b:
@@ -417,3 +444,24 @@ def test_determinant_multiplies_only_inside_blocks(monkeypatch):
     dense, count = count, 0
     sp.exact_determinant(rows)
     assert count <= k * b ** 3 < dense
+
+
+def test_eliminate_inverts_only_pivots_it_uses(monkeypatch):
+    # the last column has no row below it, so its pivot is never inverted
+    count = 0
+    real = Cyclotomic.inverse
+
+    def counting(x):
+        nonlocal count
+        count += 1
+        return real(x)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counting)
+    rng = random.Random(12)
+    for level in (1, 4, 6):
+        for n in (1, 2, 5):
+            count = 0
+            rows = [[random_entry(rng, level, nonzero=True) for _ in range(n)]
+                    for _ in range(n)]
+            assert not sp._eliminate(rows).is_zero()
+            assert count == n - 1
