@@ -6,6 +6,18 @@ exact arithmetic, so there are no tolerances; sampling (only above rank
 15, where exhaustive pair scans are ruled out) is seeded and therefore
 reproducible byte for byte.
 
+No ring, lattice or memo of one group is read by another group's
+checks, so criteria 1, 2 and 4-8 come in two parts: a part checks one
+group of a session and returns its partial result (counts, and its
+failures in pair order), and a merge rebuilds the criterion's dict
+from the parts in catalog order.  criterion_*(session) is the merge of
+the parts over the session's groups.  run_all runs one task per group
+(the parts of every such criterion, on a session of its own with the
+whole session's pair seeds), one for criterion 3 and one for each of
+criterion 9's two runs, on as many forked processes as this process
+may use CPUs (in process when it may use one).  The report does not
+depend on the number of processes.
+
 The ring is commutative by construction (structure constants are kept
 per unordered pair of basis orbits), so criterion 2, which checks
 e_a e_b over ordered pairs of idempotents, forms each product once per
@@ -16,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 
 from . import burnside, species as sp, spectrum as spc
@@ -69,11 +82,24 @@ def _result(cid, name, passed, detail):
     return {"id": cid, "name": name, "passed": bool(passed), "detail": detail}
 
 
-def criterion_species_isomorphism(session):
-    """Square species table, nonzero determinant, pairwise-distinct rows."""
+def _merged(session, part, merge):
+    return merge([part(session, g) for g in session.groups])
+
+
+def _counted(cid, name, detail):
+    """The merge of parts (failures, count): the failures in catalog
+    order, or else detail formatted with the total count."""
+    def merge(parts):
+        bad = [b for failures, _ in parts for b in failures]
+        total = sum(n for _, n in parts)
+        return _result(cid, name, not bad, "; ".join(bad) if bad else detail.format(total))
+    return merge
+
+
+def _species_isomorphism_part(session, g):
     bad = []
     checked = 0
-    for g, f in session.pairs():
+    for f in session.fibers:
         ring = session.ring(g, f)
         table = sp.species_table(ring)
         duals = sp.dual_orbits(ring)
@@ -87,8 +113,15 @@ def criterion_species_isomorphism(session):
         except FbrError:
             bad.append(f"{g}/{f}: singular")
         checked += 1
-    detail = f"{checked} rings checked" if not bad else "; ".join(bad)
-    return _result(1, "species-isomorphism", not bad, detail)
+    return bad, checked
+
+
+_species_isomorphism_merge = _counted(1, "species-isomorphism", "{} rings checked")
+
+
+def criterion_species_isomorphism(session):
+    """Square species table, nonzero determinant, pairwise-distinct rows."""
+    return _merged(session, _species_isomorphism_part, _species_isomorphism_merge)
 
 
 def _idempotent_pairs(ring, rng):
@@ -110,10 +143,9 @@ def _upper_pairs(n, rng):
                    for _ in range(SAMPLE_PAIRS)})
 
 
-def criterion_idempotents(session):
-    """Species-delta property, orthogonality, partition of unity."""
+def _idempotents_part(session, g):
     bad = []
-    for g, f in session.pairs():
+    for f in session.fibers:
         ring = session.ring(g, f)
         pairs = _idempotent_pairs(ring, random.Random(session.pair_seed(g, f)))
         total = ring.zero()
@@ -138,8 +170,15 @@ def criterion_idempotents(session):
             if not (v.is_rational() and v.rational_value() == expect):
                 bad.append(f"{g}/{f}: species of e{b} at {a} wrong")
                 break
-    detail = f"{len(session.pairs())} rings" if not bad else "; ".join(bad)
-    return _result(2, "eq1-idempotents", not bad, detail)
+    return bad, len(session.fibers)
+
+
+_idempotents_merge = _counted(2, "eq1-idempotents", "{} rings")
+
+
+def criterion_idempotents(session):
+    """Species-delta property, orthogonality, partition of unity."""
+    return _merged(session, _idempotents_part, _idempotents_merge)
 
 
 GOLDEN_C2_TABLE = [[2, 1, 1], [0, 1, 1], [0, 1, -1]]
@@ -175,10 +214,11 @@ def _as_int(v):
     return int(v.rational_value())
 
 
-def criterion_structure_constants(session):
-    """s(ab) = s(a)s(b) plus the independent table-of-marks oracle."""
-    bad = []
-    for g, f in session.pairs():
+def _structure_constants_part(session, g):
+    """The group's first failing species product, and its first failing
+    marks case (the marks oracle always runs at the trivial fiber)."""
+    product_bad = marks_bad = None
+    for f in session.fibers:
         ring = session.ring(g, f)
         n = ring.rank
         pairs = _upper_pairs(n, random.Random(session.pair_seed(g, f) + 1))
@@ -197,40 +237,50 @@ def criterion_structure_constants(session):
                 else:
                     ok = coords[d] == sa * sb
                 if not ok:
-                    bad.append(f"{g}/{f}: s{d}({a}*{b})")
+                    product_bad = f"{g}/{f}: s{d}({a}*{b})"
                     break
-            if bad:
+            if product_bad:
                 break
-        if bad:
+        if product_bad:
             break
     # Burnside embedding versus the marks oracle, trivial fiber
-    for g in session.groups:
-        ring = session.ring(g, "1")
-        lattice = ring.lattice
-        marks = burnside.table_of_marks(lattice)
-        cpairs = _upper_pairs(len(lattice.classes),
-                              random.Random(session.seed * 31 + 7))
-        for a, b in cpairs:
-            oracle = burnside.product_via_marks(lattice, a, b, marks)
-            xa = ring.burnside_embed({a: 1})
-            xb = ring.burnside_embed({b: 1})
-            got = {k: _as_int(v)
-                   for k, v in ring.burnside_project(ring.multiply(xa, xb)).items()}
-            if got != oracle:
-                bad.append(f"{g}: marks oracle at ({a},{b})")
-                break
-        if bad:
+    ring = session.ring(g, "1")
+    lattice = ring.lattice
+    marks = burnside.table_of_marks(lattice)
+    cpairs = _upper_pairs(len(lattice.classes), random.Random(session.seed * 31 + 7))
+    for a, b in cpairs:
+        oracle = burnside.product_via_marks(lattice, a, b, marks)
+        xa = ring.burnside_embed({a: 1})
+        xb = ring.burnside_embed({b: 1})
+        got = {k: _as_int(v)
+               for k, v in ring.burnside_project(ring.multiply(xa, xb)).items()}
+        if got != oracle:
+            marks_bad = f"{g}: marks oracle at ({a},{b})"
             break
+    return product_bad, marks_bad
+
+
+def _structure_constants_merge(parts):
+    # the first failing product of all groups; the marks oracle then
+    # stops after the first group, and otherwise at its first failure
+    products = [p for p, _ in parts if p]
+    if products:
+        bad = [products[0], *([parts[0][1]] if parts[0][1] else [])]
+    else:
+        bad = [m for _, m in parts if m][:1]
     detail = "all products certified" if not bad else "; ".join(bad)
     return _result(4, "structure-constants", not bad, detail)
 
 
-def criterion_spectrum_partitions(session):
-    """Regularization equals the congruence oracle for every ideal and
-    every p dividing the group order; characteristic zero is discrete."""
+def criterion_structure_constants(session):
+    """s(ab) = s(a)s(b) plus the independent table-of-marks oracle."""
+    return _merged(session, _structure_constants_part, _structure_constants_merge)
+
+
+def _spectrum_partitions_part(session, g):
     bad = []
     checked = 0
-    for g, f in session.pairs():
+    for f in session.fibers:
         ring = session.ring(g, f)
         try:
             part0 = spc.p_equivalence_partition(ring, None)
@@ -254,14 +304,21 @@ def criterion_spectrum_partitions(session):
             if len({tuple(s) for s in seen}) > 1:
                 bad.append(f"{g}/{f} p={p}: partition depends on the ideal")
             checked += 1
-    detail = f"{checked} (ring, p) pairs" if not bad else "; ".join(bad)
-    return _result(5, "spectrum-partitions", not bad, detail)
+    return bad, checked
 
 
-def criterion_block_decomposition(session):
-    """Block count, integrality, orthogonality and partition of unity."""
+_spectrum_partitions_merge = _counted(5, "spectrum-partitions", "{} (ring, p) pairs")
+
+
+def criterion_spectrum_partitions(session):
+    """Regularization equals the congruence oracle for every ideal and
+    every p dividing the group order; characteristic zero is discrete."""
+    return _merged(session, _spectrum_partitions_part, _spectrum_partitions_merge)
+
+
+def _block_decomposition_part(session, g):
     bad = []
-    for g, f in session.pairs():
+    for f in session.fibers:
         ring = session.ring(g, f)
         comps = spc.components(ring)
         # golden counts for the catalog; elsewhere one per perfect class
@@ -288,14 +345,20 @@ def criterion_block_decomposition(session):
                 want = ei if i == j else ring.zero()
                 if prod != want:
                     bad.append(f"{g}/{f}: block orthogonality ({i},{j})")
-    detail = "all block systems verified" if not bad else "; ".join(bad)
-    return _result(6, "block-decomposition", not bad, detail)
+    return bad, 0  # its detail names no count
 
 
-def criterion_block_bases(session):
-    """Block bases are independent and span; e_[1] fixes solvable pairs."""
+_block_decomposition_merge = _counted(6, "block-decomposition", "all block systems verified")
+
+
+def criterion_block_decomposition(session):
+    """Block count, integrality, orthogonality and partition of unity."""
+    return _merged(session, _block_decomposition_part, _block_decomposition_merge)
+
+
+def _block_bases_part(session, g):
     bad = []
-    for g, f in session.pairs():
+    for f in session.fibers:
         ring = session.ring(g, f)
         for comp in spc.components(ring):
             try:
@@ -310,18 +373,24 @@ def criterion_block_bases(session):
             if ring.multiply(x, e1) != x:
                 bad.append(f"{g}/{f}: e_[1] moves solvable orbit {b}")
                 break
-    detail = "all block bases verified" if not bad else "; ".join(bad)
-    return _result(7, "block-bases", not bad, detail)
+    return bad, 0  # its detail names no count
 
 
-def criterion_weyl_isomorphism(session):
-    """Inflation bijection onto each nontrivial perfect block: for the
-    catalog, (A5, J=A5) and (S5, J=A5) at fibers 1 and 2; for any other
-    group, every nontrivial perfect class of every ring."""
+_block_bases_merge = _counted(7, "block-bases", "all block bases verified")
+
+
+def criterion_block_bases(session):
+    """Block bases are independent and span; e_[1] fixes solvable pairs."""
+    return _merged(session, _block_bases_part, _block_bases_merge)
+
+
+def _weyl_isomorphism_part(session, g):
+    """The group's failures, its number of cases, and the group as a
+    one-element set if the catalog skips some of its rings."""
     bad = []
     cases = 0
     skipped = set()
-    for g, f in session.pairs():
+    for f in session.fibers:
         if g in CATALOG_GROUPS and (g not in ("A5", "S5") or f not in ("1", "2")):
             skipped.add(g)
             continue
@@ -340,6 +409,13 @@ def criterion_weyl_isomorphism(session):
             comp = next(c for c in spc.components(ring) if c.perfect_id == jid)
             if len(iso.bijection) != len(comp.basis_orbits):
                 bad.append(f"{g}/{f}: bijection size mismatch")
+    return bad, cases, skipped
+
+
+def _weyl_isomorphism_merge(parts):
+    bad = [b for failures, _, _ in parts for b in failures]
+    cases = sum(n for _, n, _ in parts)
+    skipped = set().union(*(s for _, _, s in parts))
     detail = f"{cases} cases verified" if not bad else "; ".join(bad)
     result = _result(8, "weyl-isomorphism", not bad, detail)
     if not cases and not bad:
@@ -348,6 +424,25 @@ def criterion_weyl_isomorphism(session):
                   if skipped & {"A5", "S5"} else "no nontrivial perfect class to check")
         result.update(detail=detail, skipped=True)
     return result
+
+
+def criterion_weyl_isomorphism(session):
+    """Inflation bijection onto each nontrivial perfect block: for the
+    catalog, (A5, J=A5) and (S5, J=A5) at fibers 1 and 2; for any other
+    group, every nontrivial perfect class of every ring."""
+    return _merged(session, _weyl_isomorphism_part, _weyl_isomorphism_merge)
+
+
+# the criteria checked group by group, as (part, merge), in id order
+GROUP_CRITERIA = (
+    (_species_isomorphism_part, _species_isomorphism_merge),
+    (_idempotents_part, _idempotents_merge),
+    (_structure_constants_part, _structure_constants_merge),
+    (_spectrum_partitions_part, _spectrum_partitions_merge),
+    (_block_decomposition_part, _block_decomposition_merge),
+    (_block_bases_part, _block_bases_merge),
+    (_weyl_isomorphism_part, _weyl_isomorphism_merge),
+)
 
 
 def run_criteria(session):
@@ -363,33 +458,88 @@ def run_criteria(session):
     ]
 
 
-def criterion_determinism(seed):
-    """Two fresh runs over a reduced catalog must serialize identically."""
-    reports = []
-    for _ in range(2):
-        session = Session(groups=DETERMINISM_GROUPS, seed=seed)
-        rep = run_criteria(session)
-        reports.append(json.dumps(rep, sort_keys=True, separators=(",", ":")))
+def _determinism_run(seed):
+    """Criteria 1-8 over the reduced catalog on a fresh session, serialized."""
+    session = Session(groups=DETERMINISM_GROUPS, seed=seed)
+    return json.dumps(run_criteria(session), sort_keys=True, separators=(",", ":"))
+
+
+def _determinism_merge(reports):
     passed = reports[0] == reports[1]
     detail = (f"byte-identical over {'/'.join(DETERMINISM_GROUPS)}"
               if passed else "reports differ between runs")
     return _result(9, "determinism", passed, detail)
 
 
-def run_all(groups=None, fibers=None, seed=DEFAULT_SEED):
-    """Full acceptance report as a JSON-ready dict."""
+def criterion_determinism(seed):
+    """Two fresh runs over a reduced catalog must serialize identically."""
+    return _determinism_merge([_determinism_run(seed) for _ in range(2)])
+
+
+def _group_task(groups, fibers, seed, g):
+    """The parts of GROUP_CRITERIA for group g, on a session of its own."""
     session = Session(groups=groups, fibers=fibers, seed=seed)
-    criteria = run_criteria(session)
-    groups, fibers = list(session.groups), list(session.fibers)
-    # finished rings are cyclic garbage (ring -> memo -> element -> ring):
-    # free them before criterion 9 builds its own
-    del session
+    return [part(session, g) for part, _ in GROUP_CRITERIA]
+
+
+def _micro_instances_task():
+    return criterion_micro_instances(Session())
+
+
+def _run_task(task):
+    """Run one task (function, args) of run_all.  Its session is cyclic
+    garbage when the function returns (ring -> memo -> element -> ring),
+    so it is collected before the next task starts."""
+    fn, args = task
+    result = fn(*args)
     gc.collect()
-    criteria.append(criterion_determinism(seed))
+    return result
+
+
+def run_all(groups=None, fibers=None, seed=DEFAULT_SEED):
+    """Full acceptance report as a JSON-ready dict.
+
+    The tasks (one per group, criterion 3, and criterion 9's two runs)
+    go to a pool of forked processes, one per CPU this process may use,
+    largest group first; with one CPU they run here.  The results are
+    merged in catalog order."""
+    session = Session(groups=groups, fibers=fibers, seed=seed)
+    groups, fibers = session.groups, session.fibers
+    tasks = [(_group_task, (groups, fibers, seed, g)) for g in groups]
+    tasks += [(_micro_instances_task, ()),
+              (_determinism_run, (seed,)), (_determinism_run, (seed,))]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers == 1:
+        results = list(map(_run_task, tasks))
+    else:
+        # imported here: start-up of every other verb stays without them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the largest group a task builds; criterion 3's C2/2 and S3/2 last
+        order = {g: parse_group_spec(g).order for g in (*groups, *DETERMINISM_GROUPS)}
+        sizes = [order[g] for g in groups] + [0] + [max(
+            order[g] for g in DETERMINISM_GROUPS)] * 2
+        # frozen, the heap the workers inherit is not walked (and so not
+        # copied) by their garbage collections
+        gc.freeze()
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = {i: pool.submit(_run_task, tasks[i])
+                       for i in sorted(range(len(tasks)), key=lambda i: -sizes[i])}
+            results = [futures[i].result() for i in range(len(tasks))]
+        finally:
+            pool.shutdown(cancel_futures=True)
+            gc.unfreeze()
+    parts, (micro, *runs) = results[:len(groups)], results[len(groups):]
+    criteria = [merge([p[k] for p in parts])
+                for k, (_, merge) in enumerate(GROUP_CRITERIA)]
+    criteria.insert(2, micro)
+    criteria.append(_determinism_merge(runs))
     return {
         "seed": seed,
-        "groups": groups,
-        "fibers": fibers,
+        "groups": list(groups),
+        "fibers": list(fibers),
         "criteria": criteria,
         "passed": all(c["passed"] for c in criteria),
     }

@@ -6,10 +6,14 @@ format version, a payload checksum and that the stored digest is the
 key of the requested specs, then rebuilds the group and fiber from
 those specs under the order cap (so a group over the cap is a
 ResourceLimitError, not a corrupt entry).
-The stored subgroup sets must hold element indices of the group and be
-subgroups; the lattice built on them computes the classes, witnesses
-and normalizers, which fails when the sets are not closed under
-conjugation.  The stored basis must match the one rebuilt on that
+The payload's shape (its fields, and lists of ints wherever ints are
+read) is checked before anything is built, so that an error raised by
+the build propagates as the bug it is.  The stored subgroup sets must
+hold element indices of the group and be subgroups.  The lattice built
+on them computes the classes, witnesses and normalizers; when the sets
+miss a conjugate, a normalizer or another subgroup that the build looks
+up, the lookup raises InvariantViolationError, which marks the entry
+unusable.  The stored basis must match the one rebuilt on that
 lattice, which it does not when a class is missing.  The structure
 constants must be a dict of "i,j" keys with 0 <= i <= j < rank whose
 values are lists of int pairs [k, c] with 0 <= k < rank, and each entry
@@ -25,11 +29,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
 from .abelian import parse_fiber_spec
-from .errors import FbrError, ResourceLimitError
+from .errors import InvariantViolationError
 from .perm import SubgroupLattice, parse_group_spec
 from .ring import FiberedBurnsideRing
 
@@ -69,11 +74,32 @@ def ring_payload(ring, group_spec, fiber_spec):
     return payload
 
 
+def _ints(value, length=None):
+    return (isinstance(value, list) and (length is None or len(value) == length)
+            and all(type(x) is int for x in value))
+
+
+def _well_formed(payload):
+    """The shape of an entry of this format: its fields, and lists of
+    ints wherever the build reads ints."""
+    return (isinstance(payload, dict) and set(payload) == _FIELDS
+            and payload["format_version"] == FORMAT_VERSION
+            and isinstance(payload["subgroups"], list)
+            and all(_ints(s) for s in payload["subgroups"])
+            and isinstance(payload["basis"], list)
+            and all(_ints(b, 2) for b in payload["basis"])
+            and isinstance(payload["structure"], dict)
+            and all(re.fullmatch(r"\d+,\d+", key) and isinstance(val, list)
+                    and all(_ints(t, 2) for t in val)
+                    for key, val in payload["structure"].items()))
+
+
 def ring_from_payload(payload, group_spec, fiber_spec):
     """Rebuild the ring session of the given specs from a payload; None if
-    it does not verify or was stored under another key."""
-    if (not isinstance(payload, dict) or set(payload) != _FIELDS
-            or payload["format_version"] != FORMAT_VERSION):
+    it is malformed, does not verify or was stored under another key.
+    The shape is checked before anything is built, so an exception from
+    the build is a bug, not a corrupt entry."""
+    if not _well_formed(payload):
         return None
     if payload["checksum"] != _payload_checksum(payload):
         return None
@@ -82,7 +108,7 @@ def ring_from_payload(payload, group_spec, fiber_spec):
     group = parse_group_spec(group_spec)
     fiber = parse_fiber_spec(fiber_spec)
     sets = payload["subgroups"]
-    if not all(type(x) is int and 0 <= x < group.order for s in sets for x in s):
+    if not all(0 <= x < group.order for s in sets for x in s):
         return None
     lattice = SubgroupLattice(group, sets)
     if any(group.closure(s.gens) != s.elems for s in lattice.subgroups):
@@ -92,17 +118,12 @@ def ring_from_payload(payload, group_spec, fiber_spec):
     rebuilt = [(o.subgroup_id, o.hom_index) for o in ring.basis.orbits]
     if stored_basis != rebuilt:
         return None
-    structure = payload["structure"]
-    if not isinstance(structure, dict):
-        return None
     n = ring.rank
     deg = [group.order // lattice.subgroups[o.subgroup_id].order
            for o in ring.basis.orbits]
-    for key, val in structure.items():
-        i, j = (int(t) for t in key.split(","))
-        if not (0 <= i <= j < n and isinstance(val, list) and all(
-                isinstance(t, list) and len(t) == 2 and all(type(x) is int for x in t)
-                and 0 <= t[0] < n for t in val)):
+    for key, val in payload["structure"].items():
+        i, j = map(int, key.split(","))
+        if not (0 <= i <= j < n and all(0 <= k < n for k, _ in val)):
             return None
         if deg[i] * deg[j] != sum(c * deg[k] for k, c in val):
             return None
@@ -137,13 +158,12 @@ def load_session(cache_dir, group_spec, fiber_spec):
         return None
     try:
         payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        payload = None  # unreadable or truncated
+    try:
         ring = ring_from_payload(payload, group_spec, fiber_spec)
-    except ResourceLimitError:
-        # a cap is exceeded, which recomputing would hit again
-        raise
-    except (OSError, ValueError, KeyError, TypeError, FbrError):
-        # corrupt or truncated entries; anything else is a bug and propagates
-        ring = None
+    except InvariantViolationError:
+        ring = None  # the stored sets miss a subgroup that the build looks up
     if ring is None:
         print(f"notice: cache entry {path.name} unusable, recomputing",
               file=sys.stderr)

@@ -304,6 +304,15 @@ class SubgroupClass(NamedTuple):
     members: tuple
 
 
+class _SubgroupIds(dict):
+    """Subgroup id by element set.  A set that is no subgroup of the
+    lattice is an InvariantViolationError, not a KeyError: a lattice
+    built on stored sets that miss a subgroup fails this way."""
+
+    def __missing__(self, elems):
+        raise InvariantViolationError(f"a subgroup of order {len(elems)} is not in the lattice")
+
+
 class SubgroupLattice:
     """All subgroups of a group with conjugacy, normalizers and Moebius data.
 
@@ -328,7 +337,7 @@ class SubgroupLattice:
             self.subgroups.append(
                 Subgroup(i, fs, selems, len(fs), _greedy_gens(group, selems))
             )
-        self.by_set = {s.elems: s.id for s in self.subgroups}
+        self.by_set = _SubgroupIds((s.elems, s.id) for s in self.subgroups)
         self._build_inclusion()
         self._build_classes()
         self._mobius = {}

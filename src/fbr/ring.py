@@ -169,28 +169,17 @@ class FiberedBurnsideRing:
 
     def hom_action(self, rep_id):
         """For a class representative H: the permutation of Hom(H, A)
-        induced by each element of the normalizer, n -> sigma_n with
-        sigma_n[k] = index of ^n(phi_k), where ^n(phi)(y) = phi(n^-1 y n).
-
-        Only the generators g of N(H) pull homomorphisms back.  Since
-        ^(xg)phi = ^x(^g phi), sigma_(xg)[k] = sigma_x[sigma_g[k]], and a
-        walk from the identity over the generators reaches all of N(H)."""
+        induced by each generator g of N(H), g -> sigma_g with
+        sigma_g[k] = index of ^g(phi_k), where ^g(phi)(y) = phi(g^-1 y g).
+        Since ^(xg)phi = ^x(^g phi), sigma_(xg)[k] = sigma_x[sigma_g[k]]:
+        the generators' permutations determine those of all of N(H)."""
         act = self._actions.get(rep_id)
         if act is None:
             group = self.group
             hg = self.hom_group(rep_id)
-            by_gen = [(g, hg.pullback([group.conj(group.inverse[g], y)
-                                       for y in hg.domain], hg))
-                      for g in self.lattice.normalizer(rep_id).gens]
-            act = {group.identity: tuple(range(hg.size))}
-            reached = [group.identity]
-            for x in reached:  # reached grows during the loop
-                for g, sg in by_gen:
-                    xg = group.mul(x, g)
-                    if xg not in act:
-                        act[xg] = tuple(act[x][i] for i in sg)
-                        reached.append(xg)
-            self._actions[rep_id] = act
+            act = self._actions[rep_id] = {
+                g: hg.pullback([group.conj(group.inverse[g], y) for y in hg.domain], hg)
+                for g in self.lattice.normalizer(rep_id).gens}
         return act
 
     # -- basis construction --------------------------------------------------

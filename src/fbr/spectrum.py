@@ -51,19 +51,39 @@ class WeylBlockIso(NamedTuple):
 # p-regularity and p-regularization
 
 
+def _normalizer_walk(ring, rep):
+    """N(H) for a class representative H, as a walk from the identity
+    over the generators: its elements, and for each element after the
+    identity, the position of the element it was reached from and the
+    generator it was multiplied by on the right."""
+    group = ring.group
+    gens = ring.lattice.normalizer(rep).gens
+    elems = [group.identity]
+    position = {group.identity: 0}
+    steps = []
+    for i, x in enumerate(elems):  # elems grows during the loop
+        for g in gens:
+            xg = group.mul(x, g)
+            if xg not in position:
+                position[xg] = len(elems)
+                elems.append(xg)
+                steps.append((i, g))
+    return elems, steps
+
+
 def _dual_pair_stabilizer(ring, rep, values):
-    """Elements of N(H) fixing the character, for H a class
-    representative; the stabilizer N(H, Phi)."""
-    lattice = ring.lattice
-    size = ring.hom_group(rep).size
+    """Elements of N(H) fixing the character, in increasing order, for H
+    a class representative; the stabilizer N(H, Phi).
+
+    n fixes Phi when Phi o sigma_n = Phi, and along the walk
+    Phi o sigma_(xg) = (Phi o sigma_x) o sigma_g, so only the generators'
+    permutations are needed."""
+    elems, steps = ring.memo(("normalizer walk", rep), lambda: _normalizer_walk(ring, rep))
     action = ring.hom_action(rep)
-    inv = ring.group.inverse
-    out = []
-    for n in lattice.subgroups[lattice.normalizer_ids[rep]].sorted_elems:
-        sigma = action[inv[n]]
-        if all(values[sigma[k]] == values[k] for k in range(size)):
-            out.append(n)
-    return out
+    moved = [values]
+    for i, g in steps:
+        moved.append(tuple(map(moved[i].__getitem__, action[g])))
+    return sorted(n for n, v in zip(elems, moved) if v == values)
 
 
 def is_p_regular(ring, d, p):

@@ -4,13 +4,21 @@ One pass/fail line prints per criterion.  The session is shared across
 the module so each catalog ring builds once.
 """
 
+import json
+import multiprocessing
+import os
+import signal
 import weakref
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from fbr import acceptance
 from fbr import species as sp
+from fbr import spectrum as spc
+from fbr.cli import main
+from fbr.errors import FbrError, TheoremViolationError
 from fbr.ring import FiberedBurnsideRing
 
 
@@ -77,6 +85,11 @@ def test_session_shares_one_lattice_per_group():
     assert all(r.group is rings[0].lattice.group for r in rings)
 
 
+def one_cpu(monkeypatch):
+    """Make run_all see one usable CPU, so that it runs its tasks in process."""
+    monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: {0})
+
+
 def test_run_all_builds_one_lattice_per_group_per_session(monkeypatch):
     built = Counter()
     real = acceptance.SubgroupLattice
@@ -85,13 +98,14 @@ def test_run_all_builds_one_lattice_per_group_per_session(monkeypatch):
         built[group.elements] += 1
         return real(group, *args)
 
+    one_cpu(monkeypatch)
     monkeypatch.setattr(acceptance, "SubgroupLattice", counting)
     report = acceptance.run_all(groups=("S3", "A4"), fibers=("1", "2"), seed=1)
     assert report["passed"]
-    # one session over S3, A4 and criterion 3's golden C2, then criterion
-    # 9's two fresh sessions over C2, C6, S3 and D4, each with lattices of
-    # its own
-    expected = Counter(("S3", "A4", "C2"))
+    # each task has a session of its own: one per group (S3, A4), criterion
+    # 3's over C2 and S3, and criterion 9's two over C2, C6, S3 and D4; a
+    # session builds one lattice per group it reads
+    expected = Counter(("S3", "A4", "C2", "S3"))
     for _ in range(2):
         expected.update(acceptance.DETERMINISM_GROUPS)
     assert built == Counter({acceptance.parse_group_spec(g).elements: n
@@ -112,21 +126,141 @@ def test_pair_seeds_are_distinct():
 
 
 def test_run_all_frees_the_session_before_criterion_9(monkeypatch):
+    # in process, no ring of a finished task (a group's, criterion 3's or
+    # one of criterion 9's runs) is alive when the next task starts
     built = []
-    real_ring, real_c9 = acceptance.FiberedBurnsideRing, acceptance.criterion_determinism
+    starts = []
+    real_ring, real_task = acceptance.FiberedBurnsideRing, acceptance._run_task
 
     def recording(*args, **kwargs):
         ring = real_ring(*args, **kwargs)
         built.append(weakref.ref(ring))
         return ring
 
-    def determinism(seed):
-        assert built and all(r() is None for r in built)
-        return real_c9(seed)
+    def task(job):
+        starts.append(len(built))
+        assert all(r() is None for r in built)
+        return real_task(job)
 
+    one_cpu(monkeypatch)
     monkeypatch.setattr(acceptance, "FiberedBurnsideRing", recording)
-    monkeypatch.setattr(acceptance, "criterion_determinism", determinism)
+    monkeypatch.setattr(acceptance, "_run_task", task)
     assert acceptance.run_all(groups=("S3",), fibers=("1",), seed=1)["passed"]
+    # one group, criterion 3 and criterion 9's two runs, each building rings
+    assert len(starts) == 4 and 0 == starts[0] < starts[1] < starts[2] < starts[3]
+    assert all(r() is None for r in built)
+
+
+@pytest.mark.parametrize("groups,fibers,seed", [
+    (None, None, 1),
+    (("S3",), ("2",), acceptance.DEFAULT_SEED),
+    (("perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)",), ("1",), acceptance.DEFAULT_SEED),
+], ids=["catalog", "S3-2", "GL32-1"])
+def test_pool_report_equals_in_process_report(monkeypatch, groups, fibers, seed):
+    # the report does not depend on the number of processes
+    reports = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: cpus)
+        report = acceptance.run_all(groups=groups, fibers=fibers, seed=seed)
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["passed"]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in_process", "pool"])
+def test_run_all_reports_failures_in_catalog_order(monkeypatch, cpus):
+    # with a planted error in the species determinant and the block basis,
+    # criteria 1 and 7 fail on every ring; the report lists the failures
+    # as criterion_*(session) does, group by group
+    def planted(ring, *args):
+        raise FbrError(f"planted at rank {ring.rank}")
+
+    monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(sp, "species_determinant", planted)
+    monkeypatch.setattr(spc, "block_basis", planted)
+    groups, fibers = ("S3", "C6", "C4"), ("2", "6")
+    report = acceptance.run_all(groups=groups, fibers=fibers, seed=1)
+    serial = acceptance.run_criteria(acceptance.Session(groups, fibers, seed=1))
+    assert report["criteria"][:8] == serial
+    assert [c["id"] for c in serial if not c["passed"]] == [1, 7]
+    assert serial[0]["detail"] == ("S3/2: singular; S3/6: singular; C6/2: singular; "
+                                   "C6/6: singular; C4/2: singular; C4/6: singular")
+
+
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a test whose run_all waits on its pool for more than 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("run_all did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_pool_leaves_no_process_running(monkeypatch, time_limit):
+    two_cpus(monkeypatch)
+    assert acceptance.run_all(groups=("S3",), fibers=("2",), seed=1)["passed"]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_reaches_the_parent(monkeypatch, capsys, time_limit):
+    # raised in a worker, with its type and message; verify-all exits 3
+    def violated(ring):
+        raise TheoremViolationError("planted in a worker")
+
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(spc, "components", violated)
+    with pytest.raises(TheoremViolationError, match="^planted in a worker$"):
+        acceptance.run_all(groups=("S3",), fibers=("2",), seed=1)
+    assert multiprocessing.active_children() == []
+    assert main(["verify-all", "--group", "S3", "--fiber", "2"]) == 3
+    assert capsys.readouterr().err == "theorem violation: planted in a worker\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_makes_run_all_raise(monkeypatch, time_limit):
+    parent = os.getpid()
+
+    def dying(ring):
+        if os.getpid() != parent:
+            os._exit(7)
+        raise AssertionError("the task ran in the parent")
+
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(spc, "components", dying)
+    with pytest.raises(BrokenProcessPool):
+        acceptance.run_all(groups=("S3",), fibers=("2",), seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_criterion_4_merges_groups_as_one_scan():
+    # a wrong product of S3/2 is reported first, followed by the marks
+    # failure of the first group only (C2), as a scan over all pairs and
+    # then over the groups' marks finds them
+    session = acceptance.Session(groups=("C2", "S3", "C6"), fibers=("2",))
+    for g, f, (i, j) in (("S3", "2", (1, 2)), ("C2", "1", (1, 1)), ("C6", "1", (1, 1))):
+        ring = session.ring(g, f)
+        sc = dict(ring.structure_constants(i, j))
+        sc[0] = sc.get(0, 0) + 1
+        ring._structure[(i, j)] = tuple(sorted(sc.items()))
+    result = acceptance.criterion_structure_constants(session)
+    assert result["detail"] == "S3/2: s0(1*2); C2: marks oracle at (1,1)"
+    # without the wrong product, the first marks failure alone
+    session = acceptance.Session(groups=("S3", "C2", "C6"), fibers=("2",))
+    for g in ("C2", "C6"):
+        ring = session.ring(g, "1")
+        sc = dict(ring.structure_constants(1, 1))
+        sc[0] = sc.get(0, 0) + 1
+        ring._structure[(1, 1)] = tuple(sorted(sc.items()))
+    result = acceptance.criterion_structure_constants(session)
+    assert result["detail"] == "C2: marks oracle at (1,1)"
 
 
 def test_criterion_2_multiplies_each_unordered_pair_once(monkeypatch):

@@ -296,6 +296,20 @@ def test_cache_load_propagates_bugs(tmp_path, ring_factory, monkeypatch):
         cache.load_session(tmp_path, "S3", "2")
 
 
+def test_cache_load_propagates_a_build_error(tmp_path, ring_factory, monkeypatch, capsys):
+    # the payload's shape is checked before the build, so a KeyError from
+    # inside the lattice is a bug, not an unusable entry
+    cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
+
+    def broken(lattice):
+        raise KeyError("a bug in the lattice")
+
+    monkeypatch.setattr(SubgroupLattice, "_build_inclusion", broken)
+    with pytest.raises(KeyError, match="a bug in the lattice"):
+        cache.load_session(tmp_path, "S3", "2")
+    assert "recomputing" not in capsys.readouterr().err
+
+
 def test_cache_save_leaves_no_temp_file(tmp_path, ring_factory, monkeypatch):
     ring = ring_factory("S3", "2")
     path = cache.save_session(tmp_path, ring, "S3", "2")
@@ -421,9 +435,20 @@ def _out_of_range(subgroups):
     return [[0, 99]] + subgroups[1:]
 
 
+def _drop_a4(subgroups):
+    # A4 normalizes only itself, so the classes build; the derived
+    # subgroup of S4 is then missing
+    return [s for s in subgroups if len(s) != 12]
+
+
+def _not_ints(subgroups):
+    return [[str(x) for x in subgroups[0]]] + subgroups[1:]
+
+
 @pytest.mark.parametrize("edit", [
-    _drop_class_member, _non_closed_4_set, _drop_class, _out_of_range,
-], ids=["member", "non_closed", "class", "out_of_range"])
+    _drop_class_member, _non_closed_4_set, _drop_class, _out_of_range, _drop_a4,
+    _not_ints,
+], ids=["member", "non_closed", "class", "out_of_range", "derived", "not_ints"])
 def test_cache_entry_with_edited_subgroups_is_recomputed(
         tmp_path, ring_factory, capsys, edit):
     args = ("idempotents", "--group", "S4", "--fiber", "2")

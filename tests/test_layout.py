@@ -1,11 +1,14 @@
 """Source layout: each top-level function of the package has one home,
 the package imports only the standard library, has no floating point and
 does not import dataclasses, only perm.py reads the multiplication table,
-and the names the benchmark's tracer wraps exist."""
+the names the benchmark's tracer wraps exist, and importing the CLI
+loads no process pool."""
 
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -108,3 +111,15 @@ def test_tracer_targets_exist():
     from fbr.ring import FiberedBurnsideRing
     params = list(inspect.signature(FiberedBurnsideRing.multiply_basis).parameters)
     assert params[3] == "reverse"
+
+
+def test_cli_import_loads_no_process_pool():
+    # verify-all imports its pool inside run_all: multiprocessing and
+    # concurrent.futures would add ~20 ms to the start of every fbr process
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, fbr.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded == "[]\n"

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 from fbr import burnside
-from fbr.abelian import HomGroup, parse_fiber_spec
+from fbr.abelian import HomGroup, dual_character_values, parse_fiber_spec
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError
 from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import (FiberedBurnsideRing, RingElement, build_ring, conjugate,
                       induce, restrict)
+from fbr.spectrum import _dual_pair_stabilizer
 from oracles import conj_values_map, index_of_map, restrict_by_scan, values_map
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -79,9 +80,20 @@ def per_element_hom_action(ring, rep):
     (g, f) for g in CATALOG_GROUPS for f in ("1", "2", "6", "2x2")
 ] + [(GL32, "1"), (GL32, "2")])
 def test_hom_action_matches_per_element_oracle(ring_factory, spec, fiber):
+    # hom_action keeps the generators' permutations; the stabilizer of a
+    # dual character composes them along a walk over all of N(H), which
+    # must agree with conjugating by every element of N(H)
     ring = ring_factory(spec, fiber)
+    inverse = ring.group.inverse
     for cls in ring.lattice.classes:
-        assert ring.hom_action(cls.rep) == per_element_hom_action(ring, cls.rep)
+        oracle = per_element_hom_action(ring, cls.rep)
+        gens = ring.lattice.normalizer(cls.rep).gens
+        assert ring.hom_action(cls.rep) == {g: oracle[g] for g in gens}
+        for values in dual_character_values(ring.hom_group(cls.rep), ring.level):
+            assert _dual_pair_stabilizer(ring, cls.rep, values) == [
+                n for n in sorted(oracle)
+                if all(values[s] == values[k]
+                       for k, s in enumerate(oracle[inverse[n]]))]
 
 
 @pytest.mark.parametrize("spec,fiber", [
