@@ -70,9 +70,6 @@ class Session:
                 lattice.group, parse_fiber_spec(fspec), lattice=lattice)
         return self._rings[key]
 
-    def pairs(self):
-        return [(g, f) for g in self.groups for f in self.fibers]
-
     def pair_seed(self, gspec, fspec):
         i = self.groups.index(gspec) * len(self.fibers) + self.fibers.index(fspec)
         return self.seed * 1000003 + i

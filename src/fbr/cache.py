@@ -1,5 +1,7 @@
-"""Session cache: subgroup sets, basis and structure constants on disk.
+"""Session cache: the subgroup sets and the basis on disk.
 
+An entry holds the element sets of the subgroups, which spare the
+enumeration, and the basis; structure constants are not stored.
 A cache entry is keyed by a digest of the normalized group and fiber
 specs, and is bound to the key it is read under: loading checks the
 format version, a payload checksum and that the stored digest is the
@@ -13,15 +15,12 @@ hold element indices of the group and be subgroups.  The lattice built
 on them computes the classes, witnesses and normalizers; when the sets
 miss a conjugate, a normalizer or another subgroup that the build looks
 up, the lookup raises InvariantViolationError, which marks the entry
-unusable.  The stored basis must match the one rebuilt on that
-lattice, which it does not when a class is missing.  The structure
-constants must be a dict of "i,j" keys with 0 <= i <= j < rank whose
-values are lists of int pairs [k, c] with 0 <= k < rank, and each entry
-must respect the degree homomorphism [K, psi] -> |G:K|: deg(i) deg(j)
-equals the sum of c deg(k), which an edit that keeps the degrees
-passes.  Any other mismatch or corruption makes the caller recompute,
-with a notice on stderr.  Neither the basis nor the structure constants
-depend on the level, so a loaded ring is at the natural level.
+unusable.  A family of sets that misses a whole class that no lookup
+reaches builds without error; the stored basis, which must match the
+one rebuilt on that lattice, catches it.  Any other mismatch or
+corruption makes the caller recompute, with a notice on stderr.  The
+basis does not depend on the level, so a loaded ring is at the
+natural level.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -38,9 +36,9 @@ from .errors import InvariantViolationError
 from .perm import SubgroupLattice, parse_group_spec
 from .ring import FiberedBurnsideRing
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # an entry with other fields was not written in this format
-_FIELDS = {"format_version", "digest", "subgroups", "basis", "structure", "checksum"}
+_FIELDS = {"format_version", "digest", "subgroups", "basis", "checksum"}
 
 
 def session_key(group_spec, fiber_spec):
@@ -59,16 +57,11 @@ def _payload_checksum(payload):
 
 
 def ring_payload(ring, group_spec, fiber_spec):
-    lattice = ring.lattice
     payload = {
         "format_version": FORMAT_VERSION,
         "digest": session_key(group_spec, fiber_spec),
-        "subgroups": [list(s.sorted_elems) for s in lattice.subgroups],
+        "subgroups": [list(s.sorted_elems) for s in ring.lattice.subgroups],
         "basis": [[o.subgroup_id, o.hom_index] for o in ring.basis.orbits],
-        "structure": {
-            f"{i},{j}": [[k, c] for k, c in val]
-            for (i, j), val in sorted(ring._structure.items())
-        },
     }
     payload["checksum"] = _payload_checksum(payload)
     return payload
@@ -87,11 +80,7 @@ def _well_formed(payload):
             and isinstance(payload["subgroups"], list)
             and all(_ints(s) for s in payload["subgroups"])
             and isinstance(payload["basis"], list)
-            and all(_ints(b, 2) for b in payload["basis"])
-            and isinstance(payload["structure"], dict)
-            and all(re.fullmatch(r"\d+,\d+", key) and isinstance(val, list)
-                    and all(_ints(t, 2) for t in val)
-                    for key, val in payload["structure"].items()))
+            and all(_ints(b, 2) for b in payload["basis"]))
 
 
 def ring_from_payload(payload, group_spec, fiber_spec):
@@ -116,19 +105,7 @@ def ring_from_payload(payload, group_spec, fiber_spec):
     ring = FiberedBurnsideRing(group, fiber, lattice=lattice)
     stored_basis = [tuple(b) for b in payload["basis"]]
     rebuilt = [(o.subgroup_id, o.hom_index) for o in ring.basis.orbits]
-    if stored_basis != rebuilt:
-        return None
-    n = ring.rank
-    deg = [group.order // lattice.subgroups[o.subgroup_id].order
-           for o in ring.basis.orbits]
-    for key, val in payload["structure"].items():
-        i, j = map(int, key.split(","))
-        if not (0 <= i <= j < n and all(0 <= k < n for k, _ in val)):
-            return None
-        if deg[i] * deg[j] != sum(c * deg[k] for k, c in val):
-            return None
-        ring._structure[(i, j)] = tuple(map(tuple, val))
-    return ring
+    return ring if stored_basis == rebuilt else None
 
 
 def cache_path(cache_dir, group_spec, fiber_spec):

@@ -6,8 +6,9 @@ The seven ring verbs share one protocol (_run_ring_verb): load the ring
 from --cache-dir or build it, start the document with the envelope
 {command, group, fiber, level, rank}, run the verb's body
 (args, ring, doc) -> table lines, which fills in its own fields, emit,
-and save the ring to the cache.  Output is JSON (default) or an aligned
-text table; both are byte-stable for a fixed configuration and seed.
+and save a ring it built to the cache.  Output is JSON (default) or an
+aligned text table; both are byte-stable for a fixed configuration and
+seed.
 Exit codes: 0 ok, 1 input error, 2 resource cap exceeded, 3 theorem or
 invariant violation (including failed verify-all criteria).
 """
@@ -77,17 +78,24 @@ def _parser():
 def _run_ring_verb(args, body):
     """The protocol of every ring verb: load the ring from --cache-dir or
     build it, fill the envelope, let the verb's body add its fields and
-    give its table lines, emit, and save the ring to the cache."""
+    give its table lines, emit, and save the ring to the cache if this
+    call built it.  A cache that cannot be written costs a notice on
+    stderr, not the exit code."""
     ring = None
     if args.cache_dir:
         ring = cache.load_session(args.cache_dir, args.group, args.fiber)
-    if ring is None:
+    built = ring is None
+    if built:
         ring = build_ring(args.group, args.fiber)
     doc = {"command": args.verb, "group": args.group, "fiber": args.fiber,
            "level": ring.level, "rank": ring.rank}
     _emit(args, doc, body(args, ring, doc))
-    if args.cache_dir:
-        cache.save_session(args.cache_dir, ring, args.group, args.fiber)
+    if args.cache_dir and built:
+        try:
+            cache.save_session(args.cache_dir, ring, args.group, args.fiber)
+        except OSError as exc:
+            name = cache.cache_path(args.cache_dir, args.group, args.fiber).name
+            print(f"notice: cannot write cache entry {name}: {exc}", file=sys.stderr)
     return 0
 
 

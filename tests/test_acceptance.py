@@ -72,10 +72,10 @@ def test_criterion_9_determinism(session):
 
 def test_session_keeps_every_ring():
     # C2^4 at fiber 6 has rank 307; the session checks it rather than
-    # dropping it (pairs() builds no ring)
+    # dropping it (a session builds no ring until one is asked for)
     c2_4 = "perm:8:(1 2);(3 4);(5 6);(7 8)"
     session = acceptance.Session(groups=(c2_4,), fibers=("6",))
-    assert session.pairs() == [(c2_4, "6")]
+    assert (session.groups, session.fibers) == ((c2_4,), ("6",))
 
 
 def test_session_shares_one_lattice_per_group():
@@ -117,11 +117,11 @@ def test_pair_seeds_are_distinct():
     # the catalog's three fibers
     session = acceptance.Session(groups=("C2", "S3", "A4"),
                                  fibers=("1", "2", "6", "2x2"), seed=5)
-    seeds = [session.pair_seed(g, f) for g, f in session.pairs()]
+    seeds = [session.pair_seed(g, f) for g in session.groups for f in session.fibers]
     assert len(set(seeds)) == len(seeds) == 12
     # the catalog's seeds, and so its reports, are unchanged
     catalog = acceptance.Session()
-    assert [catalog.pair_seed(g, f) for g, f in catalog.pairs()] == [
+    assert [catalog.pair_seed(g, f) for g in catalog.groups for f in catalog.fibers] == [
         acceptance.DEFAULT_SEED * 1000003 + i for i in range(33)]
 
 

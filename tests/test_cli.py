@@ -229,17 +229,15 @@ def test_verify_all_skip_names_the_weyl_case_list(capsys):
 
 def test_cache_round_trip(tmp_path, ring_factory):
     ring = ring_factory("S3", "2")
-    # populate some structure constants
-    for i in range(ring.rank):
-        ring.structure_constants(0, i)
-    cache.save_session(tmp_path, ring, "S3", "2")
+    path = cache.save_session(tmp_path, ring, "S3", "2")
+    # an entry holds the subgroup sets and the basis, no structure constants
+    assert set(json.loads(path.read_text())) == {
+        "format_version", "digest", "subgroups", "basis", "checksum"}
     loaded = cache.load_session(tmp_path, "S3", "2")
     assert loaded is not None
     assert [(o.subgroup_id, o.hom_index) for o in loaded.basis.orbits] == \
         [(o.subgroup_id, o.hom_index) for o in ring.basis.orbits]
-    for key, val in ring._structure.items():
-        assert loaded._structure[key] == val
-    # loaded ring computes identical new constants
+    # loaded ring computes identical constants
     for i in range(ring.rank):
         for j in range(ring.rank):
             assert loaded.structure_constants(i, j) == ring.structure_constants(i, j)
@@ -251,29 +249,6 @@ def test_cache_corruption_recovers(tmp_path, ring_factory, capsys):
     path.write_text(path.read_text().replace('"subgroups"', '"subgroup"', 1))
     assert cache.load_session(tmp_path, "S3", "2") is None
     assert "recomputing" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("structure", [
-    [], {"0,1": [[999, 1]]}, {"3,1": [[0, 1]]}, {"0,1": [[0, "1"]]},
-    {"1,2": [[0, 5], [2, 1]]},
-], ids=["not_dict", "orbit_out_of_range", "key_order", "not_int", "wrong_degree"])
-def test_cache_entry_with_malformed_structure_is_recomputed(
-        tmp_path, ring_factory, capsys, structure):
-    args = ("multiply", "--group", "S3", "--fiber", "2", "0", "1")
-    code, plain = run(capsys, *args)
-    assert code == 0
-    path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
-    payload = json.loads(path.read_text())
-    payload["structure"] = structure
-    payload["checksum"] = cache._payload_checksum(payload)
-    path.write_text(json.dumps(payload))
-    assert cache.load_session(tmp_path, "S3", "2") is None
-    assert "recomputing" in capsys.readouterr().err
-    code = main([*args, "--cache-dir", str(tmp_path)])
-    out = capsys.readouterr()
-    assert code == 0
-    assert out.out == plain
-    assert "recomputing" in out.err
 
 
 @pytest.mark.parametrize("text", ['{"format_version": 1, "ch', "[]"])
@@ -332,7 +307,7 @@ def test_cache_hit_respects_order_cap(tmp_path, capsys):
     # instead of being recomputed
     payload = {"format_version": cache.FORMAT_VERSION,
                "digest": cache.session_key("S8", "1"),
-               "subgroups": [], "basis": [], "structure": {}}
+               "subgroups": [], "basis": []}
     payload["checksum"] = cache._payload_checksum(payload)
     cache.cache_path(tmp_path, "S8", "1").write_text(json.dumps(payload))
     code = main(["basis", "--group", "S8", "--cache-dir", str(tmp_path)])
@@ -343,13 +318,11 @@ def test_cache_hit_respects_order_cap(tmp_path, capsys):
 
 
 def test_cache_entry_from_other_level_loads_at_natural_level(tmp_path, capsys):
-    # neither the basis nor the structure constants depend on the level
+    # the basis does not depend on the level
     code, plain = run(capsys, "basis", "--group", "S3", "--fiber", "2")
     assert code == 0
     ring = FiberedBurnsideRing(parse_group_spec("S3"), parse_fiber_spec("2"),
                                level=12)
-    for i in range(ring.rank):
-        ring.structure_constants(i, ring.rank - 1)
     cache.save_session(tmp_path, ring, "S3", "2")
     code = main(["basis", "--group", "S3", "--fiber", "2",
                  "--cache-dir", str(tmp_path)])
@@ -359,7 +332,6 @@ def test_cache_entry_from_other_level_loads_at_natural_level(tmp_path, capsys):
     assert out.err == ""
     loaded = cache.load_session(tmp_path, "S3", "2")
     assert loaded.level == 2
-    assert loaded._structure == ring._structure
 
 
 @pytest.mark.parametrize("key,edit", [
@@ -477,12 +449,14 @@ def test_cache_entry_with_reordered_subgroups_loads(tmp_path, ring_factory, caps
     payload["subgroups"] = payload["subgroups"][::-1]
     payload["checksum"] = cache._payload_checksum(payload)
     path.write_text(json.dumps(payload))
+    stored = path.read_bytes()
     code = main([*args, "--cache-dir", str(tmp_path)])
     out = capsys.readouterr()
     assert code == 0
     assert out.out == plain
     assert out.err == ""
-    assert json.loads(path.read_text())["subgroups"] != payload["subgroups"]
+    # a usable entry is not rewritten, in canonical order or otherwise
+    assert path.read_bytes() == stored
 
 
 def test_cache_entry_with_a_non_subgroup_is_refused(tmp_path, ring_factory):
@@ -499,6 +473,21 @@ def test_cache_entry_with_a_non_subgroup_is_refused(tmp_path, ring_factory):
     assert cache.ring_from_payload(payload, "S3", "2") is None
 
 
+def assert_recomputed_once(capsys, args, path):
+    """The entry at path, of an older format, is recomputed with a notice
+    and rewritten in this format, which the next call reads quietly."""
+    code = main(list(args))
+    first = capsys.readouterr()
+    assert code == 0
+    assert "recomputing" in first.err
+    assert json.loads(path.read_text())["format_version"] == cache.FORMAT_VERSION
+    code = main(list(args))
+    second = capsys.readouterr()
+    assert code == 0
+    assert second.out == first.out
+    assert second.err == ""
+
+
 def test_cache_entry_of_format_2_is_recomputed_once(tmp_path, ring_factory, capsys):
     args = ("basis", "--group", "S3", "--fiber", "2", "--cache-dir", str(tmp_path))
     path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
@@ -510,16 +499,58 @@ def test_cache_entry_of_format_2_is_recomputed_once(tmp_path, ring_factory, caps
                             for c in lattice.classes])
     payload["checksum"] = cache._payload_checksum(payload)
     path.write_text(json.dumps(payload))
-    code = main(list(args))
-    first = capsys.readouterr()
+    assert_recomputed_once(capsys, args, path)
+
+
+def test_cache_entry_of_format_4_is_recomputed_once(tmp_path, ring_factory, capsys):
+    # format 4 stored the structure constants as "i,j" -> [[k, c], ...]
+    args = ("multiply", "--group", "S3", "--fiber", "2", "1", "2",
+            "--cache-dir", str(tmp_path))
+    ring = ring_factory("S3", "2")
+    path = cache.save_session(tmp_path, ring, "S3", "2")
+    payload = json.loads(path.read_text())
+    payload.update(format_version=4, structure={
+        f"{i},{j}": [list(t) for t in ring.structure_constants(i, j)]
+        for i in range(ring.rank) for j in range(i, ring.rank)})
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    assert_recomputed_once(capsys, args, path)
+    assert "structure" not in json.loads(path.read_text())
+
+
+def test_warm_verb_writes_no_entry(tmp_path, capsys, monkeypatch):
+    args = ("blocks", "--group", "S4", "--fiber", "2", "--cache-dir", str(tmp_path))
+    code, cold = run(capsys, *args)
     assert code == 0
-    assert "recomputing" in first.err
-    assert json.loads(path.read_text())["format_version"] == cache.FORMAT_VERSION
+    [path] = tmp_path.iterdir()
+    stored, mtime = path.read_bytes(), path.stat().st_mtime_ns
+    saves = []
+    monkeypatch.setattr(cache, "save_session", lambda *a: saves.append(a))
     code = main(list(args))
-    second = capsys.readouterr()
+    out = capsys.readouterr()
     assert code == 0
-    assert second.out == first.out
-    assert second.err == ""
+    assert out.out == cold
+    assert out.err == ""
+    assert saves == []
+    assert path.read_bytes() == stored
+    assert path.stat().st_mtime_ns == mtime
+
+
+def test_unwritable_cache_dir_costs_a_notice(tmp_path, capsys):
+    # a --cache-dir that is a regular file cannot hold entries; the
+    # document is printed in full and the call still succeeds
+    args = ("basis", "--group", "S3", "--fiber", "2")
+    code, plain = run(capsys, *args)
+    assert code == 0
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code = main([*args, "--cache-dir", str(not_a_dir)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == plain
+    [line] = out.err.splitlines()
+    assert line.startswith("notice: cannot write cache entry ")
+    assert not_a_dir.read_text() == ""
 
 
 def test_hom_cap_exits_2(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 """Source layout: each top-level function of the package has one home,
 the package imports only the standard library, has no floating point and
 does not import dataclasses, only perm.py reads the multiplication table,
-the names the benchmark's tracer wraps exist, and importing the CLI
-loads no process pool."""
+no module reads another object's private attributes, the names the
+benchmark's tracer wraps exist, and importing the CLI loads no process
+pool."""
 
 import ast
 import importlib.util
@@ -84,6 +85,20 @@ def test_only_perm_reads_the_multiplication_table():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr == "_table":
                 found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+
+
+def test_no_private_attribute_of_another_object():
+    # a module reads and writes underscore attributes of self or cls only,
+    # so each memo has one home (dunders such as object.__new__ are public)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                found.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
     assert found == []
 
 
