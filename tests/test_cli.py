@@ -251,6 +251,33 @@ def test_cache_corruption_recovers(tmp_path, ring_factory, capsys):
     assert "recomputing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("structure", [
+    [], {"0,1": [[999, 1]]}, {"3,1": [[0, 1]]}, {"0,1": [[0, "1"]]},
+    {"1,2": [[0, 5], [2, 1]]},
+], ids=["not_dict", "orbit_out_of_range", "key_order", "not_int", "wrong_degree"])
+def test_cache_entry_with_malformed_structure_is_recomputed(
+        tmp_path, ring_factory, capsys, structure):
+    # this format stores no structure constants: an entry carrying a
+    # structure field, of whatever shape, is refused, recomputed and
+    # rewritten without it
+    args = ("multiply", "--group", "S3", "--fiber", "2", "0", "1")
+    code, plain = run(capsys, *args)
+    assert code == 0
+    path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
+    payload = json.loads(path.read_text())
+    payload["structure"] = structure
+    payload["checksum"] = cache._payload_checksum(payload)
+    path.write_text(json.dumps(payload))
+    assert cache.load_session(tmp_path, "S3", "2") is None
+    assert "recomputing" in capsys.readouterr().err
+    code = main([*args, "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.out == plain
+    assert "recomputing" in out.err
+    assert "structure" not in json.loads(path.read_text())
+
+
 @pytest.mark.parametrize("text", ['{"format_version": 1, "ch', "[]"])
 def test_cache_unreadable_entry_recovers(tmp_path, ring_factory, capsys, text):
     # a truncated entry and a well-formed entry that is not an object
