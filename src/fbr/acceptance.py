@@ -7,16 +7,18 @@ exact arithmetic, so there are no tolerances; sampling (only above rank
 reproducible byte for byte.
 
 No ring, lattice or memo of one group is read by another group's
-checks, so criteria 1, 2 and 4-8 come in two parts: a part checks one
-group of a session and returns its partial result (counts, and its
-failures in pair order), and a merge rebuilds the criterion's dict
-from the parts in catalog order.  criterion_*(session) is the merge of
-the parts over the session's groups.  run_all runs one task per group
-(the parts of every such criterion, on a session of its own with the
-whole session's pair seeds), one for criterion 3 and one for each of
-criterion 9's two runs, on as many forked processes as this process
-may use CPUs (in process when it may use one).  The report does not
-depend on the number of processes.
+checks, so criteria 1, 2 and 4-8 are one table, GROUP_CRITERIA: each
+row has a part, which checks one group of a session and returns its
+failures and a count, and a detail for when nothing failed.  One merge
+builds every such criterion's dict from its parts: the failures group
+by group in catalog order, or else the detail with the total count.
+criterion_*(session) is the merge of its row's parts over the
+session's groups.  run_all runs one task per group (the part of every
+row, on a session of its own with the whole session's pair seeds), one
+for criterion 3 and one for each of criterion 9's two runs, on as many
+forked processes as this process may use CPUs (in process when it may
+use one), and merges the same way, so the report does not depend on
+the number of processes.
 
 The ring is commutative by construction (structure constants are kept
 per unordered pair of basis orbits), so criterion 2, which checks
@@ -30,6 +32,7 @@ import gc
 import json
 import os
 import random
+from typing import Callable, NamedTuple
 
 from . import burnside, species as sp, spectrum as spc
 from .abelian import parse_fiber_spec
@@ -79,21 +82,8 @@ def _result(cid, name, passed, detail):
     return {"id": cid, "name": name, "passed": bool(passed), "detail": detail}
 
 
-def _merged(session, part, merge):
-    return merge([part(session, g) for g in session.groups])
-
-
-def _counted(cid, name, detail):
-    """The merge of parts (failures, count): the failures in catalog
-    order, or else detail formatted with the total count."""
-    def merge(parts):
-        bad = [b for failures, _ in parts for b in failures]
-        total = sum(n for _, n in parts)
-        return _result(cid, name, not bad, "; ".join(bad) if bad else detail.format(total))
-    return merge
-
-
 def _species_isomorphism_part(session, g):
+    """Square species table, nonzero determinant, pairwise-distinct rows."""
     bad = []
     checked = 0
     for f in session.fibers:
@@ -112,13 +102,6 @@ def _species_isomorphism_part(session, g):
         checked += 1
     return bad, checked
 
-
-_species_isomorphism_merge = _counted(1, "species-isomorphism", "{} rings checked")
-
-
-def criterion_species_isomorphism(session):
-    """Square species table, nonzero determinant, pairwise-distinct rows."""
-    return _merged(session, _species_isomorphism_part, _species_isomorphism_merge)
 
 
 def _idempotent_pairs(ring, rng):
@@ -141,6 +124,7 @@ def _upper_pairs(n, rng):
 
 
 def _idempotents_part(session, g):
+    """Species-delta property, orthogonality, partition of unity."""
     bad = []
     for f in session.fibers:
         ring = session.ring(g, f)
@@ -169,13 +153,6 @@ def _idempotents_part(session, g):
                 break
     return bad, len(session.fibers)
 
-
-_idempotents_merge = _counted(2, "eq1-idempotents", "{} rings")
-
-
-def criterion_idempotents(session):
-    """Species-delta property, orthogonality, partition of unity."""
-    return _merged(session, _idempotents_part, _idempotents_merge)
 
 
 GOLDEN_C2_TABLE = [[2, 1, 1], [0, 1, 1], [0, 1, -1]]
@@ -212,9 +189,14 @@ def _as_int(v):
 
 
 def _structure_constants_part(session, g):
-    """The group's first failing species product, and its first failing
-    marks case (the marks oracle always runs at the trivial fiber)."""
-    product_bad = marks_bad = None
+    """s(ab) = s(a)s(b) plus the independent table-of-marks oracle: the
+    group's first failing product, then its first failing marks pair."""
+    return [b for b in (_wrong_product(session, g), _wrong_marks(session, g)) if b], 0
+
+
+def _wrong_product(session, g):
+    """The group's first product whose species are not the products of
+    its factors' species, or None."""
     for f in session.fibers:
         ring = session.ring(g, f)
         n = ring.rank
@@ -234,13 +216,13 @@ def _structure_constants_part(session, g):
                 else:
                     ok = coords[d] == sa * sb
                 if not ok:
-                    product_bad = f"{g}/{f}: s{d}({a}*{b})"
-                    break
-            if product_bad:
-                break
-        if product_bad:
-            break
-    # Burnside embedding versus the marks oracle, trivial fiber
+                    return f"{g}/{f}: s{d}({a}*{b})"
+    return None
+
+
+def _wrong_marks(session, g):
+    """The group's first pair of classes whose product, embedded at the
+    trivial fiber, differs from the table-of-marks oracle's, or None."""
     ring = session.ring(g, "1")
     lattice = ring.lattice
     marks = burnside.table_of_marks(lattice)
@@ -252,29 +234,13 @@ def _structure_constants_part(session, g):
         got = {k: _as_int(v)
                for k, v in ring.burnside_project(ring.multiply(xa, xb)).items()}
         if got != oracle:
-            marks_bad = f"{g}: marks oracle at ({a},{b})"
-            break
-    return product_bad, marks_bad
-
-
-def _structure_constants_merge(parts):
-    # the first failing product of all groups; the marks oracle then
-    # stops after the first group, and otherwise at its first failure
-    products = [p for p, _ in parts if p]
-    if products:
-        bad = [products[0], *([parts[0][1]] if parts[0][1] else [])]
-    else:
-        bad = [m for _, m in parts if m][:1]
-    detail = "all products certified" if not bad else "; ".join(bad)
-    return _result(4, "structure-constants", not bad, detail)
-
-
-def criterion_structure_constants(session):
-    """s(ab) = s(a)s(b) plus the independent table-of-marks oracle."""
-    return _merged(session, _structure_constants_part, _structure_constants_merge)
+            return f"{g}: marks oracle at ({a},{b})"
+    return None
 
 
 def _spectrum_partitions_part(session, g):
+    """Regularization equals the congruence oracle for every ideal and
+    every p dividing the group order; characteristic zero is discrete."""
     bad = []
     checked = 0
     for f in session.fibers:
@@ -304,16 +270,9 @@ def _spectrum_partitions_part(session, g):
     return bad, checked
 
 
-_spectrum_partitions_merge = _counted(5, "spectrum-partitions", "{} (ring, p) pairs")
-
-
-def criterion_spectrum_partitions(session):
-    """Regularization equals the congruence oracle for every ideal and
-    every p dividing the group order; characteristic zero is discrete."""
-    return _merged(session, _spectrum_partitions_part, _spectrum_partitions_merge)
-
 
 def _block_decomposition_part(session, g):
+    """Block count, integrality, orthogonality and partition of unity."""
     bad = []
     for f in session.fibers:
         ring = session.ring(g, f)
@@ -345,15 +304,9 @@ def _block_decomposition_part(session, g):
     return bad, 0  # its detail names no count
 
 
-_block_decomposition_merge = _counted(6, "block-decomposition", "all block systems verified")
-
-
-def criterion_block_decomposition(session):
-    """Block count, integrality, orthogonality and partition of unity."""
-    return _merged(session, _block_decomposition_part, _block_decomposition_merge)
-
 
 def _block_bases_part(session, g):
+    """Block bases are independent and span; e_[1] fixes solvable pairs."""
     bad = []
     for f in session.fibers:
         ring = session.ring(g, f)
@@ -373,23 +326,15 @@ def _block_bases_part(session, g):
     return bad, 0  # its detail names no count
 
 
-_block_bases_merge = _counted(7, "block-bases", "all block bases verified")
-
-
-def criterion_block_bases(session):
-    """Block bases are independent and span; e_[1] fixes solvable pairs."""
-    return _merged(session, _block_bases_part, _block_bases_merge)
-
 
 def _weyl_isomorphism_part(session, g):
-    """The group's failures, its number of cases, and the group as a
-    one-element set if the catalog skips some of its rings."""
+    """Inflation bijection onto each nontrivial perfect block: for the
+    catalog, (A5, J=A5) and (S5, J=A5) at fibers 1 and 2; for any other
+    group, every nontrivial perfect class of every ring."""
     bad = []
     cases = 0
-    skipped = set()
     for f in session.fibers:
         if g in CATALOG_GROUPS and (g not in ("A5", "S5") or f not in ("1", "2")):
-            skipped.add(g)
             continue
         ring = session.ring(g, f)
         perfect = [j for j in ring.lattice.perfect_class_reps() if j != 0]
@@ -406,40 +351,57 @@ def _weyl_isomorphism_part(session, g):
             comp = next(c for c in spc.components(ring) if c.perfect_id == jid)
             if len(iso.bijection) != len(comp.basis_orbits):
                 bad.append(f"{g}/{f}: bijection size mismatch")
-    return bad, cases, skipped
+    return bad, cases
 
 
-def _weyl_isomorphism_merge(parts):
-    bad = [b for failures, _, _ in parts for b in failures]
-    cases = sum(n for _, n, _ in parts)
-    skipped = set().union(*(s for _, _, s in parts))
-    detail = f"{cases} cases verified" if not bad else "; ".join(bad)
-    result = _result(8, "weyl-isomorphism", not bad, detail)
-    if not cases and not bad:
-        # A5 and S5 are the catalog groups with a nontrivial perfect class
+class GroupCriterion(NamedTuple):
+    """A criterion checked group by group: part(session, g) returns the
+    group's (failures, count); detail, formatted with the total count,
+    is the criterion's detail when no group failed."""
+    id: int
+    name: str
+    part: Callable
+    detail: str
+
+
+GROUP_CRITERIA = (
+    GroupCriterion(1, "species-isomorphism", _species_isomorphism_part, "{} rings checked"),
+    GroupCriterion(2, "eq1-idempotents", _idempotents_part, "{} rings"),
+    GroupCriterion(4, "structure-constants", _structure_constants_part,
+                   "all products certified"),
+    GroupCriterion(5, "spectrum-partitions", _spectrum_partitions_part, "{} (ring, p) pairs"),
+    GroupCriterion(6, "block-decomposition", _block_decomposition_part,
+                   "all block systems verified"),
+    GroupCriterion(7, "block-bases", _block_bases_part, "all block bases verified"),
+    GroupCriterion(8, "weyl-isomorphism", _weyl_isomorphism_part, "{} cases verified"),
+)
+
+
+def _merge(row, groups, parts):
+    """The dict of criterion row from its parts over groups: the failures
+    in catalog order, or else the detail with the total count."""
+    bad = [b for failures, _ in parts for b in failures]
+    total = sum(n for _, n in parts)
+    result = _result(row.id, row.name, not bad,
+                     "; ".join(bad) if bad else row.detail.format(total))
+    if row.id == 8 and not total and not bad:
+        # A5 and S5 are the catalog groups with a nontrivial perfect class;
+        # at fiber 1 or 2 either one gives a case or a failure
         detail = ("catalog checks A5 and S5 at fibers 1 and 2 only"
-                  if skipped & {"A5", "S5"} else "no nontrivial perfect class to check")
+                  if {"A5", "S5"} & set(groups) else "no nontrivial perfect class to check")
         result.update(detail=detail, skipped=True)
     return result
 
 
-def criterion_weyl_isomorphism(session):
-    """Inflation bijection onto each nontrivial perfect block: for the
-    catalog, (A5, J=A5) and (S5, J=A5) at fibers 1 and 2; for any other
-    group, every nontrivial perfect class of every ring."""
-    return _merged(session, _weyl_isomorphism_part, _weyl_isomorphism_merge)
+def _criterion(row):
+    def criterion(session):
+        return _merge(row, session.groups, [row.part(session, g) for g in session.groups])
+    return criterion
 
 
-# the criteria checked group by group, as (part, merge), in id order
-GROUP_CRITERIA = (
-    (_species_isomorphism_part, _species_isomorphism_merge),
-    (_idempotents_part, _idempotents_merge),
-    (_structure_constants_part, _structure_constants_merge),
-    (_spectrum_partitions_part, _spectrum_partitions_merge),
-    (_block_decomposition_part, _block_decomposition_merge),
-    (_block_bases_part, _block_bases_merge),
-    (_weyl_isomorphism_part, _weyl_isomorphism_merge),
-)
+(criterion_species_isomorphism, criterion_idempotents, criterion_structure_constants,
+ criterion_spectrum_partitions, criterion_block_decomposition, criterion_block_bases,
+ criterion_weyl_isomorphism) = map(_criterion, GROUP_CRITERIA)
 
 
 def run_criteria(session):
@@ -476,7 +438,7 @@ def criterion_determinism(seed):
 def _group_task(groups, fibers, seed, g):
     """The parts of GROUP_CRITERIA for group g, on a session of its own."""
     session = Session(groups=groups, fibers=fibers, seed=seed)
-    return [part(session, g) for part, _ in GROUP_CRITERIA]
+    return [row.part(session, g) for row in GROUP_CRITERIA]
 
 
 def _micro_instances_task():
@@ -529,8 +491,8 @@ def run_all(groups=None, fibers=None, seed=DEFAULT_SEED):
             pool.shutdown(cancel_futures=True)
             gc.unfreeze()
     parts, (micro, *runs) = results[:len(groups)], results[len(groups):]
-    criteria = [merge([p[k] for p in parts])
-                for k, (_, merge) in enumerate(GROUP_CRITERIA)]
+    criteria = [_merge(row, groups, [p[k] for p in parts])
+                for k, row in enumerate(GROUP_CRITERIA)]
     criteria.insert(2, micro)
     criteria.append(_determinism_merge(runs))
     return {

@@ -160,11 +160,9 @@ class FiniteGroup:
         # rows[a][b] is a*b, read from the table or formed from base images
         if self.order <= _MUL_TABLE_LIMIT:
             by_base = self._by_base
-            self._table = [tuple(by_base[then(a)] for then in self._then)
-                           for a in self.elements]
-            self.rows = self._table
+            self.rows = [tuple(by_base[then(a)] for then in self._then)
+                         for a in self.elements]
         else:
-            self._table = None
             self.rows = [_ProductRow(x, self._by_base, self._then)
                          for x in self.elements]
 

@@ -240,58 +240,27 @@ def idempotent_coordinates(ring, x):
 
 def exact_determinant(rows):
     """Exact determinant of a square matrix of Cyclotomic values at one
-    level: the product of those of its diagonal blocks, the strongly
-    connected components of i -> j where rows[i][j] is not zero.  Ordered
-    topologically, they make the matrix block triangular by a symmetric
-    permutation, which leaves the determinant unchanged."""
+    level: the product of those of its diagonal blocks, taken in the
+    matrix's own order.  A block ends at column k when no nonzero entry
+    in columns up to k lies below row k, so a block upper triangular
+    matrix splits into its blocks; in any other order the blocks are
+    coarser and the determinant is the same."""
     if not rows:
         raise InputError("empty matrix")
+    n = len(rows)
     det = Cyclotomic.one(rows[0][0].level)
-    for block in _diagonal_blocks(rows):
-        d = _eliminate([[rows[i][j] for j in block] for i in block])
-        if d.is_zero():
-            return d
-        det = det * d
+    start = reach = 0  # reach: the lowest nonzero row of columns start..k
+    for k in range(n):
+        reach = max(reach, k)
+        reach = next((i for i in range(n - 1, reach, -1) if not rows[i][k].is_zero()),
+                     reach)
+        if reach == k:
+            d = _eliminate([row[start:k + 1] for row in rows[start:k + 1]])
+            if d.is_zero():
+                return d
+            det = det * d
+            start = k + 1
     return det
-
-
-def _diagonal_blocks(rows):
-    """The strongly connected components of i -> j, rows[i][j] nonzero,
-    as sorted index lists: Tarjan's algorithm, iterative, since ranks
-    reach the hundreds."""
-    succ = [[j for j, v in enumerate(r) if not v.is_zero()] for r in rows]
-    order, low, at = {}, {}, {}  # discovery index, low link, stack position
-    stack, blocks, work = [], [], []
-
-    def push(v):
-        order[v] = low[v] = len(order)
-        at[v] = len(stack)
-        stack.append(v)
-        work.append((v, iter(succ[v])))
-
-    for root in range(len(rows)):
-        if root not in order:
-            push(root)
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if w not in order:
-                    push(w)
-                    break
-                if w in at:
-                    low[v] = min(low[v], order[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == order[v]:
-                    block = stack[at[v]:]
-                    del stack[at[v]:]
-                    for w in block:
-                        del at[w]
-                    blocks.append(sorted(block))
-    return blocks
 
 
 def _eliminate(rows):

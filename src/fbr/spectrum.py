@@ -279,8 +279,10 @@ def block_basis(ring, component):
     e = block_idempotent(ring, component)
     elems = [ring.multiply(ring.basis_element(b), e)
              for b in component.basis_orbits]
-    matrix = [species_mod.species_values(ring, x, component.dual_orbits)
-              for x in elems]
+    # one row per dual orbit, so that the matrix is block upper
+    # triangular by subgroup class, as the species table is
+    matrix = list(zip(*(species_mod.species_values(ring, x, component.dual_orbits)
+                        for x in elems)))
     if elems:
         det = species_mod.exact_determinant(matrix)
         if det.is_zero():

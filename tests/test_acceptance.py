@@ -14,7 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from fbr import acceptance
+from fbr import acceptance, burnside
 from fbr import species as sp
 from fbr import spectrum as spc
 from fbr.cli import main
@@ -68,14 +68,6 @@ def test_criterion_8_weyl_isomorphism(session):
 
 def test_criterion_9_determinism(session):
     _report(acceptance.criterion_determinism(acceptance.DEFAULT_SEED))
-
-
-def test_session_keeps_every_ring():
-    # C2^4 at fiber 6 has rank 307; the session checks it rather than
-    # dropping it (a session builds no ring until one is asked for)
-    c2_4 = "perm:8:(1 2);(3 4);(5 6);(7 8)"
-    session = acceptance.Session(groups=(c2_4,), fibers=("6",))
-    assert (session.groups, session.fibers) == ((c2_4,), ("6",))
 
 
 def test_session_shares_one_lattice_per_group():
@@ -169,22 +161,28 @@ def test_pool_report_equals_in_process_report(monkeypatch, groups, fibers, seed)
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in_process", "pool"])
 def test_run_all_reports_failures_in_catalog_order(monkeypatch, cpus):
-    # with a planted error in the species determinant and the block basis,
-    # criteria 1 and 7 fail on every ring; the report lists the failures
-    # as criterion_*(session) does, group by group
+    # with planted errors in the species determinant, the marks oracle,
+    # the block basis and the Weyl map, criteria 1, 4, 7 and 8 fail; the
+    # report lists the failures as criterion_*(session) does, group by group
     def planted(ring, *args):
         raise FbrError(f"planted at rank {ring.rank}")
 
     monkeypatch.setattr(acceptance.os, "sched_getaffinity", lambda pid: cpus)
     monkeypatch.setattr(sp, "species_determinant", planted)
+    monkeypatch.setattr(burnside, "product_via_marks", lambda *args: {})
     monkeypatch.setattr(spc, "block_basis", planted)
-    groups, fibers = ("S3", "C6", "C4"), ("2", "6")
+    monkeypatch.setattr(spc, "weyl_block_iso", planted)
+    groups, fibers = ("S3", "A5", "C4"), ("2", "6")
     report = acceptance.run_all(groups=groups, fibers=fibers, seed=1)
     serial = acceptance.run_criteria(acceptance.Session(groups, fibers, seed=1))
     assert report["criteria"][:8] == serial
-    assert [c["id"] for c in serial if not c["passed"]] == [1, 7]
-    assert serial[0]["detail"] == ("S3/2: singular; S3/6: singular; C6/2: singular; "
-                                   "C6/6: singular; C4/2: singular; C4/6: singular")
+    assert [c["id"] for c in serial if not c["passed"]] == [1, 4, 7, 8]
+    assert serial[0]["detail"] == ("S3/2: singular; S3/6: singular; A5/2: singular; "
+                                   "A5/6: singular; C4/2: singular; C4/6: singular")
+    assert serial[3]["detail"] == ("S3: marks oracle at (0,0); A5: marks oracle at (0,0); "
+                                   "C4: marks oracle at (0,0)")
+    # the catalog checks the Weyl map of A5 at fibers 1 and 2 only
+    assert serial[7]["detail"] == "A5/2: planted at rank 13"
 
 
 def two_cpus(monkeypatch):
@@ -240,10 +238,9 @@ def test_worker_that_dies_makes_run_all_raise(monkeypatch, time_limit):
     assert multiprocessing.active_children() == []
 
 
-def test_criterion_4_merges_groups_as_one_scan():
-    # a wrong product of S3/2 is reported first, followed by the marks
-    # failure of the first group only (C2), as a scan over all pairs and
-    # then over the groups' marks finds them
+def test_criterion_4_lists_failures_group_by_group():
+    # each group's first wrong product, then its first marks failure, in
+    # catalog order, as the other criteria list theirs
     session = acceptance.Session(groups=("C2", "S3", "C6"), fibers=("2",))
     for g, f, (i, j) in (("S3", "2", (1, 2)), ("C2", "1", (1, 1)), ("C6", "1", (1, 1))):
         ring = session.ring(g, f)
@@ -251,16 +248,8 @@ def test_criterion_4_merges_groups_as_one_scan():
         sc[0] = sc.get(0, 0) + 1
         ring._structure[(i, j)] = tuple(sorted(sc.items()))
     result = acceptance.criterion_structure_constants(session)
-    assert result["detail"] == "S3/2: s0(1*2); C2: marks oracle at (1,1)"
-    # without the wrong product, the first marks failure alone
-    session = acceptance.Session(groups=("S3", "C2", "C6"), fibers=("2",))
-    for g in ("C2", "C6"):
-        ring = session.ring(g, "1")
-        sc = dict(ring.structure_constants(1, 1))
-        sc[0] = sc.get(0, 0) + 1
-        ring._structure[(1, 1)] = tuple(sorted(sc.items()))
-    result = acceptance.criterion_structure_constants(session)
-    assert result["detail"] == "C2: marks oracle at (1,1)"
+    assert result["detail"] == ("C2: marks oracle at (1,1); S3/2: s0(1*2); "
+                                "C6: marks oracle at (1,1)")
 
 
 def test_criterion_2_multiplies_each_unordered_pair_once(monkeypatch):

@@ -77,13 +77,13 @@ def test_no_dataclasses_import():
 
 def test_only_perm_reads_the_multiplication_table():
     # other modules multiply and conjugate through FiniteGroup, so the
-    # code that reads the table has one home
+    # code that reads the table (FiniteGroup.rows) has one home
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "perm":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "_table":
+            if isinstance(node, ast.Attribute) and node.attr == "rows":
                 found.append(f"{path.stem}:{node.lineno}")
     assert found == []
 

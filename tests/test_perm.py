@@ -10,7 +10,7 @@ import pytest
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.arith import p_part
 from fbr.errors import InputError, InvariantViolationError, ResourceLimitError
-from fbr.perm import (FiniteGroup, SubgroupLattice, _conjugates, compose,
+from fbr.perm import (FiniteGroup, SubgroupLattice, _conjugates, _ProductRow, compose,
                       cycle_string, double_coset_reps, identity_perm, invert,
                       parse_cycles, parse_group_spec, perm_order,
                       quotient_group, sylow_subgroup)
@@ -96,7 +96,7 @@ def test_products_match_composition():
 
 def test_products_match_composition_without_table():
     g = parse_group_spec("A7")
-    assert g._table is None
+    assert isinstance(g.rows[0], _ProductRow)
     for a in range(0, g.order, 97):
         for b in range(0, g.order, 89):
             assert g.mul(a, b) == g.index[compose(g.elements[a], g.elements[b])]
@@ -117,9 +117,9 @@ def kernel_sample(name):
     60 of A7, which has none."""
     g = kernel_group(name)
     if name == "A7":
-        assert g._table is None
+        assert isinstance(g.rows[0], _ProductRow)
         return sorted(random.Random(7).sample(range(g.order), 60))
-    assert g._table is not None
+    assert isinstance(g.rows[0], tuple)
     return range(g.order)
 
 

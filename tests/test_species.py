@@ -388,22 +388,33 @@ def block_triangular(rng, level, sizes, fill=0.5):
 
 
 @pytest.mark.parametrize("level", [1, 4, 6])
-def test_determinant_of_permuted_block_triangular_matrices(level):
+def test_determinant_of_permuted_block_triangular_matrices(monkeypatch, level):
+    # in order, the matrix splits into its diagonal blocks; permuted, the
+    # blocks may be coarser, and the determinant is the same
+    eliminated = []
+    real = sp._eliminate
+
+    def recording(rows):
+        eliminated.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(sp, "_eliminate", recording)
     rng = random.Random(level)
     for _ in range(8):
         sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
         rows, blocks = block_triangular(rng, level, sizes)
-        want = Cyclotomic.one(level)
-        for block in blocks:
-            want = want * sp._eliminate([[rows[i][j] for j in block] for i in block])
+        eliminated.clear()
+        det = sp.exact_determinant(rows)
+        # every block, or those up to the first singular one
+        want = [[[rows[i][j] for j in b] for i in b] for b in blocks]
+        assert eliminated == want[:len(eliminated)]
+        assert eliminated == want or det.is_zero()
+        assert det == real(rows)
         n = len(rows)
         perm = list(range(n))
         rng.shuffle(perm)
         moved = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-        at = {old: new for new, old in enumerate(perm)}
-        assert sorted(map(sorted, ([at[i] for i in b] for b in blocks))) == \
-            sorted(sp._diagonal_blocks(moved))
-        assert sp.exact_determinant(moved) == want == sp._eliminate(moved)
+        assert sp.exact_determinant(moved) == real(moved) == det
 
 
 def test_determinant_edge_cases():
@@ -423,6 +434,12 @@ def test_determinant_edge_cases():
     rows, _ = block_triangular(rng, level, [3, 2])
     rows[2] = [zero] * len(rows)
     assert sp.exact_determinant(rows).is_zero()
+    # a zero column, in the first block and in the last
+    for col in (0, 4):
+        rows, _ = block_triangular(rng, level, [3, 2])
+        for row in rows:
+            row[col] = zero
+        assert sp.exact_determinant(rows).is_zero()
     with pytest.raises(InputError, match="empty"):
         sp.exact_determinant([])
 
