@@ -10,8 +10,9 @@ construction and safe to share.
 from __future__ import annotations
 
 import re
+from itertools import compress
 from math import lcm
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .arith import is_prime, p_part
@@ -149,21 +150,12 @@ class FiniteGroup:
             raise InvariantViolationError("identity is not element 0")
         self.inverse = tuple(self.index[invert(e)] for e in self.elements)
         self.element_orders = tuple(perm_order(e) for e in self.elements)
-        # A product is looked up by the images of the first k points, the
-        # fewest that tell the elements apart.
-        k = next(k for k in range(1, degree + 1)
-                 if len({e[:k] for e in self.elements}) == self.order)
-        at_base = itemgetter(*range(k))
-        self._by_base = {at_base(e): i for i, e in enumerate(self.elements)}
-        # _then[b](a) gives the images of the first k points under a*b
-        self._then = [itemgetter(*e[:k]) for e in self.elements]
-        # rows[a][b] is a*b, read from the table or formed from base images
+        # rows[a][b] is a*b, read from the table or formed from image tuples;
+        # a product outside the elements is a KeyError
         if self.order <= _MUL_TABLE_LIMIT:
-            by_base = self._by_base
-            self.rows = [tuple(by_base[then(a)] for then in self._then)
-                         for a in self.elements]
+            self.rows = _mul_table(self.elements, self.index)
         else:
-            self.rows = [_ProductRow(x, self._by_base, self._then)
+            self.rows = [_ProductRow(x, self.elements, self.index)
                          for x in self.elements]
 
     @classmethod
@@ -177,21 +169,17 @@ class FiniteGroup:
                 raise InputError(f"invalid permutation of degree {degree}: {g}")
             gens.append(g)
         ident = identity_perm(degree)
-        known = {ident}
-        frontier = [ident]
+        # x*g is x read at the images of g; the identity is dropped, since
+        # itemgetter of one index gives an item, not a tuple
+        steps = [itemgetter(*g) for g in gens if g != ident]
+        known, frontier = {ident}, {ident}
         while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = compose(x, g)
-                    if y not in known:
-                        known.add(y)
-                        nxt.append(y)
+            frontier = {step(x) for x in frontier for step in steps} - known
+            known |= frontier
             if len(known) > DEFAULT_ORDER_CAP:
                 raise ResourceLimitError(
                     f"group order exceeds cap {DEFAULT_ORDER_CAP}"
                 )
-            frontier = nxt
         return cls(degree, known)
 
     @classmethod
@@ -200,17 +188,16 @@ class FiniteGroup:
 
         Raises InvariantViolationError when the set is not a group.
         """
+        # The table looks up g*b for every b and each g whose row it forms
+        # from image tuples, and these g reach every element, so the set
+        # is closed if no lookup fails.  Without a table, the closure of
+        # greedy generators looks up x*g for every x and each of them.
         try:
             group = cls(degree, elements)
-            gens = _greedy_gens(group, range(group.order))
+            if group.order > _MUL_TABLE_LIMIT:
+                _greedy_gens(group, range(group.order))
         except KeyError:
             raise InvariantViolationError("element set is not closed") from None
-        # Base images name a product correctly only if it lies in the set.
-        # The greedy generators reach the whole set, so it is closed if
-        # whole products by them stay inside it.
-        if any(compose(a, group.elements[g]) not in group.index
-               for a in group.elements for g in gens):
-            raise InvariantViolationError("element set is not closed")
         return group
 
     def mul(self, a, b):
@@ -248,32 +235,55 @@ class FiniteGroup:
 
 
 class _ProductRow:
-    """Row x of a group too large for a table: [b] forms x*b from the base
-    images of b when it is read, and no product is stored."""
+    """Row x of a group too large for a table: [b] forms x*b from the
+    image tuples when it is read, and no product is stored."""
 
-    __slots__ = ("x", "by_base", "then")
+    __slots__ = ("x", "elements", "index")
 
-    def __init__(self, x, by_base, then):
-        self.x, self.by_base, self.then = x, by_base, then
+    def __init__(self, x, elements, index):
+        self.x, self.elements, self.index = x, elements, index
 
     def __getitem__(self, b):
-        return self.by_base[self.then[b](self.x)]
+        return self.index[tuple(map(self.x.__getitem__, self.elements[b]))]
 
 
-def double_coset_reps(group, h_elems, k_elems, reverse=False):
+def _mul_table(elements, index):
+    """Multiplication table of a group of image tuples: rows[a][b] = a*b.
+
+    Row a is left multiplication by a, so rows[x*g] is rows[x] read at
+    rows[g], one C-level itemgetter call.  Elements are scanned in index
+    order and a row is formed from image tuples only for an element that
+    no product of the rows known so far reaches."""
+    n = len(elements)
+    rows = [tuple(range(n))] + [None] * (n - 1)
+    known = [0]
+    steps = []
+    for a, e in enumerate(elements):
+        if rows[a] is None:
+            rows[a] = tuple(index[tuple(map(e.__getitem__, b))] for b in elements)
+            steps.append((a, itemgetter(*rows[a])))
+            known.append(a)
+            for x in known:  # known grows during the loop
+                for g, step in steps:
+                    y = rows[x][g]
+                    if rows[y] is None:
+                        rows[y] = step(rows[x])
+                        known.append(y)
+    return rows
+
+
+def double_coset_reps(group, h_elems, k_elems):
     """Representatives g hitting every double coset HgK exactly once.
 
     Elements are scanned in index order, so the representative of each
-    coset is its least element and the output is canonical.  With
-    reverse=True the scan runs backwards and picks greatest elements.
+    coset is its least element and the output is canonical.
     """
     covered = bytearray(group.order)
     reps = []
     h_sorted = sorted(h_elems)
     k_sorted = sorted(k_elems)
-    scan = range(group.order - 1, -1, -1) if reverse else range(group.order)
     rows = group.rows
-    for g in scan:
+    for g in range(group.order):
         if covered[g]:
             continue
         reps.append(g)
@@ -520,11 +530,16 @@ def _conjugates(group, elems, gens):
     """(N(S), [(g, ^gS), ...]) for the subgroup S with element set elems
     and generators gens: one pair per member of the class of S.
 
-    N(S) is found by conjugating the generators of S only.  The g with
-    ^g S = T form one left coset g N(S), whose least element the coset
-    scan of double_coset_reps picks."""
-    norm = [g for g in range(group.order)
-            if all(group.conj(g, x) in elems for x in gens)]
+    N(S) is found by conjugating the generators of S only, each by every
+    candidate g at once: g x g^-1 is row g x of the table read at g^-1.
+    The g with ^g S = T form one left coset g N(S), whose least element
+    the coset scan of double_coset_reps picks."""
+    rows, inverse = group.rows, group.inverse
+    norm = list(range(group.order))
+    for x in gens:
+        gx = map(itemgetter(x), map(rows.__getitem__, norm))
+        conj = map(getitem, map(rows.__getitem__, gx), map(inverse.__getitem__, norm))
+        norm = list(compress(norm, map(elems.__contains__, conj)))
     return norm, [(g, group.conj_set(g, elems))
                   for g in double_coset_reps(group, (group.identity,), norm)]
 
@@ -619,20 +634,18 @@ def quotient_group(group, n_elems, k_elems):
     return quotient, onto
 
 
-def sylow_subgroup(group, p, reverse=False, n_elems=None, k_elems=None):
+def sylow_subgroup(group, p, n_elems=None, k_elems=None):
     """Preimage in N of a Sylow p-subgroup of N/K, as a frozenset of indices.
 
     K must be normal in N; the defaults N = G and K = 1 give a Sylow
     p-subgroup of the whole group.  Deterministic: starts at K and adds
     the least p-element of N that normalizes the current subgroup and
     lies outside it, until the order is |K| times the p-part of |N : K|.
-    With reverse=True the greatest such element is taken instead.  Only
-    the ambient multiplication is used; no quotient group is built.
+    Only the ambient multiplication is used; no quotient group is built.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    scan = sorted(range(group.order) if n_elems is None else n_elems,
-                  reverse=reverse)
+    scan = sorted(range(group.order) if n_elems is None else n_elems)
     current = frozenset(k_elems or {group.identity})
     target = len(current) * p_part(len(scan) // len(current), p)
     # Each p-element coset gK holds the p-part of g, a p-element of N, so

@@ -256,24 +256,14 @@ class FiberedBurnsideRing:
 
     # -- multiplication ------------------------------------------------------
 
-    def multiply_basis(self, i, j, reverse=False):
-        """Product of two basis orbits as an integer coefficient dict.
-
-        With reverse=True the double coset scan runs over the reversed
-        element order; the result must not depend on this.
-        """
+    def multiply_basis(self, i, j):
+        """Product of two basis orbits as an integer coefficient dict."""
         oi, oj = self.basis.orbits[i], self.basis.orbits[j]
         lattice = self.lattice
         phi = self.pair_values_map(i)
         psi = self.pair_values_map(j)
         group = self.group
-        if not reverse:
-            reps, meets = lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
-        else:
-            h = lattice.subgroups[oi.subgroup_id]
-            k = lattice.subgroups[oj.subgroup_id].sorted_elems
-            reps = perm.double_coset_reps(group, h.sorted_elems, k, reverse=True)
-            meets = [lattice.by_set[h.elems & group.conj_set(g, k)] for g in reps]
+        reps, meets = lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
         out = {}
         for g, sid in zip(reps, meets):
             ginv = group.inverse[g]

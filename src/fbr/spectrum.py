@@ -95,7 +95,7 @@ def is_p_regular(ring, d, p):
     return o % p != 0 and index % p != 0
 
 
-def p_regularize(ring, d, p, reverse=False):
+def p_regularize(ring, d, p):
     """Canonical dual orbit of a p-regularization of the given orbit.
 
     Strips the p-part of the character, then repeatedly moves (K, Psi)
@@ -105,8 +105,7 @@ def p_regularize(ring, d, p, reverse=False):
     (perm.sylow_subgroup with N = N(K, Psi)), without building the
     quotient.  The subgroup strictly grows, so the climb
     terminates; the resulting conjugacy class does not depend on the
-    Sylow choices.  With reverse=True the Sylow search scans elements in
-    reversed order, exercising that fact.
+    Sylow choices.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -123,7 +122,7 @@ def p_regularize(ring, d, p, reverse=False):
         if (len(stab) // k_order) % p != 0:
             return species_mod.canonicalize_dual(ring, sid, values)
         new_sid = lattice.by_set[sylow_subgroup(
-            ring.group, p, reverse, stab, lattice.subgroups[sid].elems)]
+            ring.group, p, stab, lattice.subgroups[sid].elems)]
         # the character phi -> Psi(phi restricted to K) of Hom(new, A)
         src_hg = ring.hom_group(sid)
         res = ring.hom_group(new_sid).pullback(src_hg.domain, src_hg)

@@ -1,5 +1,6 @@
 """Command line behavior: documents, schemas, caching, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -596,20 +597,54 @@ def test_cache_keys_distinct():
 
 def test_closed_stdout_exits_quietly():
     # the reader of stdout is gone before anything is written, as with
-    # `fbr basis ... | head`
+    # `fbr basis ... | head`; S5/2 species is a document of several
+    # write batches
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "fbr", "basis", "--group", "S3", "--fiber", "2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 1
-    assert proc.stderr == b""
+    for argv in (["basis", "--group", "S3", "--fiber", "2"],
+                 ["species", "--group", "S5", "--fiber", "2"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fbr", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+RING_VERBS = [["basis"], ["multiply", "3", "7"], ["species"], ["idempotents"],
+              ["spectrum", "--char", "2"], ["blocks"], ["weyl", "--perfect", "1"]]
+
+
+def test_documents_are_written_in_bounded_batches(tmp_path, monkeypatch):
+    # a document is never written as one string: at most 65,536
+    # characters a write, and no more writes than batches of that size
+    # and the final newline need
+    for verb in RING_VERBS:
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main([*verb, "--group", "S5", "--fiber", "2", "--cache-dir", str(tmp_path)])
+        text = out.getvalue()
+        assert code == 0
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert max(out.writes) <= 65536
+        assert len(out.writes) <= -(-len(text) // 65536) + 1
 
 
 def test_cache_from_cli(tmp_path, capsys):

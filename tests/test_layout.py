@@ -2,8 +2,8 @@
 the package imports only the standard library, has no floating point and
 does not import dataclasses, only perm.py reads the multiplication table,
 no module reads another object's private attributes, the names the
-benchmark's tracer wraps exist, and importing the CLI loads no process
-pool."""
+benchmark's tracer wraps exist, importing the CLI loads no process
+pool, and no module is larger than the AST budget."""
 
 import ast
 import importlib.util
@@ -16,6 +16,9 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "fbr"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+
+# ast.walk nodes the largest module may have; see test_largest_module_ast_budget
+AST_BUDGET = 4608
 
 
 def test_no_function_defined_in_two_modules():
@@ -122,10 +125,12 @@ def test_tracer_targets_exist():
         if not found:
             missing.append(target)
     assert missing == []
-    # the tracer reads reverse as args[3] of multiply_basis(self, i, j, reverse)
+    # the tracer counts a product as a structure constant miss unless a
+    # fourth argument (the reverse flag it was written for) is true;
+    # multiply_basis takes none, so every traced product is a miss
     from fbr.ring import FiberedBurnsideRing
     params = list(inspect.signature(FiberedBurnsideRing.multiply_basis).parameters)
-    assert params[3] == "reverse"
+    assert params == ["self", "i", "j"]
 
 
 def test_cli_import_loads_no_process_pool():
@@ -138,3 +143,18 @@ def test_cli_import_loads_no_process_pool():
          " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert loaded == "[]\n"
+
+
+def test_largest_module_ast_budget():
+    # Without a bytecode cache, importing fbr.cli reaches its peak RSS
+    # (VmHWM) while it compiles the largest module, perm.py.  Padding
+    # perm.py with 1,177 nodes raised the VmHWM of that import by 0.37 MB
+    # (20 alternating launches), the same padding in species.py by 0.04
+    # MB, and every fbr process pays it.  A change that needs more nodes
+    # re-measures that VmHWM and raises the budget with it.
+    sizes = {path.stem: sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+             for path in sorted(SRC.glob("*.py"))}
+    over = {stem: n for stem, n in sizes.items() if n > AST_BUDGET}
+    assert over == {}, (
+        f"over the budget of {AST_BUDGET} ast.walk nodes: {over}; the largest module "
+        "sets the VmHWM of `import fbr.cli` (+1,177 nodes in perm.py: +0.37 MB)")

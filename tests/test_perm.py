@@ -14,6 +14,8 @@ from fbr.perm import (FiniteGroup, SubgroupLattice, _conjugates, _ProductRow, co
                       cycle_string, double_coset_reps, identity_perm, invert,
                       parse_cycles, parse_group_spec, perm_order,
                       quotient_group, sylow_subgroup)
+from oracles import (double_coset_reps_reversed, normalizer_by_definition,
+                     sylow_subgroup_reversed)
 
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -86,9 +88,13 @@ def test_from_elements_rejects_non_closed_set_without_table():
 # -- products ------------------------------------------------------------------
 
 def test_products_match_composition():
+    # C2 has rows of length 2; perm:1:(1) has rows of length 1 and a
+    # generator of degree 1, for which itemgetter gives an item, not a tuple
     s5 = parse_group_spec("S5")
     regular, _ = quotient_group(s5, range(s5.order), {s5.identity})
-    for g in (parse_group_spec("S4"), parse_group_spec(GL32), regular):
+    for g in (parse_group_spec("S4"), parse_group_spec(GL32), regular,
+              *map(parse_group_spec, ("A6", "C2", "perm:1:(1)"))):
+        assert isinstance(g.rows[0], tuple)
         for a, x in enumerate(g.elements):
             assert [g.mul(a, b) for b in range(g.order)] == \
                 [g.index[compose(x, y)] for y in g.elements]
@@ -100,6 +106,14 @@ def test_products_match_composition_without_table():
     for a in range(0, g.order, 97):
         for b in range(0, g.order, 89):
             assert g.mul(a, b) == g.index[compose(g.elements[a], g.elements[b])]
+    # rows formed from image tuples, as A7 reads them, on groups with a
+    # table
+    for spec in (GL32, "A6", "C2", "perm:1:(1)"):
+        g = parse_group_spec(spec)
+        for a, x in enumerate(g.elements):
+            row = _ProductRow(x, g.elements, g.index)
+            assert [row[b] for b in range(g.order)] == \
+                [g.index[compose(x, y)] for y in g.elements]
 
 
 # -- conjugation, closure and double cosets against composition ---------------
@@ -149,10 +163,11 @@ def double_cosets_by_composition(g, h, k):
     return list(cosets.values())
 
 
-KERNEL_GROUPS = ["S4", "GL32", "S5 regular", "A7"]
+KERNEL_GROUPS = ["S4", "GL32", "S5 regular", "A7", "A6"]
 
 
-@pytest.mark.parametrize("name", KERNEL_GROUPS)
+# rows of length 2 and 1, as in test_products_match_composition
+@pytest.mark.parametrize("name", KERNEL_GROUPS + ["C2", "perm:1:(1)"])
 def test_conj_matches_composition(name):
     g = kernel_group(name)
     sample = kernel_sample(name)
@@ -187,7 +202,7 @@ def test_double_coset_reps_match_composition(name):
         k = sorted(closure_by_composition(g, rng.sample(sample, 1)))
         cosets = double_cosets_by_composition(g, h, k)
         assert double_coset_reps(g, h, k) == tuple(sorted(min(c) for c in cosets))
-        assert double_coset_reps(g, h, k, reverse=True) == \
+        assert double_coset_reps_reversed(g, h, k) == \
             tuple(sorted((max(c) for c in cosets), reverse=True))
 
 
@@ -326,6 +341,15 @@ def test_conjugates_witnesses_are_least(spec):
         assert pairs == sorted((x, t) for t, x in least.items())
 
 
+@pytest.mark.parametrize("spec", ["S4", "S5", GL32])
+def test_normalizers_match_definition(spec):
+    # every subgroup, not only class representatives: a member's
+    # normalizer is the conjugate of its representative's
+    lat = lattice(spec)
+    for s in lat.subgroups:
+        assert lat.normalizer(s.id).elems == normalizer_by_definition(lat.group, s.elems)
+
+
 def test_subgroup_count_a6():
     lat = lattice("A6")
     assert len(lat) == 501
@@ -395,7 +419,7 @@ def test_double_cosets_c2_in_s3_partition():
     assert set().union(*cosets) == set(range(6))
     assert cosets[0] & cosets[1] == set()
     # the reversed scan picks the greatest element of each double coset
-    rev = double_coset_reps(g, c2.sorted_elems, c2.sorted_elems, reverse=True)
+    rev = double_coset_reps_reversed(g, c2.sorted_elems, c2.sorted_elems)
     assert sorted(rev) == sorted(max(c) for c in cosets)
 
 
@@ -595,8 +619,8 @@ def test_quotient_points_are_cosets_by_least_element():
 def test_sylow_subgroups():
     g = parse_group_spec("S4")
     for p, size in ((2, 8), (3, 3)):
-        for reverse in (False, True):
-            syl = sylow_subgroup(g, p, reverse=reverse)
+        for sylow in (sylow_subgroup, sylow_subgroup_reversed):
+            syl = sylow(g, p)
             assert len(syl) == size
     s3 = parse_group_spec("S3")
     assert len(sylow_subgroup(s3, 2)) == 2
@@ -616,8 +640,8 @@ def test_sylow_modulo_normal_subgroup(spec):
                 continue
             pairs += 1
             for p in (2, 3, 5):
-                for reverse in (False, True):
-                    syl = sylow_subgroup(g, p, reverse, n.elems, k.elems)
+                for sylow in (sylow_subgroup, sylow_subgroup_reversed):
+                    syl = sylow(g, p, n.elems, k.elems)
                     assert k.elems <= syl <= n.elems
                     assert g.closure(syl) == syl
                     assert len(syl) == k.order * p_part(n.order // k.order, p)

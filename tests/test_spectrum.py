@@ -9,7 +9,7 @@ from fbr.abelian import character_order, character_p_parts
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import find_prime_ideal, prime_ideals
 from fbr.errors import InputError, TheoremViolationError
-from oracles import conj_values_map, index_of_map, values_map
+from oracles import conj_values_map, index_of_map, p_regularize_reversed, values_map
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 
@@ -65,7 +65,7 @@ def test_p_regularize_sylow_choice_irrelevant(ring_factory):
         for d in range(ring.rank):
             for p in (2, 3):
                 assert spc.p_regularize(ring, d, p) == \
-                    spc.p_regularize(ring, d, p, reverse=True)
+                    p_regularize_reversed(ring, d, p)
 
 
 def test_p_regularize_output_is_regular(ring_factory):
