@@ -346,9 +346,8 @@ class SubgroupLattice:
                 Subgroup(i, fs, selems, len(fs), _greedy_gens(group, selems))
             )
         self.by_set = _SubgroupIds((s.elems, s.id) for s in self.subgroups)
-        self._build_inclusion()
         self._build_classes()
-        self._mobius = {}
+        self._mobius_rows = {}
         self._derived = {}
         self._op_residual = {}
         self._dcosets = {}
@@ -379,21 +378,10 @@ class SubgroupLattice:
                 members.append(t)
             self.classes.append(SubgroupClass(cidx, s.id, tuple(sorted(members))))
 
-    def _build_inclusion(self):
-        subs = self.subgroups
-        self.subs_of = []
-        for h in subs:
-            self.subs_of.append(tuple(
-                k.id for k in subs if k.order <= h.order and k.elems <= h.elems
-            ))
-
     # -- basic queries -----------------------------------------------------
 
     def __len__(self):
         return len(self.subgroups)
-
-    def is_subgroup_of(self, kid, hid):
-        return self.subgroups[kid].elems <= self.subgroups[hid].elems
 
     def conj_subgroup_id(self, g, sid):
         return self.by_set[self.group.conj_set(g, self.subgroups[sid].sorted_elems)]
@@ -428,25 +416,34 @@ class SubgroupLattice:
 
     # -- Moebius function ----------------------------------------------------
 
+    def mobius_row(self, hid):
+        """{K: mu(K, H)} for every subgroup K of H, memoized per H.
+
+        Filled top-down when first read: a subgroup of H never has a
+        larger id, so one scan by decreasing id meets every L with
+        K < L <= H before K, and mu(K, H) is minus the sum of the
+        nonzero mu(L, H) over those L.  A subgroup lies in L when its
+        generators do."""
+        row = self._mobius_rows.get(hid)
+        if row is None:
+            h = self.subgroups[hid]
+            row = {hid: 1}
+            nonzero = [(h.elems, 1)]
+            for k in reversed(self.subgroups[:hid]):
+                if h.elems.issuperset(k.gens):
+                    mu = -sum(m for lelems, m in nonzero if lelems.issuperset(k.gens))
+                    row[k.id] = mu
+                    if mu:
+                        nonzero.append((k.elems, mu))
+            self._mobius_rows[hid] = row
+        return row
+
     def mobius(self, kid, hid):
         """Moebius value mu(K, H) of the subgroup poset interval [K, H]."""
-        if not self.is_subgroup_of(kid, hid):
+        row = self.mobius_row(hid)
+        if kid not in row:
             raise InputError("mobius requires K <= H")
-        key = (kid, hid)
-        val = self._mobius.get(key)
-        if val is not None:
-            return val
-        if kid == hid:
-            val = 1
-        else:
-            kelems = self.subgroups[kid].elems
-            total = 0
-            for lid in self.subs_of[hid]:
-                if lid != hid and kelems <= self.subgroups[lid].elems:
-                    total += self.mobius(kid, lid)
-            val = -total
-        self._mobius[key] = val
-        return val
+        return row[kid]
 
     # -- derived series and residuals ----------------------------------------
 

@@ -113,7 +113,7 @@ def _duals_below(ring):
         duals = dual_orbits(ring)
         out = []
         for c in lattice.classes:
-            below = {lattice.class_index[s] for s in lattice.subs_of[c.rep]}
+            below = {lattice.class_index[s] for s in lattice.mobius_row(c.rep)}
             out.append(tuple(d.index for d in duals if d.class_index in below))
         return tuple(out)
 
@@ -210,8 +210,7 @@ def _idempotent(ring, d):
     lattice = ring.lattice
     level = ring.level
     acc = {}
-    for kid in lattice.subs_of[hid]:
-        mu = lattice.mobius(kid, hid)
+    for kid, mu in lattice.mobius_row(hid).items():
         if mu == 0:
             continue
         kw = lattice.subgroups[kid].order * mu

@@ -21,7 +21,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import species as species_mod
-from .abelian import character_p_parts, character_order
+from .abelian import character_order, character_p_parts, character_power
 from .arith import is_prime
 from .cyclo import reduce_mod
 from .errors import (InputError, InvariantViolationError,
@@ -175,10 +175,10 @@ def p_equivalence_partition(ring, ideal):
     for d in range(n):
         r = p_regularize(ring, d, p)
         by_regular.setdefault(r, []).append(d)
-    classes = tuple(tuple(sorted(v)) for _, v in sorted(
-        by_regular.items(), key=lambda kv: min(kv[1])))
-    regular_reps = tuple(r for r, v in sorted(
-        by_regular.items(), key=lambda kv: min(kv[1])))
+    # filled in ascending d: each class is sorted, and the classes come
+    # in order of their least member
+    classes = tuple(map(tuple, by_regular.values()))
+    regular_reps = tuple(by_regular)
     by_row = {}
     for d in range(n):
         by_row.setdefault(reduced_species_row(ring, d, ideal), []).append(d)
@@ -205,7 +205,7 @@ def galois_orbit(ring, d):
     for t in range(1, n + 1):
         if gcd(t, n) != 1:
             continue
-        powered = tuple((v * t) % n for v in dual.values)
+        powered = character_power(dual.values, t, n)
         out.add(species_mod.canonicalize_dual(ring, dual.subgroup_id, powered))
     return tuple(sorted(out))
 
@@ -306,7 +306,7 @@ def weyl_ring(ring, perfect_id):
     j_elems = lattice.subgroups[perfect_id].elems
     quotient, onto = quotient_group(ring.group, n_elems, j_elems)
     sets = [{onto[x] for x in lattice.subgroups[sid].elems}
-            for sid in lattice.subs_of[nid]
+            for sid in lattice.mobius_row(nid)
             if j_elems <= lattice.subgroups[sid].elems]
     wring = FiberedBurnsideRing(quotient, ring.fiber, level=ring.level,
                                 lattice=SubgroupLattice(quotient, sets))

@@ -7,6 +7,7 @@ reversed scans run the package's scans backwards: double cosets and
 Sylow growth pick greatest elements, so products and regularizations
 can be checked not to depend on which representatives are picked.
 Normalizers are formed from their definition by composing image tuples.
+Moebius values come bottom-up, from the lower end of each interval.
 """
 
 from unittest import mock
@@ -107,3 +108,17 @@ def normalizer_by_definition(group, elems):
     return frozenset(
         g for g, e in enumerate(group.elements)
         if {perm.compose(perm.compose(e, x), perm.invert(e)) for x in s} == s)
+
+
+def mobius_bottom_up(lattice, kid, hid, memo):
+    """mu(K, H) by the recursion from the lower end: mu(K, K) = 1 and
+    mu(K, H) = -sum of mu(K, L) over K <= L < H, memoized per (K, H) in
+    memo.  Inclusion is tested on element sets."""
+    key = (kid, hid)
+    if key not in memo:
+        subs = lattice.subgroups
+        kelems, helems = subs[kid].elems, subs[hid].elems
+        memo[key] = 1 if kid == hid else -sum(
+            mobius_bottom_up(lattice, kid, lid, memo) for lid in range(kid, hid)
+            if kelems <= subs[lid].elems <= helems)
+    return memo[key]

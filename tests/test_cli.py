@@ -307,7 +307,7 @@ def test_cache_load_propagates_a_build_error(tmp_path, ring_factory, monkeypatch
     def broken(lattice):
         raise KeyError("a bug in the lattice")
 
-    monkeypatch.setattr(SubgroupLattice, "_build_inclusion", broken)
+    monkeypatch.setattr(SubgroupLattice, "_build_classes", broken)
     with pytest.raises(KeyError, match="a bug in the lattice"):
         cache.load_session(tmp_path, "S3", "2")
     assert "recomputing" not in capsys.readouterr().err

@@ -3,7 +3,8 @@ the package imports only the standard library, has no floating point and
 does not import dataclasses, only perm.py reads the multiplication table,
 no module reads another object's private attributes, the names the
 benchmark's tracer wraps exist, importing the CLI loads no process
-pool, and no module is larger than the AST budget."""
+pool, no module is larger than the AST budget, and the README's library
+example runs."""
 
 import ast
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "fbr"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+README = Path(__file__).parent.parent / "README.md"
 
 # ast.walk nodes the largest module may have; see test_largest_module_ast_budget
 AST_BUDGET = 4608
@@ -158,3 +160,12 @@ def test_largest_module_ast_budget():
     assert over == {}, (
         f"over the budget of {AST_BUDGET} ast.walk nodes: {over}; the largest module "
         "sets the VmHWM of `import fbr.cli` (+1,177 nodes in perm.py: +0.37 MB)")
+
+
+def test_readme_library_example_runs():
+    # the documented API cannot drift from the package
+    text = README.read_text()
+    start = text.index("```python\n", text.index("\n## Library\n")) + len("```python\n")
+    code = text[start:text.index("```", start)]
+    assert "build_ring" in code
+    exec(compile(code, "README.md", "exec"), {})

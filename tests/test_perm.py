@@ -14,8 +14,8 @@ from fbr.perm import (FiniteGroup, SubgroupLattice, _conjugates, _ProductRow, co
                       cycle_string, double_coset_reps, identity_perm, invert,
                       parse_cycles, parse_group_spec, perm_order,
                       quotient_group, sylow_subgroup)
-from oracles import (double_coset_reps_reversed, normalizer_by_definition,
-                     sylow_subgroup_reversed)
+from oracles import (double_coset_reps_reversed, mobius_bottom_up,
+                     normalizer_by_definition, sylow_subgroup_reversed)
 
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -557,17 +557,33 @@ def test_mobius_values():
 
 
 def test_mobius_sum_rule():
-    # sum over K <= L <= H of mu(K, L) vanishes for K < H
-    for spec in ("S3", "D4", "A4"):
+    # sum over K <= L <= H of mu(K, L) vanishes for K < H: the recursion
+    # dual to the one that fills a row, reading mu(K, L) from L's own row
+    for spec, every in (("S3", True), ("D4", True), ("A4", True), ("S4", True),
+                        ("A5", True), ("S5", False), (GL32, False)):
         lat = lattice(spec)
-        for hid in range(len(lat)):
-            for kid in lat.subs_of[hid]:
+        for hid in range(len(lat)) if every else [c.rep for c in lat.classes]:
+            for kid in lat.mobius_row(hid):
                 total = sum(
                     lat.mobius(kid, lid)
-                    for lid in lat.subs_of[hid]
+                    for lid in lat.mobius_row(hid)
                     if lat.subgroups[kid].elems <= lat.subgroups[lid].elems
                 )
                 assert total == (1 if kid == hid else 0)
+
+
+def test_mobius_row_matches_bottom_up_recursion():
+    # the top-down row of every class representative H holds exactly the
+    # subgroups of H, with the values of the bottom-up recursion
+    for spec in ("S4", "S5", GL32, "A6"):
+        lat = lattice(spec)
+        memo = {}
+        for cls in lat.classes:
+            helems = lat.subgroups[cls.rep].elems
+            row = lat.mobius_row(cls.rep)
+            assert sorted(row) == [k.id for k in lat.subgroups if k.elems <= helems]
+            for kid, mu in row.items():
+                assert mu == mobius_bottom_up(lat, kid, cls.rep, memo)
 
 
 # -- quotients and Sylow subgroups ----------------------------------------------

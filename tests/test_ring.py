@@ -112,7 +112,7 @@ def test_pullback_matches_value_map_composition(ring_factory, spec, fiber):
             assert hg.pullback(points, hg) == tuple(
                 index_of_map(hg, conj_values_map(group, values_map(hg, k), g))
                 for k in range(hg.size))
-        for kid in lattice.subs_of[cls.rep]:
+        for kid in lattice.mobius_row(cls.rep):
             kg = ring.hom_group(kid)
             assert hg.pullback(kg.domain, kg) == tuple(
                 index_of_map(kg, {x: values_map(hg, k)[x] for x in kg.domain})

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from fbr import burnside
+from fbr import burnside, cli
 from fbr import species as sp
 from fbr import spectrum as spc
 from fbr.acceptance import CATALOG_FIBERS, CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
-from fbr.ring import build_ring
+from fbr.perm import SubgroupLattice
+from fbr.ring import FiberedBurnsideRing, build_ring
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "c2_a2.json").read_text())
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -171,8 +172,7 @@ def classical_burnside_idempotent(ring, class_rep):
     lat = ring.lattice
     norm = lat.subgroups[lat.normalizer_ids[class_rep]].order
     acc = {}
-    for kid in lat.subs_of[class_rep]:
-        mu = lat.mobius(kid, class_rep)
+    for kid, mu in lat.mobius_row(class_rep).items():
         if mu == 0:
             continue
         weight = Fraction(lat.subgroups[kid].order * mu, norm)
@@ -331,7 +331,7 @@ def test_species_table_matches_dense_evaluation(ring_factory, spec, fiber):
     ring = ring_factory(spec, fiber)
     lattice = ring.lattice
     table = sp.species_table(ring)
-    below = [{lattice.class_index[s] for s in lattice.subs_of[c.rep]}
+    below = [{lattice.class_index[s] for s in lattice.mobius_row(c.rep)}
              for c in lattice.classes]
     for dual in sp.dual_orbits(ring):
         for b, orbit in enumerate(ring.basis.orbits):
@@ -339,6 +339,21 @@ def test_species_table_matches_dense_evaluation(ring_factory, spec, fiber):
             assert table[dual.index][b] == dense
             if dual.class_index not in below[orbit.class_index]:
                 assert dense.is_zero()
+
+
+def test_lattice_from_sets_and_basis_build_no_mobius_row():
+    ring = build_ring("S5", "2")
+    lattice = SubgroupLattice(ring.group, [s.elems for s in ring.lattice.subgroups])
+    warm = FiberedBurnsideRing(ring.group, ring.fiber, lattice=lattice)
+    cli.cmd_basis(None, warm, {})
+    assert lattice._mobius_rows == {}
+
+
+@pytest.mark.parametrize("spec,fiber", [("S5", "2"), (GL32, "1")])
+def test_species_table_builds_mobius_rows_at_class_reps_only(spec, fiber):
+    ring = build_ring(spec, fiber)
+    sp.species_table(ring)
+    assert set(ring.lattice._mobius_rows) == {c.rep for c in ring.lattice.classes}
 
 
 def test_species_table_double_cosets_only_below(monkeypatch):
@@ -351,7 +366,7 @@ def test_species_table_double_cosets_only_below(monkeypatch):
                         lambda h, k: calls.append((h, k)) or real(h, k))
     sp.species_table(ring)
     subconjugate = {(lattice.class_index[h], c.index)
-                    for c in lattice.classes for h in lattice.subs_of[c.rep]}
+                    for c in lattice.classes for h in lattice.mobius_row(c.rep)}
     assert calls
     assert all((lattice.class_index[h], lattice.class_index[k]) in subconjugate
                for h, k in calls)

@@ -194,7 +194,7 @@ def test_invariant_extension_congruence(ring_factory):
         checked = 0
         for kid in range(len(lat)):
             ksub = lat.subgroups[kid]
-            for hid in lat.subs_of[kid]:
+            for hid in lat.mobius_row(kid):
                 if hid == kid:
                     continue
                 hsub = lat.subgroups[hid]
