@@ -11,17 +11,22 @@ aligned text table; both are byte-stable for a fixed configuration and
 seed.
 Exit codes: 0 ok, 1 input error, 2 resource cap exceeded, 3 theorem or
 invariant violation (including failed verify-all criteria).
+A process executes only the modules its verb uses: acceptance, cache,
+species and spectrum are registered at import and executed on first
+use, so verify-all alone runs acceptance (and burnside), only a call
+with --cache-dir runs cache (and hashlib, which maps OpenSSL), and
+basis and multiply run neither species nor spectrum.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from itertools import chain, islice
 
-from . import acceptance, cache, species as sp, spectrum as spc
 from .cyclo import find_prime_ideal, render_cyclotomic
 from .errors import (FbrError, InputError, InvariantViolationError,
                      ResourceLimitError, TheoremViolationError)
@@ -29,6 +34,30 @@ from .perm import parse_group_spec
 from .ring import build_ring
 
 _WRITE_BATCH = 65536
+
+
+def _lazy(name):
+    """fbr.<name>, registered in sys.modules and on the package but
+    executed on its first attribute access (importlib.util.LazyLoader).
+    A module imported before is returned as it is: with a second copy in
+    sys.modules, pickle would refuse the first copy's functions, which
+    the verify-all pool sends to its workers."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+acceptance = _lazy("acceptance")
+cache = _lazy("cache")
+sp = _lazy("species")
+spc = _lazy("spectrum")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +102,7 @@ def _parser():
     p.add_argument("--group", default=None, help="restrict the catalog to one group")
     p.add_argument("--fiber", default=None, help="restrict the catalog to one fiber")
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.set_defaults(run=cmd_verify_all)
     return parser
 
@@ -247,7 +276,8 @@ def cmd_weyl(args, ring, doc):
 def cmd_verify_all(args):
     groups = [args.group] if args.group else None
     fibers = [args.fiber] if args.fiber else None
-    report = acceptance.run_all(groups=groups, fibers=fibers, seed=args.seed)
+    seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
+    report = acceptance.run_all(groups=groups, fibers=fibers, seed=seed)
     doc = {"command": "verify-all", "group": args.group, "fiber": args.fiber}
     doc.update(report)
     lines = []

@@ -302,12 +302,13 @@ def weyl_ring(ring, perfect_id):
     is built on their images and never enumerated."""
     lattice = ring.lattice
     nid = lattice.normalizer_ids[perfect_id]
-    n_elems = lattice.subgroups[nid].sorted_elems
+    n = lattice.subgroups[nid]
     j_elems = lattice.subgroups[perfect_id].elems
-    quotient, onto = quotient_group(ring.group, n_elems, j_elems)
-    sets = [{onto[x] for x in lattice.subgroups[sid].elems}
-            for sid in lattice.mobius_row(nid)
-            if j_elems <= lattice.subgroups[sid].elems]
+    quotient, onto = quotient_group(ring.group, n.sorted_elems, j_elems)
+    # the subgroups of N(J) by decreasing id, tested as mobius_row tests them
+    sets = [{onto[x] for x in s.elems}
+            for s in reversed(lattice.subgroups[:nid + 1])
+            if n.elems.issuperset(s.gens) and j_elems <= s.elems]
     wring = FiberedBurnsideRing(quotient, ring.fiber, level=ring.level,
                                 lattice=SubgroupLattice(quotient, sets))
     return wring, onto

@@ -4,10 +4,12 @@ One pass/fail line prints per criterion.  The session is shared across
 the module so each catalog ring builds once.
 """
 
+import importlib
 import json
 import multiprocessing
 import os
 import signal
+import sys
 import weakref
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
@@ -200,6 +202,24 @@ def time_limit():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def test_cli_imported_after_acceptance_keeps_its_module(monkeypatch, time_limit):
+    # fbr.cli registers acceptance and cache lazily; imported after them,
+    # it must reuse their module objects, or the pool could not pickle
+    # acceptance._run_task as the module's own function
+    import fbr
+    from fbr import cache
+    monkeypatch.delitem(sys.modules, "fbr.cli")
+    monkeypatch.delattr(fbr, "cli")
+    cli = importlib.import_module("fbr.cli")
+    assert cli.acceptance is sys.modules["fbr.acceptance"]
+    assert cli.acceptance is acceptance is fbr.acceptance
+    assert cli.cache is sys.modules["fbr.cache"] is cache is fbr.cache
+    two_cpus(monkeypatch)
+    report = acceptance.run_all(groups=("S3",), fibers=("2",), seed=1)
+    assert multiprocessing.active_children() == []
+    assert report["passed"] and [c["id"] for c in report["criteria"]] == list(range(1, 10))
 
 
 def test_pool_leaves_no_process_running(monkeypatch, time_limit):

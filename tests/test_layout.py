@@ -2,13 +2,16 @@
 the package imports only the standard library, has no floating point and
 does not import dataclasses, only perm.py reads the multiplication table,
 no module reads another object's private attributes, the names the
-benchmark's tracer wraps exist, importing the CLI loads no process
-pool, no module is larger than the AST budget, and the README's library
-example runs."""
+benchmark's tracer wraps exist and are wrapped in a CLI process,
+importing the CLI loads no process pool and executes none of
+acceptance, burnside, cache, species and spectrum, each verb executes
+only the modules it uses, no module is larger than the AST budget, and
+the README's library example runs."""
 
 import ast
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -135,16 +138,96 @@ def test_tracer_targets_exist():
     assert params == ["self", "i", "j"]
 
 
-def test_cli_import_loads_no_process_pool():
+def _python(code, *args):
+    """stdout of `python -c code args` with the package on the path and
+    no FBR_CACHE_DIR, so a verb uses the cache only when told to."""
+    env = {k: v for k, v in os.environ.items() if k != "FBR_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+# Runs `fbr <args>` in process (with no args, only parses `verify-all`),
+# then prints how far each module got: a module the CLI registers lazily
+# stays a LazyLoader module until its first attribute access, so its
+# type is read, not its attributes.
+LOADED = """
+import contextlib, io, json, sys, types
+import fbr.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fbr.cli.main(sys.argv[1:]) == 0
+else:
+    assert fbr.cli._parser().parse_args(["verify-all"]).seed is None
+names = ["fbr.acceptance", "fbr.burnside", "fbr.cache", "fbr.species",
+         "fbr.spectrum", "hashlib", "_hashlib"]
+print(json.dumps({n: "absent" if n not in sys.modules else
+                  "executed" if type(sys.modules[n]) is types.ModuleType else "lazy"
+                  for n in names}))
+"""
+
+
+def _loaded(*args):
+    return json.loads(_python(LOADED, *args))
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
     # verify-all imports its pool inside run_all: multiprocessing and
     # concurrent.futures would add ~20 ms to the start of every fbr process
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, fbr.cli; print(sorted(m for m in sys.modules"
-         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = _python("import sys, fbr.cli; print(sorted(m for m in sys.modules"
+                     " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     assert loaded == "[]\n"
+    # without a bytecode cache every executed module is compiled, and
+    # hashlib maps OpenSSL: each verb executes only what it uses
+    ring = ["--group", "S3", "--fiber", "2"]
+    assert _loaded() == {
+        "fbr.acceptance": "lazy", "fbr.burnside": "absent", "fbr.cache": "lazy",
+        "fbr.species": "lazy", "fbr.spectrum": "lazy",
+        "hashlib": "absent", "_hashlib": "absent"}
+    basis = _loaded("basis", *ring)
+    assert (basis["fbr.cache"], basis["hashlib"], basis["_hashlib"]) == (
+        "lazy", "absent", "absent")
+    cached = _loaded("basis", *ring, "--cache-dir", str(tmp_path))
+    assert (cached["fbr.cache"], cached["hashlib"]) == ("executed", "executed")
+    verify = _loaded("verify-all", "--group", "C2", "--fiber", "2")
+    assert verify["fbr.acceptance"] == verify["fbr.burnside"] == "executed"
+    assert (verify["fbr.cache"], verify["hashlib"], verify["_hashlib"]) == (
+        "lazy", "absent", "absent")
+    species = _loaded("species", *ring)
+    assert (species["fbr.species"], species["fbr.spectrum"]) == ("executed", "lazy")
+    assert species["fbr.acceptance"] == species["fbr.cache"] == "lazy"
+
+
+def test_tracer_wraps_the_lazily_loaded_modules():
+    # the tracer wraps the fbr modules in sys.modules when it is
+    # installed; the CLI's lazily registered ones are among them and
+    # are executed by the tracer's scan, so their spans are recorded
+    traced = _python(f"""
+import contextlib, importlib.util, io, json, sys
+import fbr.cli
+spec = importlib.util.spec_from_file_location("fbr_bench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tr = tracer.Tracer()
+tracer.install(tr)
+unwrapped = []
+for target in [t for ts in tracer.SPANS.values() for t in ts]:
+    modname, _, attr = target.partition(":")
+    if modname in ("acceptance", "cache", "species", "spectrum"):
+        owner = sys.modules["fbr." + modname]
+        cls_name, _, meth = attr.rpartition(".")
+        fn = vars(getattr(owner, cls_name))[meth] if cls_name else getattr(owner, attr)
+        if not hasattr(fn, "__wrapped__"):
+            unwrapped.append(target)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fbr.cli.main(["species", "--group", "S3", "--fiber", "2"])
+print(json.dumps([code, unwrapped, tr.calls["species.table"],
+                  fbr.cli.sp is sys.modules["fbr.species"]]))
+""")
+    code, unwrapped, table_calls, same = json.loads(traced)
+    assert (code, unwrapped, same) == (0, [], True)
+    assert table_calls >= 1
 
 
 def test_largest_module_ast_budget():

@@ -473,6 +473,22 @@ def test_weyl_iso_does_not_enumerate_subgroups(ring_factory, monkeypatch):
             spc.weyl_block_iso(ring, jid)
 
 
+def test_weyl_ring_reads_no_mobius_row_of_the_normalizer(ring_factory, monkeypatch):
+    # at J = 1 on S5/2, N(J) is the whole group: weyl_ring scans the
+    # subgroups of N(J) without building that group's Moebius row
+    ring = ring_factory("S5", "2")
+    lattice, jid = ring.lattice, ring.lattice.trivial_id()
+    nid = lattice.normalizer_ids[jid]
+    assert lattice.subgroups[nid].order == 120
+    rows = []
+    mobius_row = perm.SubgroupLattice.mobius_row
+    monkeypatch.setattr(perm.SubgroupLattice, "mobius_row", lambda self, hid: (
+        rows.append((self, hid)) or mobius_row(self, hid)))
+    wring, _ = spc.weyl_ring(ring, jid)
+    assert wring.group.order == 120 and len(wring.lattice.subgroups) == 156
+    assert (lattice, nid) not in rows
+
+
 def test_weyl_iso_rejects_non_perfect(ring_factory):
     ring = ring_factory("S3", "2")
     c2 = next(s.id for s in ring.lattice.subgroups if s.order == 2)
