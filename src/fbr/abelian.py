@@ -10,7 +10,7 @@ kept as tuples of root-of-unity exponents, one per homomorphism.
 from __future__ import annotations
 
 from itertools import product as iterproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import factorint, p_part
 from .errors import InputError, InvariantViolationError, ResourceLimitError
@@ -115,10 +115,31 @@ def parse_fiber_spec(spec):
 
 
 # ---------------------------------------------------------------------------
+# enumeration of finite abelian products
+
+
+def _multiples(x, m, add, zero):
+    """[0, x, 2x, ..., (m-1)x] in the group with this addition."""
+    out = [zero]
+    for _ in range(m - 1):
+        out.append(add(out[-1], x))
+    return out
+
+
+def _sums(factors, add, zero):
+    """Every sum with one term from each factor, in itertools.product
+    order: the first factor varies slowest."""
+    sums = [zero]
+    for terms in factors:
+        sums = [add(s, t) for s in sums for t in terms]
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # abelianization bases
 
 
-def _pgroup_basis(elems, mul, identity, p, order_of):
+def _pgroup_basis(elems, mul, identity, order_of):
     """Cyclic basis of a finite abelian p-group given by explicit data.
 
     Peels a maximal-order generator, recurses on the quotient by it, and
@@ -134,17 +155,13 @@ def _pgroup_basis(elems, mul, identity, p, order_of):
         if order_of(x) > order_of(g):
             g = x
     og = order_of(g)
-    powers = [identity]
-    cur = identity
-    for _ in range(og - 1):
-        cur = mul(cur, g)
-        powers.append(cur)
+    powers = _multiples(g, og, mul, identity)
     if og == len(elems):
         return [(g, og)]
     _, q_elems, q_mul, q_ident, q_order = coset_quotient(elems, powers, mul, identity)
     basis = [(g, og)]
     ginv = powers[-1] if og > 1 else identity
-    for xbar, m in _pgroup_basis(q_elems, q_mul, q_ident, p, q_order):
+    for xbar, m in _pgroup_basis(q_elems, q_mul, q_ident, q_order):
         x = xbar
         xm = identity
         for _ in range(m):
@@ -171,19 +188,19 @@ def abelianization_basis(group, subgroup, derived_elems):
     coset_key, q_elems, q_mul, ident, q_order = coset_quotient(
         subgroup.sorted_elems, derived_elems, group.mul, group.identity)
     n = len(q_elems)
-    per_prime = {}
-    for p in factorint(n):
+    per_prime = []
+    for p in sorted(factorint(n)):
         pk = p_part(n, p)
         comp = sorted(x for x in q_elems if pk % q_order(x) == 0)
-        per_prime[p] = _pgroup_basis(comp, q_mul, ident, p, q_order)
+        per_prime.append(sorted(_pgroup_basis(comp, q_mul, ident, q_order),
+                                key=lambda t: -t[1]))
     # combine p-primary bases into an ascending invariant-factor basis
-    depth = max((len(b) for b in per_prime.values()), default=0)
+    depth = max((len(b) for b in per_prime), default=0)
     combined = []
     for i in range(depth):
         elem = ident
         order = 1
-        for p in sorted(per_prime):
-            b = sorted(per_prime[p], key=lambda t: -t[1])
+        for b in per_prime:
             if i < len(b):
                 x, m = b[i]
                 elem = q_mul(elem, x)
@@ -191,18 +208,10 @@ def abelianization_basis(group, subgroup, derived_elems):
         combined.append((elem, order))
     combined.reverse()
 
-    coords_of_coset = {}
-    ranges = [range(m) for _, m in combined]
-    for exps in iterproduct(*ranges):
-        cur = ident
-        for (x, _), e in zip(combined, exps):
-            for _ in range(e):
-                cur = q_mul(cur, x)
-        if cur in coords_of_coset:
-            raise InvariantViolationError("abelianization basis is not independent")
-        coords_of_coset[cur] = exps
-    if len(coords_of_coset) != n:
-        raise InvariantViolationError("abelianization basis does not span")
+    cosets = _sums([_multiples(x, m, q_mul, ident) for x, m in combined], q_mul, ident)
+    coords_of_coset = dict(zip(cosets, iterproduct(*(range(m) for _, m in combined))))
+    if not len(cosets) == len(coords_of_coset) == n:
+        raise InvariantViolationError("abelianization basis is not a basis")
     coords = {x: coords_of_coset[coset_key[x]] for x in subgroup.sorted_elems}
     return combined, coords
 
@@ -218,64 +227,44 @@ class HomGroup:
     with the sorted elements of H; tables double as canonical keys.  The
     group is generated by one homomorphism per (abelianization basis
     element, cyclic component of the relevant torsion subgroup of A).
+    Homomorphism k has digits (k_t) in product order of the generator
+    orders, and is the sum of k_t times generator t.
     """
 
     def __init__(self, group, subgroup, derived_elems, fiber):
-        self.group = group
-        self.subgroup_id = subgroup.id
         self.domain = subgroup.sorted_elems
         self.pos = {e: i for i, e in enumerate(self.domain)}
         self.fiber = fiber
         basis, coords = abelianization_basis(group, subgroup, derived_elems)
-        self.basis = tuple(basis)
-        self.coords = coords
 
-        gen_data = []
-        for i, (_, m) in enumerate(basis):
-            for j, d in enumerate(fiber.invariant_factors):
-                g = gcd(m, d)
-                if g == 1:
-                    continue
-                unit = [0] * fiber.rank
-                unit[j] = d // g
-                gen_data.append((i, j, g, tuple(unit)))
-        self.gen_data = tuple(gen_data)
-        self.gen_orders = tuple(g for _, _, g, _ in gen_data)
+        # generator t sends basis element i of order m to d/g in factor j
+        # of order d, where g = gcd(m, d) is its order
+        gens = [(i, j, g) for i, (_, m) in enumerate(basis)
+                for j, d in enumerate(fiber.invariant_factors) if (g := gcd(m, d)) > 1]
+        self.gen_orders = tuple(g for _, _, g in gens)
+        self.size = prod(self.gen_orders)
+        if self.size > HOM_CAP:
+            raise ResourceLimitError(f"|Hom| = {self.size} exceeds cap {HOM_CAP}")
 
-        size = 1
-        for g in self.gen_orders:
-            size *= g
-        if size > HOM_CAP:
-            raise ResourceLimitError(f"|Hom| = {size} exceeds cap {HOM_CAP}")
+        def add(s, t):
+            return tuple(map(fiber.add, s, t))
 
-        tables = []
-        element_coords = []
-        for ks in iterproduct(*(range(g) for g in self.gen_orders)):
-            images = [fiber.zero() for _ in basis]
-            for (i, _, _, unit), k in zip(gen_data, ks):
-                images[i] = fiber.add(images[i], fiber.scale(k, unit))
-            table = []
-            for x in self.domain:
-                val = fiber.zero()
-                for i, e in enumerate(coords[x]):
-                    val = fiber.add(val, fiber.scale(e, images[i]))
-                table.append(val)
-            tables.append(tuple(table))
-            element_coords.append(ks)
-        self.tables = tuple(tables)
-        self.element_coords = tuple(element_coords)
+        zero = tuple(fiber.zero() for _ in self.domain)
+        multiples = []
+        for i, j, g in gens:
+            unit = [0] * fiber.rank
+            unit[j] = fiber.invariant_factors[j] // g
+            table = tuple(fiber.scale(coords[x][i], unit) for x in self.domain)
+            multiples.append(_multiples(table, g, add, zero))
+        self.tables = tuple(_sums(multiples, add, zero))
         self.index = {t: i for i, t in enumerate(self.tables)}
-        if len(self.index) != len(self.tables):
+        if len(self.index) != self.size:
             raise InvariantViolationError("duplicate homomorphisms enumerated")
-        self.size = len(self.tables)
-        self.exponent = lcm(*self.gen_orders) if self.gen_orders else 1
-        self.structure = normalize_invariant_factors(self.gen_orders)
-        # index of each generator homomorphism inside the element list
-        gen_indices = []
-        for slot in range(len(self.gen_orders)):
-            ks = tuple(1 if t == slot else 0 for t in range(len(self.gen_orders)))
-            gen_indices.append(self.element_coords.index(ks))
-        self.gen_indices = tuple(gen_indices)
+        self.exponent = lcm(*self.gen_orders)
+        # generator t is the homomorphism with digit 1 at t: its index is
+        # the product-order stride of digit t
+        self.gen_indices = tuple(prod(self.gen_orders[t + 1:])
+                                 for t in range(len(self.gen_orders)))
 
     def value(self, hom_index, elem):
         return self.tables[hom_index][self.pos[elem]]
@@ -307,21 +296,26 @@ class HomGroup:
 
 
 def dual_character_values(hom_group, level):
-    """All characters of a Hom group as exponent tuples at the given level."""
+    """All characters of a Hom group as exponent tuples at the given level.
+
+    The character with digits (c_t) takes sum c_t * k_t * level/g_t on
+    homomorphism k, whose digits are (k_t); characters come in product
+    order of their digits."""
     if level % hom_group.exponent != 0:
         raise InvariantViolationError(
             f"level {level} not divisible by Hom exponent {hom_group.exponent}"
         )
-    out = []
-    orders = hom_group.gen_orders
-    for cs in iterproduct(*(range(g) for g in orders)):
-        values = []
-        for ks in hom_group.element_coords:
-            e = 0
-            for c, k, g in zip(cs, ks, orders):
-                e += c * k * (level // g)
-            values.append(e % level)
-        out.append(tuple(values))
+
+    def add(s, t):
+        return tuple((a + b) % level for a, b in zip(s, t))
+
+    zero = (0,) * hom_group.size
+    multiples = []
+    for stride, g in zip(hom_group.gen_indices, hom_group.gen_orders):
+        # the exponent row of digit t: k_t * level/g on homomorphism k
+        row = tuple((k // stride) % g * (level // g) for k in range(hom_group.size))
+        multiples.append(_multiples(row, g, add, zero))
+    out = _sums(multiples, add, zero)
     if len(set(out)) != len(out):
         raise InvariantViolationError("characters are not pairwise distinct")
     return out

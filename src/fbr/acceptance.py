@@ -460,7 +460,8 @@ def run_all(groups=None, fibers=None, seed=DEFAULT_SEED):
 
     The tasks (one per group, criterion 3, and criterion 9's two runs)
     go to a pool of forked processes, one per CPU this process may use,
-    largest group first; with one CPU they run here.  The results are
+    the groups in reverse session order (for the catalog, largest
+    first); with one CPU they run here.  The results are
     merged in catalog order."""
     session = Session(groups=groups, fibers=fibers, seed=seed)
     groups, fibers = session.groups, session.fibers
@@ -475,17 +476,16 @@ def run_all(groups=None, fibers=None, seed=DEFAULT_SEED):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # the largest group a task builds; criterion 3's C2/2 and S3/2 last
-        order = {g: parse_group_spec(g).order for g in (*groups, *DETERMINISM_GROUPS)}
-        sizes = [order[g] for g in groups] + [0] + [max(
-            order[g] for g in DETERMINISM_GROUPS)] * 2
+        # the catalog lists groups by order: its largest first, then
+        # criterion 9's runs, then criterion 3's C2/2 and S3/2
+        n = len(groups)
+        submit = [*reversed(range(n)), n + 1, n + 2, n]
         # frozen, the heap the workers inherit is not walked (and so not
         # copied) by their garbage collections
         gc.freeze()
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            futures = {i: pool.submit(_run_task, tasks[i])
-                       for i in sorted(range(len(tasks)), key=lambda i: -sizes[i])}
+            futures = {i: pool.submit(_run_task, tasks[i]) for i in submit}
             results = [futures[i].result() for i in range(len(tasks))]
         finally:
             pool.shutdown(cancel_futures=True)

@@ -402,13 +402,6 @@ def _pm_add(a, b, p):
     return _pm_trim([(x + y) % p for x, y in zip(a, b)])
 
 
-def _pm_sub(a, b, p):
-    m = max(len(a), len(b))
-    a = list(a) + [0] * (m - len(a))
-    b = list(b) + [0] * (m - len(b))
-    return _pm_trim([(x - y) % p for x, y in zip(a, b)])
-
-
 class PrimeIdealData(NamedTuple):
     """Prime of Z[zeta_n] above p, named by an irreducible factor of the
     n-th cyclotomic polynomial mod p."""
@@ -456,7 +449,7 @@ def _equal_degree_split(f, d, p, rng):
         else:
             e = (p ** d - 1) // 2
             w = _pm_pow_mod(u, e, f, p)
-            g = _pm_gcd(_pm_sub(w, [1], p), f, p)
+            g = _pm_gcd(_pm_add(w, [p - 1], p), f, p)
         if 0 < len(g) - 1 < deg:
             q, r = _pm_divmod(f, g, p)
             if r:

@@ -8,8 +8,13 @@ Sylow growth pick greatest elements, so products and regularizations
 can be checked not to depend on which representatives are picked.
 Normalizers are formed from their definition by composing image tuples.
 Moebius values come bottom-up, from the lower end of each interval.
+The abelianization coordinates, the Hom tables and the characters of a
+Hom group are formed one element at a time, by repeated products and
+linear combinations over exponent tuples.
 """
 
+from itertools import product
+from math import gcd
 from unittest import mock
 
 from fbr import perm, spectrum
@@ -122,3 +127,66 @@ def mobius_bottom_up(lattice, kid, hid, memo):
             mobius_bottom_up(lattice, kid, lid, memo) for lid in range(kid, hid)
             if kelems <= subs[lid].elems <= helems)
     return memo[key]
+
+
+def abelianization_coords_by_powers(group, subgroup, derived_elems, basis):
+    """Exponent tuple of each element of H in a basis of H/[H,H], found
+    by multiplying out the basis powers of every exponent tuple."""
+    coset_key, _, q_mul, ident, _ = perm.coset_quotient(
+        subgroup.sorted_elems, derived_elems, group.mul, group.identity)
+    coords_of_coset = {}
+    for exps in product(*(range(m) for _, m in basis)):
+        cur = ident
+        for (x, _), e in zip(basis, exps):
+            for _ in range(e):
+                cur = q_mul(cur, x)
+        assert cur not in coords_of_coset, "basis is not independent"
+        coords_of_coset[cur] = exps
+    return {x: coords_of_coset[coset_key[x]] for x in subgroup.sorted_elems}
+
+
+def hom_tables_by_combination(basis, coords, domain, fiber):
+    """Hom(H, A) as (generator orders, value tables): one generator per
+    (basis element i of order m, fiber factor j of order d) with
+    g = gcd(m, d) > 1, sending basis element i to d/g in factor j; the
+    homomorphism with digits ks is the combination sum k_t * gen_t,
+    evaluated element by element over the coordinates, in product order
+    of the digits."""
+    gen_data = []
+    for i, (_, m) in enumerate(basis):
+        for j, d in enumerate(fiber.invariant_factors):
+            g = gcd(m, d)
+            if g > 1:
+                unit = [0] * fiber.rank
+                unit[j] = d // g
+                gen_data.append((i, g, tuple(unit)))
+    tables = []
+    for ks in product(*(range(g) for _, g, _ in gen_data)):
+        images = [fiber.zero() for _ in basis]
+        for (i, _, unit), k in zip(gen_data, ks):
+            images[i] = fiber.add(images[i], fiber.scale(k, unit))
+        table = []
+        for x in domain:
+            val = fiber.zero()
+            for i, e in enumerate(coords[x]):
+                val = fiber.add(val, fiber.scale(e, images[i]))
+            table.append(val)
+        tables.append(tuple(table))
+    return tuple(g for _, g, _ in gen_data), tables
+
+
+def characters_by_digits(gen_orders, level):
+    """Every character of a Hom group with these generator orders, as
+    exponent tuples at the level: the character with digits cs takes
+    sum c_t * k_t * level/g_t on the homomorphism with digits ks."""
+    digits = list(product(*(range(g) for g in gen_orders)))
+    out = []
+    for cs in digits:
+        values = []
+        for ks in digits:
+            e = 0
+            for c, k, g in zip(cs, ks, gen_orders):
+                e += c * k * (level // g)
+            values.append(e % level)
+        out.append(tuple(values))
+    return out

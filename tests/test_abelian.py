@@ -1,12 +1,13 @@
 """Fiber groups, Hom enumeration with value tables, characters."""
 
+import functools
 import itertools
 from math import lcm
 
 import pytest
 
-from fbr.abelian import (FiniteAbelianGroup, HomGroup, character_order,
-                         character_p_parts, character_power,
+from fbr.abelian import (FiniteAbelianGroup, HomGroup, abelianization_basis,
+                         character_order, character_p_parts, character_power,
                          dual_character_values, normalize_invariant_factors,
                          parse_fiber_spec)
 from fbr.acceptance import CATALOG_GROUPS
@@ -14,7 +15,8 @@ from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
 from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import natural_level
-from oracles import conj_values_map, values_map
+from oracles import (abelianization_coords_by_powers, characters_by_digits,
+                     conj_values_map, hom_tables_by_combination, values_map)
 
 
 def hom_group_of(lat, sid, fiber):
@@ -77,7 +79,7 @@ def torsion_via_hom(n, fiber):
 def test_tor_trivial():
     a = parse_fiber_spec("2x4")
     hg, values = torsion_via_hom(1, a)
-    assert hg.size == 1 and hg.structure == ()
+    assert hg.size == 1 and normalize_invariant_factors(hg.gen_orders) == ()
     assert values == [a.zero()]
     assert natural_level(parse_group_spec("C1"), a) == 1
 
@@ -86,7 +88,7 @@ def test_tor_c4_at_6():
     # elements of C4 killed by 6 are 0 and 2
     a = FiniteAbelianGroup((4,))
     hg, values = torsion_via_hom(6, a)
-    assert hg.structure == (2,)
+    assert normalize_invariant_factors(hg.gen_orders) == (2,)
     assert values == [(0,), (2,)]
     assert values == killed_by_exponent(parse_group_spec("C6"), a)
     assert natural_level(parse_group_spec("C6"), a) == 2
@@ -95,7 +97,7 @@ def test_tor_c4_at_6():
 def test_tor_c2xc4_at_2():
     a = FiniteAbelianGroup((2, 4))
     hg, values = torsion_via_hom(2, a)
-    assert hg.structure == (2, 2)
+    assert normalize_invariant_factors(hg.gen_orders) == (2, 2)
     # oracle: direct scan of all 8 elements
     expected = sorted(e for e in a.elements()
                       if all(2 * x % d == 0 for x, d in zip(e, a.invariant_factors)))
@@ -180,13 +182,15 @@ def test_hom_counts_match_both_oracles(gspec, fspec):
     from math import gcd
     for cls in lat.classes:
         hg = hom_group_of(lat, cls.rep, fiber)
+        sub = lat.subgroups[cls.rep]
+        derived = lat.subgroups[lat.derived_id(cls.rep)].elems
+        basis = abelianization_basis(lat.group, sub, derived)[0]
         # gcd product formula over the abelianization invariants
         expected = 1
-        for _, m in hg.basis:
+        for _, m in basis:
             for d in fiber.invariant_factors:
                 expected *= gcd(m, d)
         assert hg.size == expected
-        sub = lat.subgroups[cls.rep]
         assert hg.size == brute_force_hom_count(lat.group, sub, fiber)
 
 
@@ -212,6 +216,36 @@ def test_index_of_refuses_a_non_homomorphism():
     with pytest.raises(InvariantViolationError):
         hg.index_of(sign[:odd] + ((0,),) + sign[odd + 1:])
 
+
+
+@functools.cache
+def catalog_lattice(gspec):
+    return SubgroupLattice(parse_group_spec(gspec))
+
+
+@pytest.mark.parametrize("fspec", ["1", "2", "6", "2x2", "2x4", "3x3", "4x4"])
+@pytest.mark.parametrize("gspec", [*CATALOG_GROUPS, "perm:8:(1 2 3 4);(5 6 7 8)",
+                                   "perm:6:(1 2 3);(4 5 6)"])
+def test_enumeration_matches_oracles(gspec, fspec):
+    # coordinates, tables and characters against their one-element-at-a-
+    # time references at every class representative
+    lat = catalog_lattice(gspec)
+    fiber = parse_fiber_spec(fspec)
+    level = natural_level(lat.group, fiber)
+    for cls in lat.classes:
+        sub = lat.subgroups[cls.rep]
+        derived = lat.subgroups[lat.derived_id(cls.rep)].elems
+        basis, coords = abelianization_basis(lat.group, sub, derived)
+        assert coords == abelianization_coords_by_powers(lat.group, sub, derived, basis)
+        hg = HomGroup(lat.group, sub, derived, fiber)
+        gen_orders, tables = hom_tables_by_combination(basis, coords, hg.domain, fiber)
+        assert hg.gen_orders == gen_orders
+        assert list(hg.tables) == tables
+        digits = list(itertools.product(*(range(g) for g in gen_orders)))
+        for t, gi in enumerate(hg.gen_indices):
+            assert digits[gi] == tuple(int(s == t) for s in range(len(gen_orders)))
+        assert hg.trivial_index() == 0
+        assert dual_character_values(hg, level) == characters_by_digits(gen_orders, level)
 
 # -- conjugation and restriction -----------------------------------------------------
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -179,7 +180,7 @@ TABLES = json.loads((Path(__file__).parent / "golden" / "tables.json").read_text
 
 @pytest.mark.parametrize("argv", sorted(TABLES["tables"]))
 def test_table_format_golden(capsys, argv):
-    code, out = run(capsys, *argv.split())
+    code, out = run(capsys, *shlex.split(argv))
     assert code == 0
     assert out.splitlines() == TABLES["tables"][argv]
 
