@@ -21,15 +21,26 @@ one rebuilt on that lattice, catches it.  Any other mismatch or
 corruption makes the caller recompute, with a notice on stderr.  The
 basis does not depend on the level, so a loaded ring is at the
 natural level.
+Both digests are SHA-256 from CPython's built-in module (_sha2 on 3.12+,
+_sha256 before), not hashlib, whose import maps OpenSSL's libcrypto
+(about 3.5 MB of peak RSS); hashlib is the fallback on a build without
+built-in hashes.  The hex digests are the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .abelian import parse_fiber_spec
 from .errors import InvariantViolationError
@@ -47,13 +58,13 @@ def session_key(group_spec, fiber_spec):
         {"group": group_spec.strip(), "fiber": list(fiber.invariant_factors)},
         sort_keys=True,
     )
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def _payload_checksum(payload):
     body = {k: v for k, v in payload.items() if k != "checksum"}
     canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def ring_payload(ring, group_spec, fiber_spec):

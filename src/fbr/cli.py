@@ -14,8 +14,9 @@ invariant violation (including failed verify-all criteria).
 A process executes only the modules its verb uses: acceptance, cache,
 species and spectrum are registered at import and executed on first
 use, so verify-all alone runs acceptance (and burnside), only a call
-with --cache-dir runs cache (and hashlib, which maps OpenSSL), and
-basis and multiply run neither species nor spectrum.
+with --cache-dir runs cache (which digests with CPython's built-in
+SHA-256, so no verb loads hashlib and OpenSSL), and basis and multiply
+run neither species nor spectrum.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Command line behavior: documents, schemas, caching, exit codes."""
 
+import hashlib
 import io
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +14,10 @@ import pytest
 
 from fbr import abelian, cache
 from fbr.abelian import parse_fiber_spec
+from fbr.acceptance import CATALOG_FIBERS, CATALOG_GROUPS
 from fbr.cli import main
 from fbr.perm import SubgroupLattice, parse_group_spec
-from fbr.ring import FiberedBurnsideRing
+from fbr.ring import FiberedBurnsideRing, build_ring
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
 
@@ -27,6 +30,13 @@ except ImportError:
 
 needs_jsonschema = pytest.mark.skipif(not HAVE_JSONSCHEMA,
                                       reason="jsonschema not installed")
+
+
+def package_env():
+    """The environment with the package's source first on PYTHONPATH."""
+    src = str(Path(__file__).parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -596,13 +606,133 @@ def test_cache_keys_distinct():
     assert cache.session_key("S3", "A=2") == cache.session_key("S3", "2")
 
 
+# the catalog's groups and fibers and GL(3,2), the benchmark's second ring
+GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
+DIGEST_SPECS = [(g, f) for g in (*CATALOG_GROUPS, GL32) for f in CATALOG_FIBERS]
+
+
+def test_cache_digests_are_hashlib_sha256(ring_factory):
+    # the built-in SHA-256 gives hashlib's hex of the same canonical
+    # text, so the file names and entries of format 5 are unchanged
+    for group_spec, fiber_spec in DIGEST_SPECS:
+        canon = json.dumps({"group": group_spec, "fiber": list(
+            parse_fiber_spec(fiber_spec).invariant_factors)}, sort_keys=True)
+        assert cache.session_key(group_spec, fiber_spec) == \
+            hashlib.sha256(canon.encode()).hexdigest()
+    for group_spec in (*CATALOG_GROUPS, GL32):
+        payload = cache.ring_payload(ring_factory(group_spec, "2"), group_spec, "2")
+        body = {k: v for k, v in payload.items() if k != "checksum"}
+        canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert payload["checksum"] == cache._payload_checksum(payload) == \
+            hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_cache_entry_with_hashlib_digests_loads(tmp_path, ring_factory, capsys):
+    # an entry of format 5 whose key and checksum hashlib computed, as
+    # written before the cache used the built-in SHA-256
+    ring = ring_factory("S4", "2")
+    payload = {"format_version": 5,
+               "subgroups": [list(s.sorted_elems) for s in ring.lattice.subgroups],
+               "basis": [[o.subgroup_id, o.hom_index] for o in ring.basis.orbits]}
+    payload["digest"] = hashlib.sha256(
+        b'{"fiber": [2], "group": "S4"}').hexdigest()
+    payload["checksum"] = hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    text = json.dumps(payload, sort_keys=True)
+    path = tmp_path / f"{payload['digest']}.json"
+    path.write_text(text)
+    args = ["blocks", "--group", "S4", "--fiber", "2"]
+    assert main(args) == 0
+    cold = capsys.readouterr()
+    assert main([*args, "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr() == (cold.out, "")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    # what the cache writes for the same ring is byte for byte that entry
+    path.unlink()
+    assert cache.save_session(tmp_path, ring, "S4", "2").read_text() == text
+
+
+def test_cache_digests_without_builtin_sha256_fall_back_to_hashlib():
+    # a build without CPython's built-in hashes digests through hashlib
+    code = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from fbr import cache
+from fbr.ring import build_ring
+import hashlib
+ring = build_ring("S3", "2")
+print(json.dumps([cache.sha256 is hashlib.sha256,
+                  [cache.session_key(g, f) for g, f in json.loads(sys.argv[1])],
+                  cache.ring_payload(ring, "S3", "2")["checksum"]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(DIGEST_SPECS)],
+                          env=package_env(), capture_output=True, text=True, check=True)
+    fallback, keys, checksum = json.loads(proc.stdout)
+    assert fallback
+    assert keys == [cache.session_key(g, f) for g, f in DIGEST_SPECS]
+    assert checksum == cache.ring_payload(build_ring("S3", "2"), "S3", "2")["checksum"]
+
+
+# Standard library only, so any CPython >= 3.10 runs it: two cached
+# `basis --group S3 --fiber 2` calls (the second a hit) that never load
+# hashlib, then the key against hashlib's digest; prints the module of
+# the SHA-256 in use.
+CROSS_VERSION_SNIPPET = """
+import contextlib, io, os, sys
+from fbr import cache
+from fbr.cli import main
+argv = ["basis", "--group", "S3", "--fiber", "2", "--cache-dir", sys.argv[1]]
+outs = []
+for _ in range(2):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    assert err.getvalue() == "", err.getvalue()
+    outs.append(out.getvalue())
+assert outs[0] == outs[1] and len(os.listdir(sys.argv[1])) == 1
+assert "_hashlib" not in sys.modules and "hashlib" not in sys.modules
+import hashlib
+canon = b'{"fiber": [2], "group": "S3"}'
+assert cache.session_key("S3", "2") == hashlib.sha256(canon).hexdigest()
+print(type(cache.sha256(b"")).__module__)
+"""
+
+
+def other_cpythons():
+    """{minor: path} of each CPython 3.<minor> >= 3.10 other than this
+    one whose `python3.<minor>` on PATH starts (a version manager's
+    shim may be on PATH for a version it does not select)."""
+    found = {}
+    for minor in range(10, 30):
+        path = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or path is None:
+            continue
+        probe = subprocess.run(
+            [path, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:2])"],
+            capture_output=True, text=True)
+        if probe.returncode == 0 and probe.stdout.split() == ["cpython", "3", str(minor)]:
+            found[minor] = path
+    return found
+
+
+def test_cache_on_other_cpythons(tmp_path):
+    pythons = other_cpythons()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 on PATH")
+    for minor, path in pythons.items():
+        # -S: no site hook may import hashlib before the snippet looks
+        proc = subprocess.run(
+            [path, "-S", "-c", CROSS_VERSION_SNIPPET, str(tmp_path / str(minor))],
+            env=package_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, (path, proc.stderr)
+        assert proc.stdout.strip() == ("_sha2" if minor >= 12 else "_sha256")
+
+
 def test_closed_stdout_exits_quietly():
     # the reader of stdout is gone before anything is written, as with
     # `fbr basis ... | head`; S5/2 species is a document of several
     # write batches
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = package_env()
     for argv in (["basis", "--group", "S3", "--fiber", "2"],
                  ["species", "--group", "S5", "--fiber", "2"]):
         read_end, write_end = os.pipe()

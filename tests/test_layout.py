@@ -5,8 +5,8 @@ no module reads another object's private attributes, the names the
 benchmark's tracer wraps exist and are wrapped in a CLI process,
 importing the CLI loads no process pool and executes none of
 acceptance, burnside, cache, species and spectrum, each verb executes
-only the modules it uses, no module is larger than the AST budget, and
-the README's library example runs."""
+only the modules it uses and none loads hashlib, no module is larger
+than the AST budget, and the README's library example runs."""
 
 import ast
 import importlib.util
@@ -35,6 +35,11 @@ def test_no_function_defined_in_two_modules():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
+# CPython's built-in SHA-256, which each version lists under its own name
+# only: _sha2 on 3.12+, _sha256 on 3.10 and 3.11 (fbr/cache.py tries both)
+BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
 def non_stdlib_imports(source):
     """Absolute imports of a module source outside the standard library."""
     found = []
@@ -45,7 +50,8 @@ def non_stdlib_imports(source):
             names = [node.module]
         else:
             continue
-        found += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+        found += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names
+                  and n not in BUILTIN_SHA256]
     return found
 
 
@@ -58,6 +64,9 @@ def test_imports_only_the_standard_library():
     source = (SRC / "ring.py").read_text()
     assert non_stdlib_imports(source + "\nimport numpy\n") == ["numpy"]
     assert non_stdlib_imports(source + "\nfrom numpy import linalg\n") == ["numpy"]
+    # only the two names of the built-in SHA-256 are let through
+    assert non_stdlib_imports(source + "\nfrom _sha9 import sha256\n") == ["_sha9"]
+    assert non_stdlib_imports(source + "\nimport _sha2, _sha256\n") == []
 
 
 def test_no_float_literal_or_name():
@@ -179,7 +188,8 @@ def test_cli_import_loads_no_process_pool(tmp_path):
                      " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     assert loaded == "[]\n"
     # without a bytecode cache every executed module is compiled, and
-    # hashlib maps OpenSSL: each verb executes only what it uses
+    # hashlib maps OpenSSL: each verb executes only what it uses, and the
+    # cache digests with the built-in SHA-256, so no verb loads hashlib
     ring = ["--group", "S3", "--fiber", "2"]
     assert _loaded() == {
         "fbr.acceptance": "lazy", "fbr.burnside": "absent", "fbr.cache": "lazy",
@@ -189,7 +199,8 @@ def test_cli_import_loads_no_process_pool(tmp_path):
     assert (basis["fbr.cache"], basis["hashlib"], basis["_hashlib"]) == (
         "lazy", "absent", "absent")
     cached = _loaded("basis", *ring, "--cache-dir", str(tmp_path))
-    assert (cached["fbr.cache"], cached["hashlib"]) == ("executed", "executed")
+    assert (cached["fbr.cache"], cached["hashlib"], cached["_hashlib"]) == (
+        "executed", "absent", "absent")
     verify = _loaded("verify-all", "--group", "C2", "--fiber", "2")
     assert verify["fbr.acceptance"] == verify["fbr.burnside"] == "executed"
     assert (verify["fbr.cache"], verify["hashlib"], verify["_hashlib"]) == (
