@@ -4,9 +4,10 @@ Primes of the ring are represented combinatorially: a dual pair orbit
 together with a prime ideal of the cyclotomic integers above some p
 (cyclo.PrimeIdealData, which carries p), or None for characteristic
 zero.  Two dual pairs name the same prime exactly when the species rows
-agree modulo the ideal, which the partition operations compute both by
-the p-regularization climb and by the exhaustive finite-field
-congruence oracle.
+agree modulo the ideal.  The partition operations find the classes
+both by the p-perfect pair (J, Psi), J = O^p(J), of each dual orbit,
+formed without search, and by the exhaustive finite-field congruence
+oracle.
 
 Blocks are indexed by conjugacy classes of perfect subgroups: the block
 idempotent at J sums the primitive idempotents of the dual pairs whose
@@ -22,11 +23,10 @@ from typing import NamedTuple
 
 from . import species as species_mod
 from .abelian import character_order, character_p_parts, character_power
-from .arith import is_prime
 from .cyclo import reduce_mod
 from .errors import (InputError, InvariantViolationError,
                      TheoremViolationError)
-from .perm import SubgroupLattice, quotient_group, sylow_subgroup
+from .perm import SubgroupLattice, quotient_group
 from .ring import FiberedBurnsideRing
 
 
@@ -48,42 +48,7 @@ class WeylBlockIso(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# p-regularity and p-regularization
-
-
-def _normalizer_walk(ring, rep):
-    """N(H) for a class representative H, as a walk from the identity
-    over the generators: its elements, and for each element after the
-    identity, the position of the element it was reached from and the
-    generator it was multiplied by on the right."""
-    group = ring.group
-    gens = ring.lattice.normalizer(rep).gens
-    elems = [group.identity]
-    position = {group.identity: 0}
-    steps = []
-    for i, x in enumerate(elems):  # elems grows during the loop
-        for g in gens:
-            xg = group.mul(x, g)
-            if xg not in position:
-                position[xg] = len(elems)
-                elems.append(xg)
-                steps.append((i, g))
-    return elems, steps
-
-
-def _dual_pair_stabilizer(ring, rep, values):
-    """Elements of N(H) fixing the character, in increasing order, for H
-    a class representative; the stabilizer N(H, Phi).
-
-    n fixes Phi when Phi o sigma_n = Phi, and along the walk
-    Phi o sigma_(xg) = (Phi o sigma_x) o sigma_g, so only the generators'
-    permutations are needed."""
-    elems, steps = ring.memo(("normalizer walk", rep), lambda: _normalizer_walk(ring, rep))
-    action = ring.hom_action(rep)
-    moved = [values]
-    for i, g in steps:
-        moved.append(tuple(map(moved[i].__getitem__, action[g])))
-    return sorted(n for n, v in zip(elems, moved) if v == values)
+# p-regularity and p-perfect pairs
 
 
 def is_p_regular(ring, d, p):
@@ -95,38 +60,83 @@ def is_p_regular(ring, d, p):
     return o % p != 0 and index % p != 0
 
 
-def p_regularize(ring, d, p):
-    """Canonical dual orbit of a p-regularization of the given orbit.
+def p_perfect_pair(ring, d, p):
+    """Canonical dual orbit of the p-perfect pair (J, Psi), J = O^p(J),
+    that names the P-class of the dual orbit (H, Phi) for P above p.
 
-    Strips the p-part of the character, then repeatedly moves (K, Psi)
-    to its class representative and climbs to the preimage of a Sylow
-    p-subgroup of N(K, Psi)/K, composing with restriction, until the
-    pair is p-regular.  The preimage is grown in the ambient group
-    (perm.sylow_subgroup with N = N(K, Psi)), without building the
-    quotient.  The subgroup strictly grows, so the climb
-    terminates; the resulting conjugacy class does not depend on the
-    Sylow choices.
+    J = O^p(H), and Psi(psi) = Phi_p'(phi), Phi_p' the p'-part of Phi,
+    for any phi in Hom(H, A) restricting to e(psi) = |O|^-1 sum_(x in O) x,
+    O the orbit of psi under conjugation by H.  Psi is well defined: J
+    is generated by p'-elements, so it has no p-quotient and
+    M = Hom(J, A) is a p'-group, on which H acts through the p-group
+    H/J; by coprime action M = M^H + [M, H], with e the projection onto
+    M^H.  Restriction maps Hom(H, A) onto M^H (the cokernel lies in the
+    p-group H^2(H/J, A) and is a quotient of the p'-group M^H), with
+    kernel the p-group Hom(H/J, A), on which Phi_p' is trivial.  So Psi
+    is the one H-fixed character of M with Psi o res = Phi_p'.  It is
+    congruent to (H, Phi) modulo P: Phi = Phi_p' modulo P, and H permutes
+    the cosets gK with J <= ^gK, over which the species of (J, Psi) at
+    [K, phi] sums, keeping each term; orbits of size p^a > 1 add 0
+    modulo P, and the fixed cosets, H <= ^gK, give the species of
+    (H, Phi_p').  At A = 1 this is Dress, "A characterisation of
+    solvable groups" (Math. Z. 110, 1969); p_equivalence_partition
+    checks the classes against the congruence oracle.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
     dual = species_mod.dual_orbits(ring)[d]
-    sid = dual.subgroup_id
+    jid, lift = ring.memo(("p-perfect lift", dual.subgroup_id, p),
+                          lambda: _p_perfect_lift(ring, dual.subgroup_id, p))
     _, values = character_p_parts(dual.values, p, ring.level)
-    lattice = ring.lattice
-    while True:
-        if lattice.class_rep(sid) != sid:
-            sid, values = species_mod.conjugate_character(
-                ring, sid, values, lattice.to_rep[sid])
-        stab = _dual_pair_stabilizer(ring, sid, values)
-        k_order = lattice.subgroups[sid].order
-        if (len(stab) // k_order) % p != 0:
-            return species_mod.canonicalize_dual(ring, sid, values)
-        new_sid = lattice.by_set[sylow_subgroup(
-            ring.group, p, stab, lattice.subgroups[sid].elems)]
-        # the character phi -> Psi(phi restricted to K) of Hom(new, A)
-        src_hg = ring.hom_group(sid)
-        res = ring.hom_group(new_sid).pullback(src_hg.domain, src_hg)
-        sid, values = new_sid, tuple(values[k] for k in res)
+    return species_mod.canonicalize_dual(ring, jid, tuple(values[k] for k in lift))
+
+
+def _p_perfect_lift(ring, hid, p):
+    """J = O^p(H) for a class representative H, and for each psi in
+    Hom(J, A), by index, a phi in Hom(H, A) restricting to e(psi)."""
+    group = ring.group
+    jid = ring.lattice.o_p_residual_id(hid, p)
+    hg = ring.hom_group(jid)
+    preimage = {r: k for k, r in enumerate(ring.hom_group(hid).pullback(hg.domain, hg))}
+    # psi -> ^h psi for each generator h of H (J is normal in H)
+    moves = [hg.pullback([group.conj(group.inverse[h], y) for y in hg.domain], hg)
+             for h in ring.lattice.subgroups[hid].gens]
+    lift = []
+    for k in range(hg.size):
+        orbit = [k]
+        for x in orbit:  # orbit grows during the loop
+            orbit.extend({move[x] for move in moves}.difference(orbit))
+        # e(psi) = |O|^-1 * (sum of O), digit by digit (HomGroup's indices)
+        c = pow(len(orbit), -1, hg.exponent)
+        mean = sum(c * sum(x // stride % g for x in orbit) % g * stride
+                   for stride, g in zip(hg.gen_indices, hg.gen_orders))
+        if mean not in preimage:
+            raise TheoremViolationError("restriction to O^p(H) misses an H-fixed point")
+        lift.append(preimage[mean])
+    return jid, tuple(lift)
+
+
+def _p_classes(ring, p):
+    """The dual orbits grouped by p-perfect pair in ascending d: sorted
+    classes, in order of their least members."""
+    def build():
+        by_pair = {}
+        for d in range(ring.rank):
+            by_pair.setdefault(p_perfect_pair(ring, d, p), []).append(d)
+        return tuple(map(tuple, by_pair.values()))
+
+    return ring.memo(("p-classes", p), build)
+
+
+def _regular_member(ring, cls, p):
+    regs = [d for d in cls if is_p_regular(ring, d, p)]
+    if len(regs) != 1:
+        raise TheoremViolationError("a P-class does not contain exactly one regular orbit")
+    return regs[0]
+
+
+def p_regularize(ring, d, p):
+    """The p-regular member of the P-class of a dual orbit, the class
+    read from its p-perfect pair."""
+    return _regular_member(ring, next(c for c in _p_classes(ring, p) if d in c), p)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +167,9 @@ def p_equivalence_partition(ring, ideal):
     prime ideal P above p = ideal.p, or at characteristic 0 when ideal
     is None.
 
-    Primary path: group by the conjugacy class of the p-regularization.
-    The exhaustive finite-field oracle must reproduce the same
-    partition; any discrepancy raises.
+    Primary path: group by p_perfect_pair.  The exhaustive finite-field
+    oracle must reproduce the same partition, and each class must hold
+    one p-regular orbit, its representative; any discrepancy raises.
     """
     n = ring.rank
     if ideal is None:
@@ -171,29 +181,14 @@ def p_equivalence_partition(ring, ideal):
             )
         return EquivalencePartition(classes, None)
     p = ideal.p
-    by_regular = {}
-    for d in range(n):
-        r = p_regularize(ring, d, p)
-        by_regular.setdefault(r, []).append(d)
-    # filled in ascending d: each class is sorted, and the classes come
-    # in order of their least member
-    classes = tuple(map(tuple, by_regular.values()))
-    regular_reps = tuple(by_regular)
+    classes = _p_classes(ring, p)
     by_row = {}
     for d in range(n):
         by_row.setdefault(reduced_species_row(ring, d, ideal), []).append(d)
     oracle = set(tuple(sorted(v)) for v in by_row.values())
     if oracle != set(classes):
-        raise TheoremViolationError(
-            "regularization partition disagrees with the congruence oracle"
-        )
-    for cls, rep in zip(classes, regular_reps):
-        regs = sorted(d for d in cls if is_p_regular(ring, d, p))
-        if regs != [rep]:
-            raise TheoremViolationError(
-                "a P-class does not contain exactly one regular orbit"
-            )
-    return EquivalencePartition(classes, regular_reps)
+        raise TheoremViolationError("p-perfect partition disagrees with the congruence oracle")
+    return EquivalencePartition(classes, tuple(_regular_member(ring, c, p) for c in classes))
 
 
 def galois_orbit(ring, d):

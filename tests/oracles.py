@@ -6,6 +6,9 @@ maps, and they keep their own double coset scan for restriction.  The
 reversed scans run the package's scans backwards: double cosets and
 Sylow growth pick greatest elements, so products and regularizations
 can be checked not to depend on which representatives are picked.
+The p-regular member of a P-class comes from a Sylow climb through the
+stabilizers N(K, Psi), independent of the package's p-perfect rule,
+with either Sylow scan.
 Normalizers are formed from their definition by composing image tuples.
 Moebius values come bottom-up, from the lower end of each interval.
 The abelianization coordinates, the Hom tables and the characters of a
@@ -15,9 +18,10 @@ linear combinations over exponent tuples.
 
 from itertools import product
 from math import gcd
-from unittest import mock
 
-from fbr import perm, spectrum
+from fbr import perm
+from fbr import species as sp
+from fbr.abelian import character_p_parts
 from fbr.arith import p_part
 from fbr.ring import RingElement
 
@@ -101,10 +105,73 @@ def sylow_subgroup_reversed(group, p, n_elems=None, k_elems=None):
     return current
 
 
+def _normalizer_walk(ring, rep):
+    """N(H) for a class representative H, as a walk from the identity
+    over the generators: its elements, and for each element after the
+    identity, the position of the element it was reached from and the
+    generator it was multiplied by on the right."""
+    group = ring.group
+    gens = ring.lattice.normalizer(rep).gens
+    elems = [group.identity]
+    position = {group.identity: 0}
+    steps = []
+    for i, x in enumerate(elems):  # elems grows during the loop
+        for g in gens:
+            xg = group.mul(x, g)
+            if xg not in position:
+                position[xg] = len(elems)
+                elems.append(xg)
+                steps.append((i, g))
+    return elems, steps
+
+
+def _dual_pair_stabilizer(ring, rep, values):
+    """Elements of N(H) fixing the character, in increasing order, for H
+    a class representative; the stabilizer N(H, Phi).
+
+    n fixes Phi when Phi o sigma_n = Phi, and along the walk
+    Phi o sigma_(xg) = (Phi o sigma_x) o sigma_g, so only the generators'
+    permutations are needed."""
+    elems, steps = ring.memo(("normalizer walk", rep), lambda: _normalizer_walk(ring, rep))
+    action = ring.hom_action(rep)
+    moved = [values]
+    for i, g in steps:
+        moved.append(tuple(map(moved[i].__getitem__, action[g])))
+    return sorted(n for n, v in zip(elems, moved) if v == values)
+
+
+def p_regularize_by_climb(ring, d, p, sylow=perm.sylow_subgroup):
+    """The p-regular member of the P-class of a dual orbit, by a climb.
+
+    Strips the p-part of the character, then repeatedly moves (K, Psi)
+    to its class representative and climbs to the preimage of a Sylow
+    p-subgroup of N(K, Psi)/K, composing with restriction, until the
+    pair is p-regular.  The preimage is grown in the ambient group
+    (sylow with N = N(K, Psi)), without building the quotient.  The
+    subgroup strictly grows, so the climb terminates; the resulting
+    conjugacy class does not depend on the Sylow choices.
+    """
+    dual = sp.dual_orbits(ring)[d]
+    sid = dual.subgroup_id
+    _, values = character_p_parts(dual.values, p, ring.level)
+    lattice = ring.lattice
+    while True:
+        if lattice.class_rep(sid) != sid:
+            sid, values = sp.conjugate_character(ring, sid, values, lattice.to_rep[sid])
+        stab = _dual_pair_stabilizer(ring, sid, values)
+        k_order = lattice.subgroups[sid].order
+        if (len(stab) // k_order) % p != 0:
+            return sp.canonicalize_dual(ring, sid, values)
+        new_sid = lattice.by_set[sylow(ring.group, p, stab, lattice.subgroups[sid].elems)]
+        # the character phi -> Psi(phi restricted to K) of Hom(new, A)
+        src_hg = ring.hom_group(sid)
+        res = ring.hom_group(new_sid).pullback(src_hg.domain, src_hg)
+        sid, values = new_sid, tuple(values[k] for k in res)
+
+
 def p_regularize_reversed(ring, d, p):
-    """spectrum.p_regularize with each Sylow search of the climb reversed."""
-    with mock.patch.object(spectrum, "sylow_subgroup", sylow_subgroup_reversed):
-        return spectrum.p_regularize(ring, d, p)
+    """p_regularize_by_climb with each Sylow search reversed."""
+    return p_regularize_by_climb(ring, d, p, sylow_subgroup_reversed)
 
 
 def normalizer_by_definition(group, elems):

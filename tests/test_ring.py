@@ -17,9 +17,8 @@ from fbr.errors import InputError
 from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import (FiberedBurnsideRing, RingElement, build_ring, conjugate,
                       induce, restrict)
-from fbr.spectrum import _dual_pair_stabilizer
-from oracles import (conj_values_map, index_of_map, multiply_basis_reversed,
-                     restrict_by_scan, values_map)
+from oracles import (_dual_pair_stabilizer, conj_values_map, index_of_map,
+                     multiply_basis_reversed, restrict_by_scan, values_map)
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 

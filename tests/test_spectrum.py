@@ -7,11 +7,16 @@ from fbr import species as sp
 from fbr import spectrum as spc
 from fbr.abelian import character_order, character_p_parts
 from fbr.acceptance import CATALOG_GROUPS
+from fbr.arith import factorint
 from fbr.cyclo import find_prime_ideal, prime_ideals
 from fbr.errors import InputError, TheoremViolationError
-from oracles import conj_values_map, index_of_map, p_regularize_reversed, values_map
+from fbr.ring import build_ring
+from oracles import (conj_values_map, index_of_map, p_regularize_by_climb,
+                     p_regularize_reversed, values_map)
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
+C3XC3 = "perm:6:(1 2 3);(4 5 6)"
+S3XC3 = "perm:6:(1 2 3);(1 2);(4 5 6)"
 
 
 def dual_by_subgroup_order(ring, order, char_order=None):
@@ -59,12 +64,15 @@ def test_p_regularize_examples(ring_factory):
 
 
 def test_p_regularize_sylow_choice_irrelevant(ring_factory):
+    # the rule's regular member is the climb's, whichever Sylow subgroups
+    # the climb picks
     for spec, fiber in (("S3", "2"), ("D4", "2"), ("S4", "2"), ("A4", "6"),
                         ("S5", "2"), ("perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)", "1")):
         ring = ring_factory(spec, fiber)
         for d in range(ring.rank):
             for p in (2, 3):
                 assert spc.p_regularize(ring, d, p) == \
+                    p_regularize_by_climb(ring, d, p) == \
                     p_regularize_reversed(ring, d, p)
 
 
@@ -80,6 +88,76 @@ def test_p_regularize_output_is_regular(ring_factory):
 def test_p_regularize_rejects_composite(ring_factory):
     with pytest.raises(InputError):
         spc.p_regularize(ring_factory("C2", "2"), 0, 4)
+
+
+def classes_by(key, n):
+    """The classes of range(n) under key, as a set of sorted tuples."""
+    by_key = {}
+    for d in range(n):
+        by_key.setdefault(key(d), []).append(d)
+    return {tuple(c) for c in by_key.values()}
+
+
+@pytest.mark.parametrize("spec,fiber", [
+    (g, f) for g in CATALOG_GROUPS for f in ("1", "2", "6", "2x2")
+] + [(GL32, "1"), (GL32, "2"), ("A6", "1"), ("C6", "6"), ("A4", "12"), ("D4", "4"),
+     (C3XC3, "3x3"), (S3XC3, "3")])
+def test_p_perfect_rule_matches_climb_and_oracle(ring_factory, monkeypatch, spec, fiber):
+    # at every p dividing |G|: the classes by p-perfect pair are the
+    # climb's and the congruence oracle's at every ideal above p, each
+    # regular member is the climb's output, and the Psi built for (H, Phi)
+    # is H-invariant with Psi o res = Phi_p' (canonicalize_dual takes only
+    # characters).  On S3 x C3 at p = 2, H = S3 x C3 inverts one factor
+    # of J = C3 x C3, so e(psi) needs the division by |O|.
+    ring = ring_factory(spec, fiber)
+    group, lattice, duals = ring.group, ring.lattice, sp.dual_orbits(ring)
+    built = []
+    canonicalize = sp.canonicalize_dual
+    monkeypatch.setattr(sp, "canonicalize_dual", lambda r, sid, values: (
+        built.append((sid, values)) or canonicalize(r, sid, values)))
+    for p in sorted(factorint(group.order)):
+        climbed = [p_regularize_by_climb(ring, d, p) for d in range(ring.rank)]
+        pairs = []
+        moves, restrictions = {}, {}
+        for dual in duals:
+            built.clear()
+            pairs.append(spc.p_perfect_pair(ring, dual.index, p))
+            (jid, psi), = built
+            hid = dual.subgroup_id
+            assert jid == lattice.o_p_residual_id(hid, p)
+            assert lattice.o_p_residual_id(jid, p) == jid
+            src, hg = ring.hom_group(hid), ring.hom_group(jid)
+            if hid not in moves:
+                moves[hid] = [[index_of_map(hg, conj_values_map(group, values_map(hg, k), h))
+                               for k in range(hg.size)]
+                              for h in lattice.subgroups[hid].gens]
+                restrictions[hid] = [
+                    index_of_map(hg, {x: values_map(src, k)[x] for x in hg.domain})
+                    for k in range(src.size)]
+            for move in moves[hid]:
+                assert [psi[m] for m in move] == list(psi)
+            _, pprime = character_p_parts(dual.values, p, ring.level)
+            assert tuple(psi[r] for r in restrictions[hid]) == pprime
+        rule = classes_by(pairs.__getitem__, ring.rank)
+        assert rule == classes_by(climbed.__getitem__, ring.rank)
+        for ideal in prime_ideals(p, ring.level):
+            assert rule == classes_by(lambda d: spc.reduced_species_row(ring, d, ideal),
+                                      ring.rank)
+            part = spc.p_equivalence_partition(ring, ideal)
+            assert set(part.classes) == rule
+            assert part.regular_representatives == tuple(climbed[c[0]] for c in part.classes)
+        assert [spc.p_regularize(ring, d, p) for d in range(ring.rank)] == climbed
+
+
+@pytest.mark.parametrize("spec,fiber,p", [("C2", "1", 2), ("S3", "1", 2), ("S3", "6", 3)])
+def test_partition_without_the_step_down_to_o_p_fails(monkeypatch, spec, fiber, p):
+    # with J = H the rule splits classes (C2/1 at p = 2 into (1, 1) and
+    # (C2, 1), which are congruent modulo 2); the congruence oracle must
+    # catch it.  A fresh ring, so that no memoized lift is reused.
+    monkeypatch.setattr(perm.SubgroupLattice, "o_p_residual_id", lambda self, hid, p: hid)
+    ring = build_ring(spec, fiber)
+    with pytest.raises(TheoremViolationError, match="disagrees with the congruence oracle"):
+        spc.p_equivalence_partition(ring, find_prime_ideal(p, ring.level))
 
 
 # -- congruence oracle ------------------------------------------------------------------
