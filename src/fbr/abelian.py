@@ -1,10 +1,12 @@
-"""Finite abelian fiber groups and Hom(H, A) with explicit value tables.
+"""Finite abelian fiber groups and Hom(H, A) read at a few points.
 
 The fiber A is given by invariant factors.  For a subgroup H of a
 permutation group, Hom(H, A) is enumerated through an explicit cyclic
-basis of the abelianization of H, so every homomorphism is stored as a
-total value table keyed by element index.  Characters of Hom(H, A) are
-kept as tuples of root-of-unity exponents, one per homomorphism.
+basis of the abelianization of H.  A homomorphism is named by its index
+in that enumeration, read from its values at lifts of the basis
+elements, and its total value table keyed by element index is kept for
+reading values and ordering orbits.  Characters of Hom(H, A) are kept
+as tuples of root-of-unity exponents, one per homomorphism.
 """
 
 from __future__ import annotations
@@ -221,71 +223,78 @@ def abelianization_basis(group, subgroup, derived_elems):
 
 
 class HomGroup:
-    """All homomorphisms H -> A as total value tables.
+    """All homomorphisms H -> A, by index, with their value tables.
 
-    The table of a homomorphism is a tuple of A-exponent vectors aligned
-    with the sorted elements of H; tables double as canonical keys.  The
-    group is generated by one homomorphism per (abelianization basis
-    element, cyclic component of the relevant torsion subgroup of A).
-    Homomorphism k has digits (k_t) in product order of the generator
-    orders, and is the sum of k_t times generator t.
+    The group is generated by one homomorphism per (abelianization basis
+    element i, cyclic factor j of A) with g = gcd(m, d) > 1, m the order
+    of i and d that of j: generator t sends i_t to d/g in factor j_t and
+    every other basis element to 0.  Homomorphism k has digits (k_t) in
+    product order of the generator orders and is the sum of k_t times
+    generator t, so k_t is the j_t-th component of its value at a lift
+    of i_t, divided by d/g.  Those lifts are the probes, at most
+    rank(H^ab) points: index_at reads an index from the values there,
+    with no table built.  The table of homomorphism k is a tuple of
+    A-exponent vectors aligned with the sorted elements of H; on
+    construction every table is decoded at the probes, and one that
+    does not decode to its own index is an invariant violation.
     """
 
     def __init__(self, group, subgroup, derived_elems, fiber):
         self.domain = subgroup.sorted_elems
         self.pos = {e: i for i, e in enumerate(self.domain)}
-        self.fiber = fiber
         basis, coords = abelianization_basis(group, subgroup, derived_elems)
 
-        # generator t sends basis element i of order m to d/g in factor j
-        # of order d, where g = gcd(m, d) is its order
         gens = [(i, j, g) for i, (_, m) in enumerate(basis)
                 for j, d in enumerate(fiber.invariant_factors) if (g := gcd(m, d)) > 1]
         self.gen_orders = tuple(g for _, _, g in gens)
         self.size = prod(self.gen_orders)
         if self.size > HOM_CAP:
             raise ResourceLimitError(f"|Hom| = {self.size} exceeds cap {HOM_CAP}")
-
-        def add(s, t):
-            return tuple(map(fiber.add, s, t))
-
-        zero = tuple(fiber.zero() for _ in self.domain)
-        multiples = []
-        for i, j, g in gens:
-            unit = [0] * fiber.rank
-            unit[j] = fiber.invariant_factors[j] // g
-            table = tuple(fiber.scale(coords[x][i], unit) for x in self.domain)
-            multiples.append(_multiples(table, g, add, zero))
-        self.tables = tuple(_sums(multiples, add, zero))
-        self.index = {t: i for i, t in enumerate(self.tables)}
-        if len(self.index) != self.size:
-            raise InvariantViolationError("duplicate homomorphisms enumerated")
         self.exponent = lcm(*self.gen_orders)
         # generator t is the homomorphism with digit 1 at t: its index is
         # the product-order stride of digit t
         self.gen_indices = tuple(prod(self.gen_orders[t + 1:])
                                  for t in range(len(self.gen_orders)))
 
+        def add(s, t):
+            return tuple(map(fiber.add, s, t))
+
+        zero = tuple(fiber.zero() for _ in self.domain)
+        multiples = []
+        probes = {}  # lift of i -> the digits read there, (j, d/g, g, stride)
+        for (i, j, g), stride in zip(gens, self.gen_indices):
+            unit = [0] * fiber.rank
+            unit[j] = step = fiber.invariant_factors[j] // g
+            probes.setdefault(basis[i][0], []).append((j, step, g, stride))
+            table = tuple(fiber.scale(coords[x][i], unit) for x in self.domain)
+            multiples.append(_multiples(table, g, add, zero))
+        self.points, self.digits = tuple(probes), tuple(probes.values())
+        self.tables = tuple(_sums(multiples, add, zero))
+        # checked once here, so that index_at need not check each read
+        at = [self.pos[x] for x in self.points]
+        for k, table in enumerate(self.tables):
+            if self.index_at(map(table.__getitem__, at)) != k:
+                raise InvariantViolationError("a value table does not decode to its index")
+
     def value(self, hom_index, elem):
         return self.tables[hom_index][self.pos[elem]]
 
-    def index_of(self, table):
-        """Index of the homomorphism with this value table, in domain order."""
-        idx = self.index.get(table)
-        if idx is None:
-            raise InvariantViolationError("value table is not a homomorphism into the fiber")
-        return idx
+    def index_at(self, values):
+        """Index of the homomorphism with these values at the probes, in
+        the order of points.  A value may be any exponent vector congruent
+        to it modulo the fiber, such as an unreduced sum."""
+        k = 0
+        for v, digits in zip(values, self.digits):
+            for j, step, g, stride in digits:
+                k += v[j] // step % g * stride
+        return k
 
-    def pullback(self, points, target):
+    def pullback(self, f, target):
         """The map Hom(H, A) -> Hom(T, A), phi -> phi o f, on indices, where
-        H is this domain, T that of the Hom group target, and f sends the
-        i-th element of target.domain to points[i]."""
-        at = [self.pos[x] for x in points]
-        return tuple(target.index_of(tuple(table[i] for i in at))
-                     for table in self.tables)
-
-    def trivial_index(self):
-        return self.index[tuple(self.fiber.zero() for _ in self.domain)]
+        H is this domain, T that of the Hom group target, and f maps T
+        into H; each image is read at the probes of T."""
+        at = [self.pos[f(y)] for y in target.points]
+        return tuple(target.index_at(map(table.__getitem__, at)) for table in self.tables)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ def mark(lattice, row_class, col_class):
     """Number of cosets of K fixed by H on G/K, for class representatives.
 
     Equals #{g : g^-1 H g <= K} / |K|; nonzero exactly when H is
-    subconjugate to K.
+    subconjugate to K, so 0 without a count when |H| does not divide |K|.
     """
     group = lattice.group
     h = lattice.subgroups[lattice.classes[row_class].rep]
     k = lattice.subgroups[lattice.classes[col_class].rep]
+    if k.order % h.order != 0:
+        return 0
     count = 0
     for g in range(group.order):
         ginv = group.inverse[g]

@@ -490,6 +490,8 @@ class SubgroupLattice:
         """Subgroup generated by the elements of order coprime to p."""
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
+        if self.subgroups[hid].order % p != 0:
+            return hid  # every element of H has order prime to p
         key = (hid, p)
         val = self._op_residual.get(key)
         if val is None:

@@ -4,14 +4,17 @@ A basis element is the conjugation orbit of a monomial pair (H, phi)
 with H a subgroup and phi a homomorphism from H into the fiber.  Orbits
 are keyed canonically: the subgroup is the class representative of its
 conjugacy class, and among the homomorphisms in the normalizer orbit
-the one with the lexicographically least value table wins.  Products
-follow the double coset formula and are memoized as integer structure
-constants.
+the one with the lexicographically least value table wins, and a pair
+is named by reading its homomorphism at the representative's probes
+(HomGroup.index_at).  Products follow the double coset formula and are
+memoized as integer structure constants.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 from . import abelian, perm
@@ -145,6 +148,7 @@ class FiberedBurnsideRing:
         self._hom_groups = {}
         self._actions = {}
         self._structure = {}
+        self._readers = {}  # subgroup id -> what canonicalize_pair reads
         self._memo = {}
         self._build_basis()
 
@@ -178,7 +182,7 @@ class FiberedBurnsideRing:
             group = self.group
             hg = self.hom_group(rep_id)
             act = self._actions[rep_id] = {
-                g: hg.pullback([group.conj(group.inverse[g], y) for y in hg.domain], hg)
+                g: hg.pullback(partial(group.conj, group.inverse[g]), hg)
                 for g in self.lattice.normalizer(rep_id).gens}
         return act
 
@@ -238,38 +242,46 @@ class FiberedBurnsideRing:
 
     # -- canonicalization ----------------------------------------------------
 
-    def canonicalize_pair(self, sid, values_map):
-        """Canonical orbit of the pair (subgroup sid, hom given by its
-        value map)."""
-        # ^w S is the representative, where ^w phi(y) = phi(w^-1 y w)
-        group = self.group
-        winv = group.inverse[self.lattice.to_rep[sid]]
-        rep = self.lattice.class_rep(sid)
-        hg = self.hom_group(rep)
-        k = hg.index_of(tuple(values_map[group.conj(winv, y)] for y in hg.domain))
-        return self.basis.lookup[rep][k]
+    def canonicalize_pair(self, sid, value):
+        """Canonical orbit of the pair (subgroup sid, the homomorphism
+        taking value(x) at each x of sid, as in HomGroup.index_at), read
+        at the probes of the class representative."""
+        reader = self._readers.get(sid)
+        if reader is None:
+            # ^w S is the representative, where ^w phi(y) = phi(w^-1 y w):
+            # its probe y is read at w^-1 y w in S
+            lattice, group = self.lattice, self.group
+            rep = lattice.class_rep(sid)
+            hg = self.hom_group(rep)
+            winv = group.inverse[lattice.to_rep[sid]]
+            reader = self._readers[sid] = (
+                self.basis.lookup[rep], hg.index_at,
+                tuple(group.conj(winv, y) for y in hg.points))
+        names, index_at, points = reader
+        return names[index_at(map(value, points))]
 
-    def pair_values_map(self, i):
+    def pair_value(self, i):
+        """The homomorphism of basis orbit i as a function on its subgroup."""
         o = self.basis.orbits[i]
-        hg = self.hom_group(o.subgroup_id)
-        return dict(zip(hg.domain, hg.tables[o.hom_index]))
+        return partial(self.hom_group(o.subgroup_id).value, o.hom_index)
 
     # -- multiplication ------------------------------------------------------
 
     def multiply_basis(self, i, j):
         """Product of two basis orbits as an integer coefficient dict."""
         oi, oj = self.basis.orbits[i], self.basis.orbits[j]
-        lattice = self.lattice
-        phi = self.pair_values_map(i)
-        psi = self.pair_values_map(j)
-        group = self.group
-        reps, meets = lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
+        hi, hj = self.hom_group(oi.subgroup_id), self.hom_group(oj.subgroup_id)
+        phi, phi_at = hi.tables[oi.hom_index], hi.pos
+        psi, psi_at = hj.tables[oj.hom_index], hj.pos
+        conj, inverse = self.group.conj, self.group.inverse
+        reps, meets = self.lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
         out = {}
         for g, sid in zip(reps, meets):
-            ginv = group.inverse[g]
-            values = {x: self.fiber.add(phi[x], psi[group.conj(ginv, x)])
-                      for x in lattice.subgroups[sid].sorted_elems}
-            oidx = self.canonicalize_pair(sid, values)
+            # phi + ^g psi on the meet, where ^g psi(x) = psi(g^-1 x g),
+            # as unreduced sums
+            ginv = inverse[g]
+            oidx = self.canonicalize_pair(sid, lambda x: tuple(
+                map(add, phi[phi_at[x]], psi[psi_at[conj(ginv, x)]])))
             out[oidx] = out.get(oidx, 0) + 1
         return out
 
@@ -325,9 +337,9 @@ class FiberedBurnsideRing:
         return RingElement(self, keep)
 
     def trivial_pair_orbit(self, class_rep_id):
-        """Orbit index of [H, 1] for a class representative H."""
-        hg = self.hom_group(class_rep_id)
-        return self.basis.lookup[class_rep_id][hg.trivial_index()]
+        """Orbit index of [H, 1] for a class representative H: the trivial
+        homomorphism has every digit 0, so index 0 in Hom(H, A)."""
+        return self.basis.lookup[class_rep_id][0]
 
     def burnside_embed(self, marks_coeffs):
         """Embedding of the Burnside ring: class index -> [H, 1]."""
@@ -394,28 +406,23 @@ def build_ring(group_spec, fiber_spec):
 
 def _terms_in(target, terms):
     """The element sum of c [U, phi] of the target ring over terms (c,
-    values), where values maps the elements of U, as permutation image
-    tuples, to the values of phi."""
-    index = target.group.index
+    elems, value): elems are the elements of U as permutation image
+    tuples and value(e) is phi at the element e."""
+    index, elements = target.group.index, target.group.elements
     out = {}
-    for c, values in terms:
-        tvalues = {index[x]: v for x, v in values.items()}
-        sid = target.lattice.by_set[frozenset(tvalues)]
-        oidx = target.canonicalize_pair(sid, tvalues)
+    for c, elems, value in terms:
+        sid = target.lattice.by_set[frozenset(index[e] for e in elems)]
+        oidx = target.canonicalize_pair(sid, lambda x: value(elements[x]))
         out[oidx] = out[oidx] + c if oidx in out else c
     return RingElement(target, out)
 
 
 def induce(x, target):
     """Induction along an inclusion of groups: [U, phi] keeps its name."""
-    src = x.ring
-    for e in src.group.elements:
+    for e in x.ring.group.elements:
         if e not in target.group.index:
             raise InputError("induction target does not contain the source group")
-    elements = src.group.elements
-    return _terms_in(target, (
-        (c, {elements[y]: v for y, v in src.pair_values_map(i).items()})
-        for i, c in x.coeffs.items()))
+    return conjugate(x, perm.identity_perm(x.ring.group.degree), target)
 
 
 def restrict(x, target):
@@ -430,12 +437,12 @@ def restrict(x, target):
 
     def terms():
         for i, c in x.coeffs.items():
-            phi = src.pair_values_map(i)
+            phi = src.pair_value(i)
             uid = src.basis.orbits[i].subgroup_id
             for g, meet in zip(*lattice.double_coset_reps(kid, uid)):
                 ginv = group.inverse[g]
-                yield c, {group.elements[y]: phi[group.conj(ginv, y)]
-                          for y in lattice.subgroups[meet].sorted_elems}
+                yield (c, [group.elements[y] for y in lattice.subgroups[meet].sorted_elems],
+                       lambda e: phi(group.conj(ginv, group.index[e])))
 
     return _terms_in(target, terms())
 
@@ -448,8 +455,14 @@ def conjugate(x, g_images, target):
     """
     src = x.ring
     g_inv = perm.invert(g_images)
-    elements = src.group.elements
-    return _terms_in(target, (
-        (c, {perm.compose(perm.compose(g_images, elements[y]), g_inv): v
-             for y, v in src.pair_values_map(i).items()})
-        for i, c in x.coeffs.items()))
+    elements, index = src.group.elements, src.group.index
+
+    def terms():
+        for i, c in x.coeffs.items():
+            phi = src.pair_value(i)
+            u = src.lattice.subgroups[src.basis.orbits[i].subgroup_id]
+            yield (c, [perm.compose(perm.compose(g_images, elements[y]), g_inv)
+                       for y in u.sorted_elems],
+                   lambda e: phi(index[perm.compose(perm.compose(g_inv, e), g_images)]))
+
+    return _terms_in(target, terms())

@@ -5,20 +5,25 @@ together with a character of Hom(H, A).  Its value on a basis orbit
 [K, psi] is the double coset sum over the g with H contained in ^gK of
 Phi(^g(psi) restricted to H), so it is zero unless H <=_G K: ordered by
 subgroup class, the table is block triangular like the table of marks,
-and it is evaluated and read only where H <=_G K.  The table of all
-species values against the standard basis is square and invertible
-(its determinant is taken block by block); inverting it through the
-explicit idempotent formula gives the primitive idempotents.
+and it is evaluated and read only where H <=_G K.  The restrictions are
+read at the probes of Hom(H, A) (HomGroup.index_at) and counted once per
+H and [K, psi]; each character of Hom(H, A) is then one sum of roots of
+unity over those counts, added as exponents and reduced once.  The
+table of all species values against the standard basis is square and
+invertible (its determinant is taken block by block); inverting it
+through the explicit idempotent formula gives the primitive
+idempotents, whose coefficients are summed the same way.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from . import ring as ring_mod
 from .abelian import (character_gen_exponents, character_order,
                       dual_character_values)
-from .cyclo import Cyclotomic, sum_products
+from .cyclo import Cyclotomic, _reduce, sum_products
 from .errors import InputError, InvariantViolationError, TheoremViolationError
 
 
@@ -70,8 +75,7 @@ def conjugate_character(ring, sid, values, g):
     tid = ring.lattice.conj_subgroup_id(g, sid)
     src = ring.hom_group(sid)
     # ^(g^-1)psi(x) = psi(g x g^-1) for psi in Hom(^gH, A)
-    pulled = ring.hom_group(tid).pullback([ring.group.conj(g, x) for x in src.domain],
-                                          src)
+    pulled = ring.hom_group(tid).pullback(partial(ring.group.conj, g), src)
     return tid, tuple(values[k] for k in pulled)
 
 
@@ -85,54 +89,61 @@ def canonicalize_dual(ring, sid, values):
 # species values
 
 
+def _restriction_counts(ring, hid, b):
+    """{index in Hom(H, A): count} of the restrictions to H of ^g psi over
+    the double cosets HgK with H <= ^gK, for H a class representative
+    and [K, psi] the basis orbit b."""
+    orbit = ring.basis.orbits[b]
+    psi = ring.pair_value(b)
+    hg = ring.hom_group(hid)
+    conj, inverse = ring.group.conj, ring.group.inverse
+    counts = {}
+    for g, meet in zip(*ring.lattice.double_coset_reps(hid, orbit.subgroup_id)):
+        # H <= ^gK iff H meet ^gK = H; ^g psi(x) = psi(g^-1 x g)
+        if meet == hid:
+            ginv = inverse[g]
+            k = hg.index_at([psi(conj(ginv, x)) for x in hg.points])
+            counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def _character_sum(level, values, counts):
+    """Sum of count * zeta^values[k] over the counts {k: count}, reduced once."""
+    exponents = [0] * level
+    for k, c in counts.items():
+        exponents[values[k]] += c
+    return _reduce(level, exponents, 1)
+
+
 def species_value(ring, d, b):
     """Species of the dual orbit with index d evaluated on the basis orbit b."""
     dual = dual_orbits(ring)[d]
-    orbit = ring.basis.orbits[b]
-    hid = dual.subgroup_id
-    hg = ring.hom_group(hid)
-    psi = ring.pair_values_map(b)
-    group = ring.group
-    total = Cyclotomic.zero(ring.level)
-    for g, meet in zip(*ring.lattice.double_coset_reps(hid, orbit.subgroup_id)):
-        # H <= ^gK iff H meet ^gK = H
-        if meet != hid:
-            continue
-        ginv = group.inverse[g]
-        idx = hg.index_of(tuple(psi[group.conj(ginv, x)] for x in hg.domain))
-        total = total + Cyclotomic.zeta_power(ring.level, dual.values[idx])
-    return total
-
-
-def _duals_below(ring):
-    """For each subgroup class c, the indices of the dual orbits whose
-    class is subconjugate to c: the rows where a species table column
-    of class c can be nonzero."""
-    def build():
-        lattice = ring.lattice
-        duals = dual_orbits(ring)
-        out = []
-        for c in lattice.classes:
-            below = {lattice.class_index[s] for s in lattice.mobius_row(c.rep)}
-            out.append(tuple(d.index for d in duals if d.class_index in below))
-        return tuple(out)
-
-    return ring.memo("duals below", build)
+    return _character_sum(ring.level, dual.values,
+                          _restriction_counts(ring, dual.subgroup_id, b))
 
 
 def species_table(ring):
     """Full species table: rows are dual orbits, columns basis orbits.
 
+    Column [K, psi] is evaluated at each class representative H <=_G K
+    from one count of the restrictions to H, for every dual orbit on H.
     Every entry is a sum of roots of unity, so integral; an entry with a
     denominator is an invariant violation.
     """
     def build():
-        below = _duals_below(ring)
-        zero = Cyclotomic.zero(ring.level)
+        lattice, level = ring.lattice, ring.level
+        on = {}  # class representative H -> the dual orbits on H
+        for dual in dual_orbits(ring):
+            on.setdefault(dual.subgroup_id, []).append(dual)
+        below = [sorted({lattice.class_rep(s) for s in lattice.mobius_row(c.rep)})
+                 for c in lattice.classes]
+        zero = Cyclotomic.zero(level)
         rows = [[zero] * ring.rank for _ in range(ring.rank)]
         for b, o in enumerate(ring.basis.orbits):
-            for d in below[o.class_index]:
-                rows[d][b] = species_value(ring, d, b)
+            for hid in below[o.class_index]:
+                counts = _restriction_counts(ring, hid, b)
+                for dual in on[hid]:
+                    rows[dual.index][b] = _character_sum(level, dual.values, counts)
         if any(v.den != 1 for row in rows for v in row):
             raise InvariantViolationError("species table entry is not integral")
         return tuple(map(tuple, rows))
@@ -146,23 +157,36 @@ def species_values(ring, x, duals):
 
     Each value is one cyclo.sum_products sum over x's numerators, over
     one common denominator (RingElement.common), and those of the
-    memoized species table, whose entries are integral.  The loop runs
-    over x's support and, for each basis orbit k there, over the dual
-    orbits in duals whose class is subconjugate to k's, the only rows
-    where column k of the table can be nonzero.
+    memoized species table, whose entries are integral.  Each basis
+    orbit k in x's support reads the nonzero entries of column k: the
+    one of a single dual orbit (apply_species), else those in duals.
     """
     if x.ring is not ring:
         raise InputError("elements from different rings")
-    table = species_table(ring)
-    below = _duals_below(ring)
-    orbits = ring.basis.orbits
+    columns = _nonzero_columns(ring)
     den, nums = x.common()
-    wanted = set(duals)
-    out = sum_products(ring.level, den, (
-        (a, table[d][k].nums, ((d, 1),)) for k, a in nums.items()
-        for d in below[orbits[k].class_index] if d in wanted))
+    if len(duals) == 1:
+        (d,) = duals
+        terms = ((a, v, ((d, 1),)) for k, a in nums.items()
+                 if (v := columns[k].get(d)) is not None)
+    else:
+        wanted = set(duals)
+        terms = ((a, v, ((d, 1),)) for k, a in nums.items()
+                 for d, v in columns[k].items() if d in wanted)
+    out = sum_products(ring.level, den, terms)
     zero = Cyclotomic.zero(ring.level)
     return [out.get(d, zero) for d in duals]
+
+
+def _nonzero_columns(ring):
+    """For each basis orbit, {dual orbit: numerators} of the nonzero
+    entries of its species table column."""
+    def build():
+        table = species_table(ring)
+        return tuple({d: row[k].nums for d, row in enumerate(table) if not row[k].is_zero()}
+                     for k in range(ring.rank))
+
+    return ring.memo("nonzero columns", build)
 
 
 def apply_species(ring, d, x):
@@ -181,9 +205,9 @@ def species_value_composite(ring, d, b):
     hg = ring.hom_group(dual.subgroup_id)
     total = Cyclotomic.zero(ring.level)
     for k, c in pi.coeffs.items():
-        values = sub.pair_values_map(k)
-        idx = hg.index_of(tuple(values[sub.group.index[ring.group.elements[x]]]
-                                for x in hg.domain))
+        value = sub.pair_value(k)
+        idx = hg.index_at([value(sub.group.index[ring.group.elements[x]])
+                           for x in hg.points])
         total = total + c * Cyclotomic.zeta_power(ring.level, dual.values[idx])
     return total
 
@@ -198,7 +222,8 @@ def idempotent(ring, d):
     The formula runs over every subgroup K below the representative H
     (not just class representatives) and every homomorphism phi of H,
     weighting [K, phi restricted] by |K| mu(K, H) times the conjugate
-    character value, then divides by |N_G(H, Phi)| |Hom(H, A)|.
+    character value, then divides by |N_G(H, Phi)| |Hom(H, A)|.  Each
+    coefficient is summed as root-of-unity exponents and reduced once.
     """
     return ring.memo(("idempotent", d), lambda: _idempotent(ring, d))
 
@@ -209,22 +234,20 @@ def _idempotent(ring, d):
     hg = ring.hom_group(hid)
     lattice = ring.lattice
     level = ring.level
-    acc = {}
+    acc = {}  # basis orbit -> weight of each exponent of zeta
     for kid, mu in lattice.mobius_row(hid).items():
         if mu == 0:
             continue
         kw = lattice.subgroups[kid].order * mu
-        ksub = lattice.subgroups[kid]
         for k in range(hg.size):
+            oidx = ring.canonicalize_pair(kid, partial(hg.value, k))
+            if oidx not in acc:
+                acc[oidx] = [0] * level
             # the complex conjugate of the character value
-            coeff = Cyclotomic.zeta_power(level, -dual.values[k]) * kw
-            values = {x: hg.value(k, x) for x in ksub.sorted_elems}
-            oidx = ring.canonicalize_pair(kid, values)
-            acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
+            acc[oidx][-dual.values[k] % level] += kw
     denom = dual.stabilizer_order * hg.size
     return ring_mod.RingElement(
-        ring, {k: v.scalar_div(denom) for k, v in acc.items()}
-    )
+        ring, {k: _reduce(level, v, denom) for k, v in acc.items()})
 
 
 def idempotent_coordinates(ring, x):

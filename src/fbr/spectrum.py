@@ -18,6 +18,7 @@ through inflation.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 from typing import NamedTuple
 
@@ -95,9 +96,9 @@ def _p_perfect_lift(ring, hid, p):
     group = ring.group
     jid = ring.lattice.o_p_residual_id(hid, p)
     hg = ring.hom_group(jid)
-    preimage = {r: k for k, r in enumerate(ring.hom_group(hid).pullback(hg.domain, hg))}
+    preimage = {r: k for k, r in enumerate(ring.hom_group(hid).pullback(lambda y: y, hg))}
     # psi -> ^h psi for each generator h of H (J is normal in H)
-    moves = [hg.pullback([group.conj(group.inverse[h], y) for y in hg.domain], hg)
+    moves = [hg.pullback(partial(group.conj, group.inverse[h]), hg)
              for h in ring.lattice.subgroups[hid].gens]
     lift = []
     for k in range(hg.size):
@@ -338,11 +339,9 @@ def weyl_block_iso(ring, perfect_id):
     for b in wcomp.basis_orbits:
         worbit = wring.basis.orbits[b]
         wsub = wring.lattice.subgroups[worbit.subgroup_id]
-        whom = wring.pair_values_map(b)
-        k_elems = sorted(x for wq in wsub.sorted_elems for x in fibers_of[wq])
-        values = {x: whom[onto[x]] for x in k_elems}
-        sid = lattice.by_set[frozenset(k_elems)]
-        mapping.append((b, ring.canonicalize_pair(sid, values)))
+        whom = wring.pair_value(b)
+        sid = lattice.by_set[frozenset(x for wq in wsub.sorted_elems for x in fibers_of[wq])]
+        mapping.append((b, ring.canonicalize_pair(sid, lambda x: whom(onto[x]))))
 
     images = [m for _, m in mapping]
     if len(set(images)) != len(images):

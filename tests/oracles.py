@@ -1,8 +1,11 @@
 """Dict-based reference computations the tests compare the package with.
 
 They move homomorphisms as value maps {element index: fiber value}, the
-way the package did before it pulled value tables back along index
-maps, and they keep their own double coset scan for restriction.  The
+way the package did before it read homomorphisms at the probes of their
+Hom groups: a pair is named by conjugating its whole value map onto the
+class representative and looking the value table up, and structure
+constants, species values and idempotents are formed that way, one
+Cyclotomic sum per term.  Restriction keeps its own double coset scan.  The
 reversed scans run the package's scans backwards: double cosets and
 Sylow growth pick greatest elements, so products and regularizations
 can be checked not to depend on which representatives are picked.
@@ -23,6 +26,7 @@ from fbr import perm
 from fbr import species as sp
 from fbr.abelian import character_p_parts
 from fbr.arith import p_part
+from fbr.cyclo import Cyclotomic
 from fbr.ring import RingElement
 
 
@@ -32,8 +36,76 @@ def values_map(hom_group, k):
 
 
 def index_of_map(hom_group, values):
-    """Index of the homomorphism with this value map."""
-    return hom_group.index_of(tuple(values[x] for x in hom_group.domain))
+    """Index of the homomorphism with this value map, found by its whole
+    value table; a map that is no homomorphism is a ValueError."""
+    return hom_group.tables.index(tuple(values[x] for x in hom_group.domain))
+
+
+def pair_values_map(ring, i):
+    """The homomorphism of basis orbit i as a value map on its subgroup."""
+    o = ring.basis.orbits[i]
+    return values_map(ring.hom_group(o.subgroup_id), o.hom_index)
+
+
+def canonicalize_pair_by_values(ring, sid, values):
+    """ring.canonicalize_pair for a value map on all of sid: the map is
+    conjugated onto the class representative element by element."""
+    group = ring.group
+    winv = group.inverse[ring.lattice.to_rep[sid]]
+    rep = ring.lattice.class_rep(sid)
+    hg = ring.hom_group(rep)
+    return ring.basis.lookup[rep][index_of_map(
+        hg, {y: values[group.conj(winv, y)] for y in hg.domain})]
+
+
+def multiply_basis_by_values(ring, i, j):
+    """ring.multiply_basis(i, j) over value maps: phi + ^g psi is formed
+    on every element of each meet."""
+    oi, oj = ring.basis.orbits[i], ring.basis.orbits[j]
+    group, lattice = ring.group, ring.lattice
+    phi, psi = pair_values_map(ring, i), pair_values_map(ring, j)
+    out = {}
+    for g, sid in zip(*lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)):
+        ginv = group.inverse[g]
+        values = {x: ring.fiber.add(phi[x], psi[group.conj(ginv, x)])
+                  for x in lattice.subgroups[sid].sorted_elems}
+        oidx = canonicalize_pair_by_values(ring, sid, values)
+        out[oidx] = out.get(oidx, 0) + 1
+    return out
+
+
+def species_value_by_values(ring, d, b):
+    """sp.species_value over value maps, one Cyclotomic sum per coset."""
+    dual = sp.dual_orbits(ring)[d]
+    hid = dual.subgroup_id
+    hg = ring.hom_group(hid)
+    psi = pair_values_map(ring, b)
+    group = ring.group
+    total = Cyclotomic.zero(ring.level)
+    for g, meet in zip(*ring.lattice.double_coset_reps(
+            hid, ring.basis.orbits[b].subgroup_id)):
+        if meet == hid:
+            ginv = group.inverse[g]
+            idx = index_of_map(hg, {x: psi[group.conj(ginv, x)] for x in hg.domain})
+            total = total + Cyclotomic.zeta_power(ring.level, dual.values[idx])
+    return total
+
+
+def idempotent_by_values(ring, d):
+    """sp.idempotent over value maps, one Cyclotomic sum per term."""
+    dual = sp.dual_orbits(ring)[d]
+    hg = ring.hom_group(dual.subgroup_id)
+    lattice = ring.lattice
+    acc = {}
+    for kid, mu in lattice.mobius_row(dual.subgroup_id).items():
+        kw = lattice.subgroups[kid].order * mu
+        for k in range(hg.size):
+            coeff = Cyclotomic.zeta_power(ring.level, -dual.values[k]) * kw
+            values = {x: hg.value(k, x) for x in lattice.subgroups[kid].sorted_elems}
+            oidx = canonicalize_pair_by_values(ring, kid, values)
+            acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
+    denom = dual.stabilizer_order * hg.size
+    return RingElement(ring, {k: v.scalar_div(denom) for k, v in acc.items()})
 
 
 def conj_values_map(group, values, g):
@@ -51,13 +123,13 @@ def restrict_by_scan(x, target):
     out = {}
     for i, c in x.coeffs.items():
         u = src.lattice.subgroups[src.basis.orbits[i].subgroup_id]
-        phi = src.pair_values_map(i)
+        phi = pair_values_map(src, i)
         for g in perm.double_coset_reps(group, k_elems, u.sorted_elems):
             ginv = group.inverse[g]
             tvalues = {target.group.index[group.elements[y]]: phi[group.conj(ginv, y)]
                        for y in k_set & group.conj_set(g, u.sorted_elems)}
             sid = target.lattice.by_set[frozenset(tvalues)]
-            oidx = target.canonicalize_pair(sid, tvalues)
+            oidx = canonicalize_pair_by_values(target, sid, tvalues)
             out[oidx] = out[oidx] + c if oidx in out else c
     return RingElement(target, out)
 
@@ -78,14 +150,14 @@ def multiply_basis_reversed(ring, i, j):
     group, lattice = ring.group, ring.lattice
     h = lattice.subgroups[ring.basis.orbits[i].subgroup_id]
     k = lattice.subgroups[ring.basis.orbits[j].subgroup_id].sorted_elems
-    phi, psi = ring.pair_values_map(i), ring.pair_values_map(j)
+    phi, psi = pair_values_map(ring, i), pair_values_map(ring, j)
     out = {}
     for g in double_coset_reps_reversed(group, h.sorted_elems, k):
         ginv = group.inverse[g]
         sid = lattice.by_set[h.elems & group.conj_set(g, k)]
         values = {x: ring.fiber.add(phi[x], psi[group.conj(ginv, x)])
                   for x in lattice.subgroups[sid].sorted_elems}
-        oidx = ring.canonicalize_pair(sid, values)
+        oidx = canonicalize_pair_by_values(ring, sid, values)
         out[oidx] = out.get(oidx, 0) + 1
     return out
 
@@ -164,8 +236,8 @@ def p_regularize_by_climb(ring, d, p, sylow=perm.sylow_subgroup):
             return sp.canonicalize_dual(ring, sid, values)
         new_sid = lattice.by_set[sylow(ring.group, p, stab, lattice.subgroups[sid].elems)]
         # the character phi -> Psi(phi restricted to K) of Hom(new, A)
-        src_hg = ring.hom_group(sid)
-        res = ring.hom_group(new_sid).pullback(src_hg.domain, src_hg)
+        src_hg, new_hg = ring.hom_group(sid), ring.hom_group(new_sid)
+        res = [index_of_map(src_hg, values_map(new_hg, k)) for k in range(new_hg.size)]
         sid, values = new_sid, tuple(values[k] for k in res)
 
 

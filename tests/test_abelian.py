@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+from fbr import abelian
 from fbr.abelian import (FiniteAbelianGroup, HomGroup, abelianization_basis,
                          character_order, character_p_parts, character_power,
                          dual_character_values, normalize_invariant_factors,
@@ -206,15 +207,39 @@ def test_hom_tables_are_homomorphisms():
                 assert vm[g.mul(x, y)] == fiber.add(vm[x], vm[y])
 
 
-def test_index_of_refuses_a_non_homomorphism():
+def test_hom_group_refuses_a_wrong_probe(monkeypatch):
+    # index_at reads the sign at its one probe, a transposition; the
+    # probes are checked once, on construction, by decoding every table,
+    # so a lift planted in the wrong coset raises there
     lat = SubgroupLattice(parse_group_spec("S3"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
     sign = hg.tables[1]
-    assert hg.index_of(sign) == 1
-    # the sign with one transposition sent to 0 is no homomorphism
-    odd = next(i for i, v in enumerate(sign) if v == (1,))
-    with pytest.raises(InvariantViolationError):
-        hg.index_of(sign[:odd] + ((0,),) + sign[odd + 1:])
+    assert [lat.group.element_orders[x] for x in hg.points] == [2]
+    assert hg.index_at([sign[hg.pos[x]] for x in hg.points]) == 1
+    real = abelian.abelianization_basis
+
+    def planted(group, subgroup, derived_elems):
+        basis, coords = real(group, subgroup, derived_elems)
+        return [(group.identity, m) for _, m in basis], coords
+
+    monkeypatch.setattr(abelian, "abelianization_basis", planted)
+    with pytest.raises(InvariantViolationError, match="does not decode"):
+        hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
+
+
+@pytest.mark.parametrize("gspec,fspec", [("S4", "2x2"), ("D4", "2x4"), ("C6", "6")])
+def test_index_at_reads_any_representative(gspec, fspec):
+    # index_at takes values congruent modulo the fiber, as the unreduced
+    # sums of multiply_basis
+    lat = SubgroupLattice(parse_group_spec(gspec))
+    fiber = parse_fiber_spec(fspec)
+    for cls in lat.classes:
+        hg = hom_group_of(lat, cls.rep, fiber)
+        for k, table in enumerate(hg.tables):
+            values = [table[hg.pos[x]] for x in hg.points]
+            shifted = [tuple(v + d * (k - 2) for v, d in zip(vs, fiber.invariant_factors))
+                       for vs in values]
+            assert hg.index_at(values) == hg.index_at(shifted) == k
 
 
 
@@ -244,7 +269,8 @@ def test_enumeration_matches_oracles(gspec, fspec):
         digits = list(itertools.product(*(range(g) for g in gen_orders)))
         for t, gi in enumerate(hg.gen_indices):
             assert digits[gi] == tuple(int(s == t) for s in range(len(gen_orders)))
-        assert hg.trivial_index() == 0
+        # index 0 is the trivial homomorphism (ring.trivial_pair_orbit)
+        assert set(hg.tables[0]) == {fiber.zero()}
         assert dual_character_values(hg, level) == characters_by_digits(gen_orders, level)
 
 # -- conjugation and restriction -----------------------------------------------------

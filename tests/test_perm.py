@@ -520,6 +520,17 @@ def test_o_p_residuals():
         s3.o_p_residual_id(full, 4)
 
 
+@pytest.mark.parametrize("spec", CATALOG_GROUPS + (GL32,))
+def test_o_p_residuals_match_closure_of_p_prime_elements(spec):
+    # the p-free shortcut included: every subgroup and every p up to 7
+    lat = lattice(spec)
+    group = lat.group
+    for s in lat.subgroups:
+        for p in (2, 3, 5, 7):
+            seed = [x for x in s.sorted_elems if group.element_orders[x] % p != 0]
+            assert lat.o_p_residual_id(s.id, p) == lat.by_set[group.closure(seed)]
+
+
 def test_os_of_op_equals_os():
     for spec in ("S3", "D4", "A4", "S4"):
         lat = lattice(spec)

@@ -1,5 +1,6 @@
 """Standard basis, double coset products, retraction, functorial maps."""
 
+import functools
 import itertools
 import json
 import operator
@@ -17,8 +18,9 @@ from fbr.errors import InputError
 from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import (FiberedBurnsideRing, RingElement, build_ring, conjugate,
                       induce, restrict)
-from oracles import (_dual_pair_stabilizer, conj_values_map, index_of_map,
-                     multiply_basis_reversed, restrict_by_scan, values_map)
+from oracles import (_dual_pair_stabilizer, canonicalize_pair_by_values,
+                     conj_values_map, index_of_map, multiply_basis_reversed,
+                     pair_values_map, restrict_by_scan, values_map)
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 
@@ -57,15 +59,17 @@ def test_canonicalize_well_defined(ring_factory):
     rng = random.Random(3)
     for i in range(ring.rank):
         o = ring.basis.orbits[i]
-        values = ring.pair_values_map(i)
+        values = pair_values_map(ring, i)
         # canonical input returns itself
-        assert ring.canonicalize_pair(o.subgroup_id, values) == i
+        assert ring.canonicalize_pair(o.subgroup_id, ring.pair_value(i)) == i
+        assert canonicalize_pair_by_values(ring, o.subgroup_id, values) == i
         # arbitrary conjugates land on the same orbit
         for _ in range(4):
             x = rng.randrange(g.order)
             moved = conj_values_map(g, values, x)
             sid = ring.lattice.by_set[frozenset(moved)]
-            assert ring.canonicalize_pair(sid, moved) == i
+            assert ring.canonicalize_pair(sid, moved.__getitem__) == i
+            assert canonicalize_pair_by_values(ring, sid, moved) == i
 
 
 def per_element_hom_action(ring, rep):
@@ -107,13 +111,12 @@ def test_pullback_matches_value_map_composition(ring_factory, spec, fiber):
     for cls in lattice.classes:
         hg = ring.hom_group(cls.rep)
         for g in lattice.normalizer(cls.rep).gens:
-            points = [group.conj(group.inverse[g], y) for y in hg.domain]
-            assert hg.pullback(points, hg) == tuple(
+            assert hg.pullback(functools.partial(group.conj, group.inverse[g]), hg) == tuple(
                 index_of_map(hg, conj_values_map(group, values_map(hg, k), g))
                 for k in range(hg.size))
         for kid in lattice.mobius_row(cls.rep):
             kg = ring.hom_group(kid)
-            assert hg.pullback(kg.domain, kg) == tuple(
+            assert hg.pullback(lambda y: y, kg) == tuple(
                 index_of_map(kg, {x: values_map(hg, k)[x] for x in kg.domain})
                 for k in range(hg.size))
 
@@ -126,9 +129,9 @@ def test_hom_action_conjugates_generators_only(monkeypatch):
     calls = []
     pullback = HomGroup.pullback
 
-    def counted(self, points, target):
+    def counted(self, f, target):
         calls.append(None)
-        return pullback(self, points, target)
+        return pullback(self, f, target)
 
     monkeypatch.setattr(HomGroup, "pullback", counted)
     FiberedBurnsideRing(group, fiber, lattice=lattice)
@@ -295,6 +298,21 @@ def test_products_match_marks_oracle(ring_factory):
                 got = {k: int(v.rational_value())
                        for k, v in ring.burnside_project(ring.multiply(xa, xb)).items()}
                 assert got == oracle
+
+
+@pytest.mark.parametrize("spec", [*CATALOG_GROUPS, GL32])
+def test_marks_match_unshortened_count(ring_factory, spec):
+    # mark() returns 0 when |H| does not divide |K|; the full fixed-point
+    # count must agree on every pair of classes
+    lat = ring_factory(spec, "1").lattice
+    group = lat.group
+    for row in lat.classes:
+        h = lat.subgroups[row.rep]
+        for col in lat.classes:
+            k = lat.subgroups[col.rep]
+            count = sum(all(group.conj(group.inverse[g], x) in k.elems for x in h.gens)
+                        for g in range(group.order))
+            assert burnside.mark(lat, row.index, col.index) * k.order == count
 
 
 def test_table_of_marks_triangular(ring_factory):

@@ -15,6 +15,7 @@ from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
 from fbr.perm import SubgroupLattice
 from fbr.ring import FiberedBurnsideRing, build_ring
+from oracles import idempotent_by_values, multiply_basis_by_values, species_value_by_values
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "c2_a2.json").read_text())
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
@@ -116,6 +117,25 @@ def test_composite_map_oracle(ring_factory):
             for b in range(ring.rank):
                 assert sp.species_value(ring, d, b) == \
                     sp.species_value_composite(ring, d, b)
+
+
+PER_ELEMENT_RINGS = ([(g, f) for g in CATALOG_GROUPS for f in ("1", "2", "6", "2x2")]
+                     + [(GL32, "1"), (GL32, "2"), ("Q8", "2x4")])
+
+
+@pytest.mark.parametrize("spec,fiber", PER_ELEMENT_RINGS)
+def test_probes_match_per_element_paths(ring_factory, spec, fiber):
+    # structure constants, species entries and idempotents read at the
+    # probes against forming every value map in full
+    ring = ring_factory(spec, fiber)
+    for i in range(ring.rank):
+        for j in range(i, ring.rank):
+            assert ring.multiply_basis(i, j) == multiply_basis_by_values(ring, i, j)
+    table = sp.species_table(ring)
+    for d in range(ring.rank):
+        assert table[d] == tuple(species_value_by_values(ring, d, b)
+                                 for b in range(ring.rank))
+        assert sp.idempotent(ring, d) == idempotent_by_values(ring, d)
 
 
 def test_apply_species_is_ring_hom(ring_factory):
@@ -261,8 +281,8 @@ def test_species_values_match_dense_sum(ring_factory, random_element, spec, fibe
 
 def test_species_table_must_be_integral(monkeypatch):
     ring = build_ring("C2", "2")
-    monkeypatch.setattr(sp, "species_value", lambda ring, d, b:
-                        Cyclotomic.from_rational(ring.level, Fraction(1, 2)))
+    monkeypatch.setattr(sp, "_character_sum", lambda level, values, counts:
+                        Cyclotomic.from_rational(level, Fraction(1, 2)))
     with pytest.raises(InvariantViolationError, match="not integral"):
         sp.species_table(ring)
 
