@@ -5,8 +5,9 @@ permutation group, Hom(H, A) is enumerated through an explicit cyclic
 basis of the abelianization of H.  A homomorphism is named by its index
 in that enumeration, read from its values at lifts of the basis
 elements, and its total value table keyed by element index is kept for
-reading values and ordering orbits.  Characters of Hom(H, A) are kept
-as tuples of root-of-unity exponents, one per homomorphism.
+reading values and ordering orbits.  A character of Hom(H, A) is named
+by its digits in the same mixed radix, and its exponent on a
+homomorphism is formed from the two digit tuples.
 """
 
 from __future__ import annotations
@@ -300,70 +301,58 @@ class HomGroup:
 # ---------------------------------------------------------------------------
 # characters of Hom groups
 
-# A character is stored as a tuple of integers mod the cyclotomic level:
-# entry k is the exponent e with value zeta^e on homomorphism k.
+# A character Phi of a Hom group is named by its digits (c_t), c_t mod g_t:
+# Phi takes zeta^(c_t * level/g_t) on generator t, so zeta^(sum of
+# c_t * k_t * level/g_t) on homomorphism k, whose digits are (k_t).
 
 
-def dual_character_values(hom_group, level):
-    """All characters of a Hom group as exponent tuples at the given level.
-
-    The character with digits (c_t) takes sum c_t * k_t * level/g_t on
-    homomorphism k, whose digits are (k_t); characters come in product
-    order of their digits."""
+def characters(hom_group, level):
+    """The digits of every character of a Hom group, in product order; the
+    level must be a multiple of the Hom exponent."""
     if level % hom_group.exponent != 0:
         raise InvariantViolationError(
-            f"level {level} not divisible by Hom exponent {hom_group.exponent}"
-        )
-
-    def add(s, t):
-        return tuple((a + b) % level for a, b in zip(s, t))
-
-    zero = (0,) * hom_group.size
-    multiples = []
-    for stride, g in zip(hom_group.gen_indices, hom_group.gen_orders):
-        # the exponent row of digit t: k_t * level/g on homomorphism k
-        row = tuple((k // stride) % g * (level // g) for k in range(hom_group.size))
-        multiples.append(_multiples(row, g, add, zero))
-    out = _sums(multiples, add, zero)
-    if len(set(out)) != len(out):
-        raise InvariantViolationError("characters are not pairwise distinct")
-    return out
+            f"level {level} not divisible by Hom exponent {hom_group.exponent}")
+    return iterproduct(*(range(g) for g in hom_group.gen_orders))
 
 
-def character_order(values, level):
-    g = level
-    for v in values:
-        g = gcd(g, v)
-    return level // g if level else 1
+def character_exponent(hom_group, c, k, level):
+    """Exponent of the value on homomorphism k of the character with digits c."""
+    return sum(ct * (k // stride % g) * (level // g) for ct, stride, g
+               in zip(c, hom_group.gen_indices, hom_group.gen_orders)) % level
 
 
-def character_power(values, t, level):
-    return tuple((v * t) % level for v in values)
+def compose_character(hom_group, c, level, target, pi):
+    """The digits of Phi o pi, Phi the character with digits c, for pi a
+    homomorphism from the Hom group target into this one, given on
+    indices (pi[s] is read at the generators s of target only)."""
+    out = []
+    for s, g in zip(target.gen_indices, target.gen_orders):
+        e, r = divmod(character_exponent(hom_group, c, pi[s], level), level // g)
+        if r:
+            raise InvariantViolationError("character value has wrong order on generator")
+        out.append(e)
+    return tuple(out)
 
 
-def character_p_parts(values, p, level):
+def character_order(c, orders):
+    """Order of the character with digits c, for generator orders orders."""
+    return lcm(*(g // gcd(ct, g) for ct, g in zip(c, orders)))
+
+
+def character_power(c, t, orders):
+    return tuple(ct * t % g for ct, g in zip(c, orders))
+
+
+def character_p_parts(c, p, orders):
     """Split a character into its p-part and p'-part.
 
     Done by exponent CRT on the character order o = p^a * m: the p-part
     is the power by m * (m^-1 mod p^a) and the p'-part the power by
     p^a * (p^a^-1 mod m).
     """
-    o = character_order(values, level)
+    o = character_order(c, orders)
     pa = p_part(o, p)
     m = o // pa
     # pow(x, -1, 1) == 0, so a trivial part needs no case of its own
-    tp = m * pow(m, -1, pa)
-    tq = pa * pow(pa, -1, m)
-    return character_power(values, tp, level), character_power(values, tq, level)
-
-
-def character_gen_exponents(values, hom_group, level):
-    """Exponents c with value zeta^(c * level/order) on each Hom generator."""
-    out = []
-    for gi, g in zip(hom_group.gen_indices, hom_group.gen_orders):
-        e = values[gi]
-        step = level // g
-        if e % step != 0:
-            raise InvariantViolationError("character value has wrong order on generator")
-        out.append((e // step) % g)
-    return tuple(out)
+    return (character_power(c, m * pow(m, -1, pa), orders),
+            character_power(c, pa * pow(pa, -1, m), orders))

@@ -11,13 +11,14 @@ ResourceLimitError, not a corrupt entry).
 The payload's shape (its fields, and lists of ints wherever ints are
 read) is checked before anything is built, so that an error raised by
 the build propagates as the bug it is.  The stored subgroup sets must
-hold element indices of the group and be subgroups.  The lattice built
-on them computes the classes, witnesses and normalizers; when the sets
-miss a conjugate, a normalizer or another subgroup that the build looks
-up, the lookup raises InvariantViolationError, which marks the entry
-unusable.  A family of sets that misses a whole class that no lookup
-reaches builds without error; the stored basis, which must match the
-one rebuilt on that lattice, catches it.  Any other mismatch or
+hold element indices of the group and be subgroups: the lattice built
+on them refuses a set that is not, and computes the classes, witnesses
+and normalizers; when the sets miss a conjugate, a normalizer or another
+subgroup that the build looks up, the lookup raises.  Either
+InvariantViolationError marks the entry unusable.  A family of sets
+that misses a whole class that no lookup reaches builds without error;
+the stored basis, which must match the one rebuilt on that lattice,
+catches it.  Any other mismatch or
 corruption makes the caller recompute, with a notice on stderr.  The
 basis does not depend on the level, so a loaded ring is at the
 natural level.
@@ -98,7 +99,7 @@ def ring_from_payload(payload, group_spec, fiber_spec):
     """Rebuild the ring session of the given specs from a payload; None if
     it is malformed, does not verify or was stored under another key.
     The shape is checked before anything is built, so an exception from
-    the build is a bug, not a corrupt entry."""
+    the build other than InvariantViolationError is a bug."""
     if not _well_formed(payload):
         return None
     if payload["checksum"] != _payload_checksum(payload):
@@ -110,10 +111,7 @@ def ring_from_payload(payload, group_spec, fiber_spec):
     sets = payload["subgroups"]
     if not all(0 <= x < group.order for s in sets for x in s):
         return None
-    lattice = SubgroupLattice(group, sets)
-    if any(group.closure(s.gens) != s.elems for s in lattice.subgroups):
-        return None
-    ring = FiberedBurnsideRing(group, fiber, lattice=lattice)
+    ring = FiberedBurnsideRing(group, fiber, lattice=SubgroupLattice(group, sets))
     stored_basis = [tuple(b) for b in payload["basis"]]
     rebuilt = [(o.subgroup_id, o.hom_index) for o in ring.basis.orbits]
     return ring if stored_basis == rebuilt else None
@@ -131,7 +129,8 @@ def save_session(cache_dir, ring, group_spec, fiber_spec):
     payload = ring_payload(ring, group_spec, fiber_spec)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True))
+        with tmp.open("w") as fh:
+            json.dump(payload, fh, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -151,7 +150,7 @@ def load_session(cache_dir, group_spec, fiber_spec):
     try:
         ring = ring_from_payload(payload, group_spec, fiber_spec)
     except InvariantViolationError:
-        ring = None  # the stored sets miss a subgroup that the build looks up
+        ring = None  # a stored set is no subgroup, or the sets miss one
     if ring is None:
         print(f"notice: cache entry {path.name} unusable, recomputing",
               file=sys.stderr)

@@ -495,10 +495,9 @@ class SubgroupLattice:
         key = (hid, p)
         val = self._op_residual.get(key)
         if val is None:
-            group = self.group
-            seed = [x for x in self.subgroups[hid].sorted_elems
-                    if group.element_orders[x] % p != 0]
-            val = self.by_set[group.closure(seed)]
+            orders = self.group.element_orders
+            val = self.by_set[_greedy_closure(self.group, [
+                x for x in self.subgroups[hid].sorted_elems if orders[x] % p])[1]]
             self._op_residual[key] = val
         return val
 
@@ -509,20 +508,24 @@ class SubgroupLattice:
         )
 
 
+def _greedy_closure(group, elems):
+    """(gens, the subgroup they generate): elems scanned ascending, and
+    each one outside the subgroup generated so far kept."""
+    gens, current = [], frozenset((group.identity,))
+    for x in elems:
+        if x not in current:
+            gens.append(x)
+            current = group.closure(gens)
+    return tuple(gens), current
+
+
 def _greedy_gens(group, sorted_elems):
-    """Canonical small generating set: scan elements ascending, keep the
-    ones that enlarge the generated subgroup."""
-    target = len(sorted_elems)
-    gens = []
-    current = {group.identity}
-    for x in sorted_elems:
-        if x in current:
-            continue
-        gens.append(x)
-        current = group.closure(gens)
-        if len(current) == target:
-            break
-    return tuple(gens)
+    """Canonical small generating set of the subgroup with these elements;
+    elements that are no subgroup are an InvariantViolationError."""
+    gens, current = _greedy_closure(group, sorted_elems)
+    if len(current) != len(sorted_elems):  # current holds every element
+        raise InvariantViolationError("an element set is not a subgroup")
+    return gens
 
 
 def _conjugates(group, elems, gens):

@@ -7,12 +7,13 @@ Phi(^g(psi) restricted to H), so it is zero unless H <=_G K: ordered by
 subgroup class, the table is block triangular like the table of marks,
 and it is evaluated and read only where H <=_G K.  The restrictions are
 read at the probes of Hom(H, A) (HomGroup.index_at) and counted once per
-H and [K, psi]; each character of Hom(H, A) is then one sum of roots of
-unity over those counts, added as exponents and reduced once.  The
-table of all species values against the standard basis is square and
-invertible (its determinant is taken block by block); inverting it
-through the explicit idempotent formula gives the primitive
-idempotents, whose coefficients are summed the same way.
+H and [K, psi]; each character of Hom(H, A), named by its digits
+(abelian.characters), is then one sum of roots of unity over those
+counts, its exponents formed from the two digit tuples, added and
+reduced once.  The table of all species values against the standard
+basis is square and invertible (its determinant is taken block by
+block); inverting it through the explicit idempotent formula gives the
+primitive idempotents, whose coefficients are summed the same way.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from functools import partial
 from typing import NamedTuple
 
 from . import ring as ring_mod
-from .abelian import (character_gen_exponents, character_order,
-                      dual_character_values)
+from .abelian import (character_exponent, character_order, characters,
+                      compose_character)
 from .cyclo import Cyclotomic, _reduce, sum_products
 from .errors import InputError, InvariantViolationError, TheoremViolationError
 
@@ -30,13 +31,14 @@ from .errors import InputError, InvariantViolationError, TheoremViolationError
 class DualOrbit(NamedTuple):
     """Conjugation orbit [H, Phi] of a dual pair, canonically keyed.
 
-    values holds the character as root-of-unity exponents, one per
-    element of Hom(H, A) for the class-representative subgroup H.
+    digits names Phi in Hom(H, A)'s dual for the class representative H
+    (abelian.characters).  The canonical member has the least reversed
+    digits, so characters are ordered as their exponent tuples would be.
     """
 
     index: int
     subgroup_id: int
-    values: tuple
+    digits: tuple
     class_index: int
     stabilizer_order: int
     orbit_size: int
@@ -45,10 +47,12 @@ class DualOrbit(NamedTuple):
 def _build_dual_data(ring):
     def orbit_data(rep):
         action = ring.hom_action(rep)
-        chars = dual_character_values(ring.hom_group(rep), ring.level)
-        # ^n Phi = Phi o ^(n^-1), whose value on phi_k is Phi at
-        # sigma_(n^-1)[k]; the inverses of the generators generate N(H) too
-        return chars, lambda g, values: tuple(values[s] for s in action[g]), None
+        hg = ring.hom_group(rep)
+        # ^n Phi = Phi o sigma_(n^-1), read at the Hom generators; the
+        # inverses of the generators generate N(H) too
+        return (characters(hg, ring.level),
+                lambda g, c: compose_character(hg, c, ring.level, hg, action[g]),
+                lambda c: c[::-1])
 
     orbits, lookup = ring.normalizer_orbits(DualOrbit, orbit_data)
     if len(orbits) != ring.rank:
@@ -67,21 +71,21 @@ def _dual_lookup(ring):
     return ring.memo("duals", lambda: _build_dual_data(ring))[1]
 
 
-def conjugate_character(ring, sid, values, g):
+def conjugate_character(ring, sid, c, g):
     """The pair ^g(H, Phi) = (^gH, ^gPhi) with ^gPhi(psi) = Phi(^(g^-1)psi).
 
-    Returns (subgroup id of ^gH, value tuple over Hom(^gH, A)).
+    Returns (subgroup id of ^gH, the digits of ^gPhi).
     """
     tid = ring.lattice.conj_subgroup_id(g, sid)
-    src = ring.hom_group(sid)
+    src, dst = ring.hom_group(sid), ring.hom_group(tid)
     # ^(g^-1)psi(x) = psi(g x g^-1) for psi in Hom(^gH, A)
-    pulled = ring.hom_group(tid).pullback(partial(ring.group.conj, g), src)
-    return tid, tuple(values[k] for k in pulled)
+    pulled = dst.pullback(partial(ring.group.conj, g), src)
+    return tid, compose_character(src, c, ring.level, dst, pulled)
 
 
-def canonicalize_dual(ring, sid, values):
-    """Canonical dual orbit of (subgroup sid, character values)."""
-    _, moved = conjugate_character(ring, sid, values, ring.lattice.to_rep[sid])
+def canonicalize_dual(ring, sid, c):
+    """Canonical dual orbit of (subgroup sid, character digits c)."""
+    _, moved = conjugate_character(ring, sid, c, ring.lattice.to_rep[sid])
     return _dual_lookup(ring)[ring.lattice.class_rep(sid)][moved]
 
 
@@ -107,18 +111,18 @@ def _restriction_counts(ring, hid, b):
     return counts
 
 
-def _character_sum(level, values, counts):
-    """Sum of count * zeta^values[k] over the counts {k: count}, reduced once."""
+def _character_sum(hg, digits, level, counts):
+    """Sum of count * Phi(phi_k) over {k: count}, Phi of hg with these digits, reduced once."""
     exponents = [0] * level
     for k, c in counts.items():
-        exponents[values[k]] += c
+        exponents[character_exponent(hg, digits, k, level)] += c
     return _reduce(level, exponents, 1)
 
 
 def species_value(ring, d, b):
     """Species of the dual orbit with index d evaluated on the basis orbit b."""
     dual = dual_orbits(ring)[d]
-    return _character_sum(ring.level, dual.values,
+    return _character_sum(ring.hom_group(dual.subgroup_id), dual.digits, ring.level,
                           _restriction_counts(ring, dual.subgroup_id, b))
 
 
@@ -142,8 +146,9 @@ def species_table(ring):
         for b, o in enumerate(ring.basis.orbits):
             for hid in below[o.class_index]:
                 counts = _restriction_counts(ring, hid, b)
+                hg = ring.hom_group(hid)
                 for dual in on[hid]:
-                    rows[dual.index][b] = _character_sum(level, dual.values, counts)
+                    rows[dual.index][b] = _character_sum(hg, dual.digits, level, counts)
         if any(v.den != 1 for row in rows for v in row):
             raise InvariantViolationError("species table entry is not integral")
         return tuple(map(tuple, rows))
@@ -208,7 +213,8 @@ def species_value_composite(ring, d, b):
         value = sub.pair_value(k)
         idx = hg.index_at([value(sub.group.index[ring.group.elements[x]])
                            for x in hg.points])
-        total = total + c * Cyclotomic.zeta_power(ring.level, dual.values[idx])
+        total = total + c * Cyclotomic.zeta_power(
+            ring.level, character_exponent(hg, dual.digits, idx, ring.level))
     return total
 
 
@@ -234,17 +240,18 @@ def _idempotent(ring, d):
     hg = ring.hom_group(hid)
     lattice = ring.lattice
     level = ring.level
+    # the exponents of the complex conjugates of the character's values
+    conj = [-character_exponent(hg, dual.digits, k, level) % level for k in range(hg.size)]
     acc = {}  # basis orbit -> weight of each exponent of zeta
     for kid, mu in lattice.mobius_row(hid).items():
         if mu == 0:
             continue
         kw = lattice.subgroups[kid].order * mu
-        for k in range(hg.size):
+        for k, e in enumerate(conj):
             oidx = ring.canonicalize_pair(kid, partial(hg.value, k))
             if oidx not in acc:
                 acc[oidx] = [0] * level
-            # the complex conjugate of the character value
-            acc[oidx][-dual.values[k] % level] += kw
+            acc[oidx][e] += kw
     denom = dual.stabilizer_order * hg.size
     return ring_mod.RingElement(
         ring, {k: _reduce(level, v, denom) for k, v in acc.items()})
@@ -339,9 +346,9 @@ def dual_descriptor(ring, d):
         "index": dual.index,
         "subgroup": ring.subgroup_descriptor(dual.subgroup_id),
         "character": {
-            "order": character_order(dual.values, ring.level),
+            "order": character_order(dual.digits, hg.gen_orders),
             "hom_generators": hom_gens,
-            "exponents": list(character_gen_exponents(dual.values, hg, ring.level)),
+            "exponents": list(dual.digits),
         },
         "stabilizer_order": dual.stabilizer_order,
         "orbit_size": dual.orbit_size,

@@ -23,7 +23,8 @@ from math import gcd
 from typing import NamedTuple
 
 from . import species as species_mod
-from .abelian import character_order, character_p_parts, character_power
+from .abelian import (character_order, character_p_parts, character_power,
+                      compose_character)
 from .cyclo import reduce_mod
 from .errors import (InputError, InvariantViolationError,
                      TheoremViolationError)
@@ -55,7 +56,7 @@ class WeylBlockIso(NamedTuple):
 def is_p_regular(ring, d, p):
     """p divides neither the character order nor the normalizer index."""
     dual = species_mod.dual_orbits(ring)[d]
-    o = character_order(dual.values, ring.level)
+    o = character_order(dual.digits, ring.hom_group(dual.subgroup_id).gen_orders)
     h_order = ring.lattice.subgroups[dual.subgroup_id].order
     index = dual.stabilizer_order // h_order
     return o % p != 0 and index % p != 0
@@ -84,15 +85,17 @@ def p_perfect_pair(ring, d, p):
     checks the classes against the congruence oracle.
     """
     dual = species_mod.dual_orbits(ring)[d]
-    jid, lift = ring.memo(("p-perfect lift", dual.subgroup_id, p),
-                          lambda: _p_perfect_lift(ring, dual.subgroup_id, p))
-    _, values = character_p_parts(dual.values, p, ring.level)
-    return species_mod.canonicalize_dual(ring, jid, tuple(values[k] for k in lift))
+    hid, hg = dual.subgroup_id, ring.hom_group(dual.subgroup_id)
+    jid, lift = ring.memo(("p-perfect lift", hid, p), lambda: _p_perfect_lift(ring, hid, p))
+    _, c = character_p_parts(dual.digits, p, hg.gen_orders)
+    # Psi is a character, so it is read at the generators of Hom(J, A)
+    return species_mod.canonicalize_dual(
+        ring, jid, compose_character(hg, c, ring.level, ring.hom_group(jid), lift))
 
 
 def _p_perfect_lift(ring, hid, p):
-    """J = O^p(H) for a class representative H, and for each psi in
-    Hom(J, A), by index, a phi in Hom(H, A) restricting to e(psi)."""
+    """J = O^p(H) for a class representative H, and {psi: a phi in Hom(H, A)
+    restricting to e(psi)} over the generators psi of Hom(J, A), by index."""
     group = ring.group
     jid = ring.lattice.o_p_residual_id(hid, p)
     hg = ring.hom_group(jid)
@@ -100,8 +103,8 @@ def _p_perfect_lift(ring, hid, p):
     # psi -> ^h psi for each generator h of H (J is normal in H)
     moves = [hg.pullback(partial(group.conj, group.inverse[h]), hg)
              for h in ring.lattice.subgroups[hid].gens]
-    lift = []
-    for k in range(hg.size):
+    lift = {}
+    for k in hg.gen_indices:
         orbit = [k]
         for x in orbit:  # orbit grows during the loop
             orbit.extend({move[x] for move in moves}.difference(orbit))
@@ -111,8 +114,8 @@ def _p_perfect_lift(ring, hid, p):
                    for stride, g in zip(hg.gen_indices, hg.gen_orders))
         if mean not in preimage:
             raise TheoremViolationError("restriction to O^p(H) misses an H-fixed point")
-        lift.append(preimage[mean])
-    return jid, tuple(lift)
+        lift[k] = preimage[mean]
+    return jid, lift
 
 
 def _p_classes(ring, p):
@@ -196,14 +199,10 @@ def galois_orbit(ring, d):
     """Orbit of a dual pair under zeta -> zeta^t for all t coprime to
     the level: (H, Phi) goes to (H, Phi^t)."""
     dual = species_mod.dual_orbits(ring)[d]
-    n = ring.level
-    out = set()
-    for t in range(1, n + 1):
-        if gcd(t, n) != 1:
-            continue
-        powered = character_power(dual.values, t, n)
-        out.add(species_mod.canonicalize_dual(ring, dual.subgroup_id, powered))
-    return tuple(sorted(out))
+    orders = ring.hom_group(dual.subgroup_id).gen_orders
+    return tuple(sorted({species_mod.canonicalize_dual(
+        ring, dual.subgroup_id, character_power(dual.digits, t, orders))
+        for t in range(1, ring.level + 1) if gcd(t, ring.level) == 1}))
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,17 @@ Moebius values come bottom-up, from the lower end of each interval.
 The abelianization coordinates, the Hom tables and the characters of a
 Hom group are formed one element at a time, by repeated products and
 linear combinations over exponent tuples.
+The references for the package's digit naming of characters keep each
+character as its exponent tuple over Hom(H, A), moved and restricted
+whole, with dual orbits keyed by their least tuple, and form the
+p-perfect character Psi by lifting every psi in Hom(J, A).
 """
 
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd
 
 from fbr import perm
-from fbr import species as sp
-from fbr.abelian import character_p_parts
 from fbr.arith import p_part
 from fbr.cyclo import Cyclotomic
 from fbr.ring import RingElement
@@ -75,9 +78,9 @@ def multiply_basis_by_values(ring, i, j):
 
 
 def species_value_by_values(ring, d, b):
-    """sp.species_value over value maps, one Cyclotomic sum per coset."""
-    dual = sp.dual_orbits(ring)[d]
-    hid = dual.subgroup_id
+    """sp.species_value over value maps and the exponent tuples of
+    dual_orbits_by_values, one Cyclotomic sum per coset."""
+    hid, exps, _, _ = dual_orbits_by_values(ring)[0][d]
     hg = ring.hom_group(hid)
     psi = pair_values_map(ring, b)
     group = ring.group
@@ -87,24 +90,25 @@ def species_value_by_values(ring, d, b):
         if meet == hid:
             ginv = group.inverse[g]
             idx = index_of_map(hg, {x: psi[group.conj(ginv, x)] for x in hg.domain})
-            total = total + Cyclotomic.zeta_power(ring.level, dual.values[idx])
+            total = total + Cyclotomic.zeta_power(ring.level, exps[idx])
     return total
 
 
 def idempotent_by_values(ring, d):
-    """sp.idempotent over value maps, one Cyclotomic sum per term."""
-    dual = sp.dual_orbits(ring)[d]
-    hg = ring.hom_group(dual.subgroup_id)
+    """sp.idempotent over value maps and the exponent tuples of
+    dual_orbits_by_values, one Cyclotomic sum per term."""
+    hid, exps, stabilizer_order, _ = dual_orbits_by_values(ring)[0][d]
+    hg = ring.hom_group(hid)
     lattice = ring.lattice
     acc = {}
-    for kid, mu in lattice.mobius_row(dual.subgroup_id).items():
+    for kid, mu in lattice.mobius_row(hid).items():
         kw = lattice.subgroups[kid].order * mu
         for k in range(hg.size):
-            coeff = Cyclotomic.zeta_power(ring.level, -dual.values[k]) * kw
+            coeff = Cyclotomic.zeta_power(ring.level, -exps[k]) * kw
             values = {x: hg.value(k, x) for x in lattice.subgroups[kid].sorted_elems}
             oidx = canonicalize_pair_by_values(ring, kid, values)
             acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
-    denom = dual.stabilizer_order * hg.size
+    denom = stabilizer_order * hg.size
     return RingElement(ring, {k: v.scalar_div(denom) for k, v in acc.items()})
 
 
@@ -215,7 +219,8 @@ def _dual_pair_stabilizer(ring, rep, values):
 def p_regularize_by_climb(ring, d, p, sylow=perm.sylow_subgroup):
     """The p-regular member of the P-class of a dual orbit, by a climb.
 
-    Strips the p-part of the character, then repeatedly moves (K, Psi)
+    Works on exponent tuples throughout (dual_orbits_by_values).  Strips
+    the p-part of the character, then repeatedly moves (K, Psi)
     to its class representative and climbs to the preimage of a Sylow
     p-subgroup of N(K, Psi)/K, composing with restriction, until the
     pair is p-regular.  The preimage is grown in the ambient group
@@ -223,17 +228,17 @@ def p_regularize_by_climb(ring, d, p, sylow=perm.sylow_subgroup):
     subgroup strictly grows, so the climb terminates; the resulting
     conjugacy class does not depend on the Sylow choices.
     """
-    dual = sp.dual_orbits(ring)[d]
-    sid = dual.subgroup_id
-    _, values = character_p_parts(dual.values, p, ring.level)
+    orbits, lookup = dual_orbits_by_values(ring)
+    sid, values, _, _ = orbits[d]
+    values = p_prime_part_of_values(values, p, ring.level)
     lattice = ring.lattice
     while True:
         if lattice.class_rep(sid) != sid:
-            sid, values = sp.conjugate_character(ring, sid, values, lattice.to_rep[sid])
+            sid, values = conjugate_values(ring, sid, values, lattice.to_rep[sid])
         stab = _dual_pair_stabilizer(ring, sid, values)
         k_order = lattice.subgroups[sid].order
         if (len(stab) // k_order) % p != 0:
-            return sp.canonicalize_dual(ring, sid, values)
+            return lookup[sid][values]
         new_sid = lattice.by_set[sylow(ring.group, p, stab, lattice.subgroups[sid].elems)]
         # the character phi -> Psi(phi restricted to K) of Hom(new, A)
         src_hg, new_hg = ring.hom_group(sid), ring.hom_group(new_sid)
@@ -314,6 +319,7 @@ def hom_tables_by_combination(basis, coords, domain, fiber):
     return tuple(g for _, g, _ in gen_data), tables
 
 
+@lru_cache(maxsize=None)
 def characters_by_digits(gen_orders, level):
     """Every character of a Hom group with these generator orders, as
     exponent tuples at the level: the character with digits cs takes
@@ -329,3 +335,85 @@ def characters_by_digits(gen_orders, level):
             values.append(e % level)
         out.append(tuple(values))
     return out
+
+
+def character_values(hom_group, digits, level):
+    """The character of a Hom group with these digits as its exponent
+    tuple over the homomorphisms, in index order."""
+    index = sum(c * stride for c, stride in zip(digits, hom_group.gen_indices))
+    return characters_by_digits(hom_group.gen_orders, level)[index]
+
+
+def digits_of_values(hom_group, values, level):
+    """The digits of a character given as an exponent tuple: its exponent
+    at generator t, which must be a multiple of level/g_t, over level/g_t."""
+    out = []
+    for stride, g in zip(hom_group.gen_indices, hom_group.gen_orders):
+        c, r = divmod(values[stride], level // g)
+        assert r == 0, "character value has wrong order on generator"
+        out.append(c)
+    return tuple(out)
+
+
+def p_prime_part_of_values(values, p, level):
+    """The p'-part of a character given as an exponent tuple: its power by
+    p^a * (p^a^-1 mod m), where p^a * m is its order."""
+    o = level // gcd(level, *values)
+    pa = p_part(o, p)
+    m = o // pa
+    t = pa * pow(pa, -1, m)
+    return tuple(v * t % level for v in values)
+
+
+def dual_orbits_by_values(ring):
+    """(orbits, lookup): the dual orbits as (subgroup id, exponent tuple,
+    stabilizer order, orbit size) in canonical order, and rep ->
+    {exponent tuple: orbit index}.  A character is moved whole by the
+    generators' permutations of Hom(H, A), and an orbit is keyed by its
+    lexicographically least exponent tuple."""
+    def orbit_data(rep):
+        action = ring.hom_action(rep)
+        chars = characters_by_digits(ring.hom_group(rep).gen_orders, ring.level)
+        # ^n Phi = Phi o sigma_(n^-1)
+        return chars, lambda g, values: tuple(values[s] for s in action[g]), None
+
+    def build():
+        return ring.normalizer_orbits(
+            lambda index, rep, values, cidx, stab, size: (rep, values, stab, size),
+            orbit_data)
+
+    return ring.memo("oracle: dual orbits by values", build)
+
+
+def conjugate_values(ring, sid, values, g):
+    """sp.conjugate_character over exponent tuples: ^gPhi(psi) =
+    Phi(^(g^-1)psi), with ^(g^-1)psi formed as a whole value map."""
+    group = ring.group
+    tid = ring.lattice.conj_subgroup_id(g, sid)
+    src, dst = ring.hom_group(sid), ring.hom_group(tid)
+    ginv = group.inverse[g]
+    return tid, tuple(
+        values[index_of_map(src, conj_values_map(group, values_map(dst, k), ginv))]
+        for k in range(dst.size))
+
+
+def p_perfect_lift_by_values(ring, hid, p):
+    """J = O^p(H) and, for every psi in Hom(J, A) by index, a phi in
+    Hom(H, A) restricting to e(psi): the lift of spectrum._p_perfect_lift
+    taken at every psi, not only at the generators."""
+    group = ring.group
+    jid = ring.lattice.o_p_residual_id(hid, p)
+    hg = ring.hom_group(jid)
+    preimage = {r: k for k, r in enumerate(ring.hom_group(hid).pullback(lambda y: y, hg))}
+    moves = [hg.pullback(partial(group.conj, group.inverse[h]), hg)
+             for h in ring.lattice.subgroups[hid].gens]
+    lift = []
+    for k in range(hg.size):
+        orbit = [k]
+        for x in orbit:  # orbit grows during the loop
+            orbit.extend({move[x] for move in moves}.difference(orbit))
+        c = pow(len(orbit), -1, hg.exponent)
+        mean = sum(c * sum(x // stride % g for x in orbit) % g * stride
+                   for stride, g in zip(hg.gen_indices, hg.gen_orders))
+        lift.append(preimage[mean])
+    return jid, tuple(lift)

@@ -2,15 +2,16 @@
 
 import functools
 import itertools
+import math
 from math import lcm
 
 import pytest
 
 from fbr import abelian
 from fbr.abelian import (FiniteAbelianGroup, HomGroup, abelianization_basis,
-                         character_order, character_p_parts, character_power,
-                         dual_character_values, normalize_invariant_factors,
-                         parse_fiber_spec)
+                         character_exponent, character_order, character_p_parts,
+                         character_power, characters, compose_character,
+                         normalize_invariant_factors, parse_fiber_spec)
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
@@ -271,7 +272,10 @@ def test_enumeration_matches_oracles(gspec, fspec):
             assert digits[gi] == tuple(int(s == t) for s in range(len(gen_orders)))
         # index 0 is the trivial homomorphism (ring.trivial_pair_orbit)
         assert set(hg.tables[0]) == {fiber.zero()}
-        assert dual_character_values(hg, level) == characters_by_digits(gen_orders, level)
+        # a character's exponent on each homomorphism, formed from the two
+        # digit tuples, against the characters formed digit by digit
+        assert [tuple(exponents(hg, c, level)) for c in characters(hg, level)] == \
+            characters_by_digits(gen_orders, level)
 
 # -- conjugation and restriction -----------------------------------------------------
 
@@ -317,24 +321,48 @@ def test_conjugation_preserves_kernel_conjugacy():
 
 # -- characters ------------------------------------------------------------------------
 
+def exponents(hg, c, level):
+    return [character_exponent(hg, c, k, level) for k in range(hg.size)]
+
+
 def test_dual_characters_of_trivial():
     lat = SubgroupLattice(parse_group_spec("C2"))
     hg = hom_group_of(lat, lat.trivial_id(), parse_fiber_spec("2"))
-    assert dual_character_values(hg, 2) == [(0,)]
+    assert list(characters(hg, 2)) == [()]
+    assert exponents(hg, (), 2) == [0]
 
 
 def test_dual_characters_of_c2():
     lat = SubgroupLattice(parse_group_spec("C2"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
-    chars = dual_character_values(hg, 2)
-    assert chars == [(0, 0), (0, 1)]
+    chars = list(characters(hg, 2))
+    assert chars == [(0,), (1,)]
+    assert [exponents(hg, c, 2) for c in chars] == [[0, 0], [0, 1]]
 
 
 def test_dual_characters_level_mismatch():
     lat = SubgroupLattice(parse_group_spec("C2"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
     with pytest.raises(InvariantViolationError):
-        dual_character_values(hg, 3)
+        characters(hg, 3)
+
+
+def test_compose_character_checks_the_order_at_generators():
+    # Phi of order 4 on Hom(C4, C4) composed with a map that sends the
+    # order-2 generator of Hom(C2, C4) to a homomorphism of order 4: the
+    # exponent there is no multiple of level/2, so the map was no
+    # homomorphism
+    fiber = parse_fiber_spec("4")
+    lat4 = SubgroupLattice(parse_group_spec("C4"))
+    hg4 = hom_group_of(lat4, lat4.full_group_id(), fiber)
+    lat2 = SubgroupLattice(parse_group_spec("C2"))
+    hg2 = hom_group_of(lat2, lat2.full_group_id(), fiber)
+    assert hg4.gen_orders == (4,) and hg2.gen_orders == (2,)
+    # maps on indices: doubling, the identity, and one that is no homomorphism
+    assert compose_character(hg4, (1,), 4, hg2, [0, 2]) == (1,)
+    assert compose_character(hg4, (3,), 4, hg4, range(4)) == (3,)
+    with pytest.raises(InvariantViolationError, match="wrong order on generator"):
+        compose_character(hg4, (1,), 4, hg2, [0, 1])
 
 
 def test_row_orthogonality():
@@ -343,7 +371,7 @@ def test_row_orthogonality():
     fiber = parse_fiber_spec("2")
     hg = hom_group_of(lat, lat.full_group_id(), fiber)
     assert hg.size == 4
-    chars = dual_character_values(hg, 2)
+    chars = [exponents(hg, c, 2) for c in characters(hg, 2)]
     assert len(chars) == 4
     for a in chars:
         for b in chars:
@@ -354,30 +382,42 @@ def test_row_orthogonality():
             assert total == Cyclotomic.from_rational(2, expect)
 
 
+def test_character_order_matches_exponents():
+    # the order read from the digits is that of the exponent tuple, at
+    # any level the Hom exponent divides
+    for spec, fspec in (("C6", "6"), ("V4", "2x4"), ("C4", "2x4")):
+        lat = SubgroupLattice(parse_group_spec(spec))
+        hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec(fspec))
+        for level in (hg.exponent, 2 * hg.exponent):
+            for c in characters(hg, level):
+                values = exponents(hg, c, level)
+                assert character_order(c, hg.gen_orders) == level // math.gcd(level, *values)
+
+
 def test_character_p_parts_orders():
     # order-6 character at level 6: the 2-part has order 2, 3-part order 3
     lat = SubgroupLattice(parse_group_spec("C6"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("6"))
-    chars = dual_character_values(hg, 6)
-    full = next(c for c in chars if character_order(c, 6) == 6)
-    c2part, c2prime = character_p_parts(full, 2, 6)
-    assert character_order(c2part, 6) == 2
-    assert character_order(c2prime, 6) == 3
-    product = tuple((x + y) % 6 for x, y in zip(c2part, c2prime))
+    orders = hg.gen_orders
+    full = next(c for c in characters(hg, 6) if character_order(c, orders) == 6)
+    c2part, c2prime = character_p_parts(full, 2, orders)
+    assert character_order(c2part, orders) == 2
+    assert character_order(c2prime, orders) == 3
+    product = tuple((x + y) % g for x, y, g in zip(c2part, c2prime, orders))
     assert product == full
 
 
 def test_character_p_parts_degenerate():
     lat = SubgroupLattice(parse_group_spec("C6"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("6"))
-    chars = dual_character_values(hg, 6)
-    order3 = next(c for c in chars if character_order(c, 6) == 3)
-    p3, p3prime = character_p_parts(order3, 2, 6)
-    assert character_order(p3, 6) == 1
+    orders = hg.gen_orders
+    order3 = next(c for c in characters(hg, 6) if character_order(c, orders) == 3)
+    p3, p3prime = character_p_parts(order3, 2, orders)
+    assert character_order(p3, orders) == 1
     assert p3prime == order3
-    q3, q3prime = character_p_parts(order3, 3, 6)
+    q3, q3prime = character_p_parts(order3, 3, orders)
     assert q3 == order3
-    assert character_order(q3prime, 6) == 1
+    assert character_order(q3prime, orders) == 1
 
 
 def test_evaluate_character():
@@ -385,7 +425,7 @@ def test_evaluate_character():
     # zeta^-e is the complex conjugate
     lat = SubgroupLattice(parse_group_spec("C2"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("2"))
-    trivial, sign = dual_character_values(hg, 2)
+    trivial, sign = (exponents(hg, c, 2) for c in characters(hg, 2))
     one = Cyclotomic.one(2)
     for k in range(hg.size):
         assert Cyclotomic.zeta_power(2, trivial[k]) == one
@@ -397,7 +437,10 @@ def test_evaluate_character():
 def test_character_power_arithmetic():
     lat = SubgroupLattice(parse_group_spec("C6"))
     hg = hom_group_of(lat, lat.full_group_id(), parse_fiber_spec("6"))
-    chars = dual_character_values(hg, 6)
-    full = next(c for c in chars if character_order(c, 6) == 6)
-    assert character_power(full, 7, 6) == full
-    assert character_order(character_power(full, 2, 6), 6) == 3
+    orders = hg.gen_orders
+    full = next(c for c in characters(hg, 6) if character_order(c, orders) == 6)
+    assert character_power(full, 7, orders) == full
+    assert character_order(character_power(full, 2, orders), orders) == 3
+    # the exponents of a power are the character's times t
+    assert exponents(hg, character_power(full, 5, orders), 6) == \
+        [5 * e % 6 for e in exponents(hg, full, 6)]

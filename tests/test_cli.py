@@ -16,6 +16,7 @@ from fbr import abelian, cache
 from fbr.abelian import parse_fiber_spec
 from fbr.acceptance import CATALOG_FIBERS, CATALOG_GROUPS
 from fbr.cli import main
+from fbr.errors import InvariantViolationError
 from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import FiberedBurnsideRing, build_ring
 
@@ -193,6 +194,19 @@ def test_table_format_golden(capsys, argv):
     code, out = run(capsys, *shlex.split(argv))
     assert code == 0
     assert out.splitlines() == TABLES["tables"][argv]
+
+
+DIGESTS = json.loads((Path(__file__).parent / "golden" / "documents.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS["digests"]))
+def test_document_digest_golden(capsys, argv):
+    # documents too large to keep whole: species, idempotents and spectrum
+    # at every p dividing |G|, whose dual order and character descriptors
+    # (order, hom_generators, exponents) the table goldens do not show
+    code, out = run(capsys, *shlex.split(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["digests"][argv]
 
 
 @pytest.mark.parametrize("spec", ["perm:5:(1 2 3 4 5);(1 2 3)",
@@ -498,18 +512,20 @@ def test_cache_entry_with_reordered_subgroups_loads(tmp_path, ring_factory, caps
     assert path.read_bytes() == stored
 
 
-def test_cache_entry_with_a_non_subgroup_is_refused(tmp_path, ring_factory):
-    # a normal set that is no subgroup, stored with the basis it leads to
+def test_cache_entry_with_a_non_subgroup_is_refused(tmp_path, ring_factory, capsys):
+    # a normal set that is no subgroup, re-checksummed: the lattice build
+    # refuses it before the basis is compared, and the entry is unusable
     path = cache.save_session(tmp_path, ring_factory("S3", "2"), "S3", "2")
     payload = json.loads(path.read_text())
     group = parse_group_spec("S3")
     involutions = [x for x in range(group.order) if group.element_orders[x] == 2]
     payload["subgroups"].append([0, *involutions])
-    fake = FiberedBurnsideRing(group, parse_fiber_spec("2"),
-                               lattice=SubgroupLattice(group, payload["subgroups"]))
-    payload["basis"] = [[o.subgroup_id, o.hom_index] for o in fake.basis.orbits]
     payload["checksum"] = cache._payload_checksum(payload)
-    assert cache.ring_from_payload(payload, "S3", "2") is None
+    path.write_text(json.dumps(payload, sort_keys=True))
+    with pytest.raises(InvariantViolationError, match="not a subgroup"):
+        cache.ring_from_payload(payload, "S3", "2")
+    assert cache.load_session(tmp_path, "S3", "2") is None
+    assert capsys.readouterr().err == f"notice: cache entry {path.name} unusable, recomputing\n"
 
 
 def assert_recomputed_once(capsys, args, path):

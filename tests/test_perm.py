@@ -85,6 +85,22 @@ def test_from_elements_rejects_non_closed_set_without_table():
         FiniteGroup.from_elements(7, list(a7.elements) + [(1, 0, 2, 3, 4, 5, 6)])
 
 
+@pytest.mark.parametrize("kind", ["normal", "too small", "no identity"])
+def test_lattice_from_sets_rejects_a_non_subgroup(kind):
+    # the greedy generators of each stored set must close to exactly it:
+    # the identity and the involutions of S3 (a union of classes, closed
+    # under inverses) close to S3; the identity and one 3-cycle, and the
+    # two 3-cycles alone, close to A3
+    s3 = parse_group_spec("S3")
+    orders = s3.element_orders
+    bad = {"normal": [x for x in range(s3.order) if orders[x] in (1, 2)],
+           "too small": [0, orders.index(3)],
+           "no identity": [x for x in range(s3.order) if orders[x] == 3]}[kind]
+    sets = [s.elems for s in SubgroupLattice(s3).subgroups]
+    with pytest.raises(InvariantViolationError, match="not a subgroup"):
+        SubgroupLattice(s3, sets + [bad])
+
+
 # -- products ------------------------------------------------------------------
 
 def test_products_match_composition():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fbr import burnside
-from fbr.abelian import HomGroup, dual_character_values, parse_fiber_spec
+from fbr.abelian import HomGroup, parse_fiber_spec
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError
@@ -19,8 +19,9 @@ from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import (FiberedBurnsideRing, RingElement, build_ring, conjugate,
                       induce, restrict)
 from oracles import (_dual_pair_stabilizer, canonicalize_pair_by_values,
-                     conj_values_map, index_of_map, multiply_basis_reversed,
-                     pair_values_map, restrict_by_scan, values_map)
+                     characters_by_digits, conj_values_map, index_of_map,
+                     multiply_basis_reversed, pair_values_map, restrict_by_scan,
+                     values_map)
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 
@@ -93,7 +94,7 @@ def test_hom_action_matches_per_element_oracle(ring_factory, spec, fiber):
         oracle = per_element_hom_action(ring, cls.rep)
         gens = ring.lattice.normalizer(cls.rep).gens
         assert ring.hom_action(cls.rep) == {g: oracle[g] for g in gens}
-        for values in dual_character_values(ring.hom_group(cls.rep), ring.level):
+        for values in characters_by_digits(ring.hom_group(cls.rep).gen_orders, ring.level):
             assert _dual_pair_stabilizer(ring, cls.rep, values) == [
                 n for n in sorted(oracle)
                 if all(values[s] == values[k]

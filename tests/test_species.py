@@ -15,10 +15,12 @@ from fbr.cyclo import Cyclotomic
 from fbr.errors import InputError, InvariantViolationError
 from fbr.perm import SubgroupLattice
 from fbr.ring import FiberedBurnsideRing, build_ring
-from oracles import idempotent_by_values, multiply_basis_by_values, species_value_by_values
+from oracles import (character_values, dual_orbits_by_values, idempotent_by_values,
+                     multiply_basis_by_values, species_value_by_values)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "c2_a2.json").read_text())
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
+C3XC3 = "perm:6:(1 2 3);(4 5 6)"
 CATALOG_RINGS = [(g, f) for g in CATALOG_GROUPS for f in CATALOG_FIBERS]
 
 
@@ -41,6 +43,29 @@ def test_dual_orbits_match_rank_everywhere(ring_factory):
     for spec, fiber in (("C6", "6"), ("Q8", "2"), ("S4", "2")):
         ring = ring_factory(spec, fiber)
         assert len(sp.dual_orbits(ring)) == ring.rank
+
+
+# rings whose characters have several digits or a level above the Hom
+# exponent, so that the order of the dual orbits is not trivially the same
+DIGIT_RINGS = [("D4", "2x4"), ("Q8", "2x4"), ("A4", "12"), (C3XC3, "3x3"), ("S5", "6")]
+
+
+@pytest.mark.parametrize("spec,fiber", DIGIT_RINGS)
+def test_digit_naming_matches_value_tuples(ring_factory, spec, fiber):
+    # the dual orbits by digits, keyed by reversed digits, against the
+    # orbits of exponent tuples keyed by their least tuple: the same
+    # orbits in the same order; and the species table and idempotents
+    # formed from the digits against those formed from the tuples
+    ring = ring_factory(spec, fiber)
+    orbits, _ = dual_orbits_by_values(ring)
+    assert [(d.subgroup_id, character_values(ring.hom_group(d.subgroup_id), d.digits,
+                                             ring.level),
+             d.stabilizer_order, d.orbit_size) for d in sp.dual_orbits(ring)] == orbits
+    table = sp.species_table(ring)
+    for d in range(ring.rank):
+        assert table[d] == tuple(species_value_by_values(ring, d, b)
+                                 for b in range(ring.rank))
+        assert sp.idempotent(ring, d) == idempotent_by_values(ring, d)
 
 
 def test_orbit_stabilizer_identity_on_orbits(ring_factory):
@@ -281,7 +306,7 @@ def test_species_values_match_dense_sum(ring_factory, random_element, spec, fibe
 
 def test_species_table_must_be_integral(monkeypatch):
     ring = build_ring("C2", "2")
-    monkeypatch.setattr(sp, "_character_sum", lambda level, values, counts:
+    monkeypatch.setattr(sp, "_character_sum", lambda hg, digits, level, counts:
                         Cyclotomic.from_rational(level, Fraction(1, 2)))
     with pytest.raises(InvariantViolationError, match="not integral"):
         sp.species_table(ring)

@@ -1,5 +1,7 @@
 """P-equivalence, regularization, Galois orbits, blocks and the Weyl map."""
 
+import math
+
 import pytest
 
 from fbr import perm
@@ -11,8 +13,10 @@ from fbr.arith import factorint
 from fbr.cyclo import find_prime_ideal, prime_ideals
 from fbr.errors import InputError, TheoremViolationError
 from fbr.ring import build_ring
-from oracles import (conj_values_map, index_of_map, p_regularize_by_climb,
-                     p_regularize_reversed, values_map)
+from oracles import (character_values, characters_by_digits, conj_values_map,
+                     digits_of_values, dual_orbits_by_values, index_of_map,
+                     p_perfect_lift_by_values, p_prime_part_of_values,
+                     p_regularize_by_climb, p_regularize_reversed, values_map)
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 C3XC3 = "perm:6:(1 2 3);(4 5 6)"
@@ -23,7 +27,8 @@ def dual_by_subgroup_order(ring, order, char_order=None):
     for d in sp.dual_orbits(ring):
         if ring.lattice.subgroups[d.subgroup_id].order != order:
             continue
-        if char_order is None or character_order(d.values, ring.level) == char_order:
+        orders = ring.hom_group(d.subgroup_id).gen_orders
+        if char_order is None or character_order(d.digits, orders) == char_order:
             return d
     raise AssertionError("no such dual orbit")
 
@@ -106,23 +111,25 @@ def test_p_perfect_rule_matches_climb_and_oracle(ring_factory, monkeypatch, spec
     # at every p dividing |G|: the classes by p-perfect pair are the
     # climb's and the congruence oracle's at every ideal above p, each
     # regular member is the climb's output, and the Psi built for (H, Phi)
-    # is H-invariant with Psi o res = Phi_p' (canonicalize_dual takes only
-    # characters).  On S3 x C3 at p = 2, H = S3 x C3 inverts one factor
-    # of J = C3 x C3, so e(psi) needs the division by |O|.
+    # is H-invariant with Psi o res = Phi_p' and equal to the lift of every
+    # psi in Hom(J, A), though it is read at the generators only.  On
+    # S3 x C3 at p = 2, H = S3 x C3 inverts one factor of J = C3 x C3, so
+    # e(psi) needs the division by |O|.
     ring = ring_factory(spec, fiber)
     group, lattice, duals = ring.group, ring.lattice, sp.dual_orbits(ring)
+    by_values = dual_orbits_by_values(ring)[0]
     built = []
     canonicalize = sp.canonicalize_dual
-    monkeypatch.setattr(sp, "canonicalize_dual", lambda r, sid, values: (
-        built.append((sid, values)) or canonicalize(r, sid, values)))
+    monkeypatch.setattr(sp, "canonicalize_dual", lambda r, sid, digits: (
+        built.append((sid, digits)) or canonicalize(r, sid, digits)))
     for p in sorted(factorint(group.order)):
         climbed = [p_regularize_by_climb(ring, d, p) for d in range(ring.rank)]
         pairs = []
-        moves, restrictions = {}, {}
+        moves, restrictions, lifts = {}, {}, {}
         for dual in duals:
             built.clear()
             pairs.append(spc.p_perfect_pair(ring, dual.index, p))
-            (jid, psi), = built
+            (jid, digits), = built
             hid = dual.subgroup_id
             assert jid == lattice.o_p_residual_id(hid, p)
             assert lattice.o_p_residual_id(jid, p) == jid
@@ -134,10 +141,14 @@ def test_p_perfect_rule_matches_climb_and_oracle(ring_factory, monkeypatch, spec
                 restrictions[hid] = [
                     index_of_map(hg, {x: values_map(src, k)[x] for x in hg.domain})
                     for k in range(src.size)]
+                lifts[hid] = p_perfect_lift_by_values(ring, hid, p)
+            psi = character_values(hg, digits, ring.level)
             for move in moves[hid]:
                 assert [psi[m] for m in move] == list(psi)
-            _, pprime = character_p_parts(dual.values, p, ring.level)
+            pprime = p_prime_part_of_values(by_values[dual.index][1], p, ring.level)
             assert tuple(psi[r] for r in restrictions[hid]) == pprime
+            assert lifts[hid][0] == jid
+            assert tuple(pprime[k] for k in lifts[hid][1]) == psi
         rule = classes_by(pairs.__getitem__, ring.rank)
         assert rule == classes_by(climbed.__getitem__, ring.rank)
         for ideal in prime_ideals(p, ring.level):
@@ -170,7 +181,8 @@ def test_congruence_with_p_prime_part(ring_factory):
         for p in (2, 3):
             prime = find_prime_ideal(p, ring.level)
             for d in duals:
-                _, pprime = character_p_parts(d.values, p, ring.level)
+                orders = ring.hom_group(d.subgroup_id).gen_orders
+                _, pprime = character_p_parts(d.digits, p, orders)
                 other = sp.canonicalize_dual(ring, d.subgroup_id, pprime)
                 assert spc.congruent_mod_p(ring, d.index, other, prime)
 
@@ -264,7 +276,6 @@ def test_invariant_extension_congruence(ring_factory):
     """For H normal in K with K/H a p-group and a character invariant
     under K, the extended pair (K, Phi after restriction) is congruent
     to (H, Phi) above p.  Checked on every applicable triple."""
-    from fbr.abelian import dual_character_values
     for spec, fiber in (("S3", "6"), ("D4", "2"), ("A4", "6")):
         ring = ring_factory(spec, fiber)
         lat = ring.lattice
@@ -288,7 +299,7 @@ def test_invariant_extension_congruence(ring_factory):
                 src_hg = ring.hom_group(hid)
                 dst_hg = ring.hom_group(kid)
                 prime = find_prime_ideal(p, ring.level)
-                for values in dual_character_values(src_hg, ring.level):
+                for values in characters_by_digits(src_hg.gen_orders, ring.level):
                     invariant = True
                     for g in ksub.gens:
                         ginv = group.inverse[g]
@@ -305,8 +316,10 @@ def test_invariant_extension_congruence(ring_factory):
                     for k in range(dst_hg.size):
                         restr = {x: dst_hg.value(k, x) for x in hsub.sorted_elems}
                         extended.append(values[index_of_map(src_hg, restr)])
-                    d1 = sp.canonicalize_dual(ring, hid, values)
-                    d2 = sp.canonicalize_dual(ring, kid, tuple(extended))
+                    d1 = sp.canonicalize_dual(
+                        ring, hid, digits_of_values(src_hg, values, ring.level))
+                    d2 = sp.canonicalize_dual(
+                        ring, kid, digits_of_values(dst_hg, extended, ring.level))
                     assert spc.congruent_mod_p(ring, d1, d2, prime)
                     checked += 1
         assert checked > 0
@@ -323,16 +336,15 @@ def test_noninvariant_extension_can_fail(ring_factory):
     full = lat.full_group_id()
     src_hg = ring.hom_group(c3)
     dst_hg = ring.hom_group(full)
-    from fbr.abelian import dual_character_values
-    order3 = next(v for v in dual_character_values(src_hg, 6)
-                  if character_order(v, 6) == 3)
+    order3 = next(v for v in characters_by_digits(src_hg.gen_orders, 6)
+                  if 6 // math.gcd(6, *v) == 3)
     extended = []
     sub_elems = lat.subgroups[c3].sorted_elems
     for k in range(dst_hg.size):
         restr = {x: dst_hg.value(k, x) for x in sub_elems}
         extended.append(order3[index_of_map(src_hg, restr)])
-    d1 = sp.canonicalize_dual(ring, c3, order3)
-    d2 = sp.canonicalize_dual(ring, full, tuple(extended))
+    d1 = sp.canonicalize_dual(ring, c3, digits_of_values(src_hg, order3, 6))
+    d2 = sp.canonicalize_dual(ring, full, digits_of_values(dst_hg, extended, 6))
     prime = find_prime_ideal(2, ring.level)
     # both pairs are 2-regular and non-conjugate, so they cannot be
     # congruent; this is why the extension congruence needs invariance
@@ -391,7 +403,7 @@ def test_galois_orbit_pairs_order4_characters(ring_factory):
     ring = ring_factory("C4", "4")
     assert ring.level == 4
     paired = [d for d in sp.dual_orbits(ring)
-              if character_order(d.values, 4) == 4]
+              if character_order(d.digits, ring.hom_group(d.subgroup_id).gen_orders) == 4]
     seen = set()
     for d in paired:
         orbit = spc.galois_orbit(ring, d.index)
@@ -403,19 +415,18 @@ def test_galois_orbit_pairs_order4_characters(ring_factory):
 
 def test_galois_equivariance_of_rows(ring_factory):
     # the species row of (H, Phi^t) is sigma_t applied to the row of (H, Phi)
-    from math import gcd
     ring = ring_factory("C6", "6")
     n = ring.level
     table = sp.species_table(ring)
-    duals = sp.dual_orbits(ring)
-    for d in duals:
+    for d, (sid, values, _, _) in enumerate(dual_orbits_by_values(ring)[0]):
+        hg = ring.hom_group(sid)
         for t in range(1, n):
-            if gcd(t, n) != 1:
+            if math.gcd(t, n) != 1:
                 continue
-            powered = tuple((v * t) % n for v in d.values)
-            other = sp.canonicalize_dual(ring, d.subgroup_id, powered)
+            powered = tuple((v * t) % n for v in values)
+            other = sp.canonicalize_dual(ring, sid, digits_of_values(hg, powered, n))
             got = table[other]
-            want = tuple(v.galois(t) for v in table[d.index])
+            want = tuple(v.galois(t) for v in table[d])
             assert got == want
 
 
