@@ -3,11 +3,11 @@
 The fiber A is given by invariant factors.  For a subgroup H of a
 permutation group, Hom(H, A) is enumerated through an explicit cyclic
 basis of the abelianization of H.  A homomorphism is named by its index
-in that enumeration, read from its values at lifts of the basis
-elements, and its total value table keyed by element index is kept for
-reading values and ordering orbits.  A character of Hom(H, A) is named
-by its digits in the same mixed radix, and its exponent on a
-homomorphism is formed from the two digit tuples.
+in that enumeration: its value at an element is read from the
+element's coordinates in that basis, and its index from its values at
+lifts of the basis elements.  A character of Hom(H, A) is named by its
+digits in the same mixed radix, and its exponent on a homomorphism is
+formed from the two digit tuples.
 """
 
 from __future__ import annotations
@@ -64,42 +64,11 @@ class FiniteAbelianGroup:
         if any(d < 2 for d in factors):
             raise InputError(f"invariant factors must be >= 2: {factors}")
         self.invariant_factors = factors
-        self.rank = len(factors)
-        self.order = 1
-        for d in factors:
-            self.order *= d
         self.exponent = factors[-1] if factors else 1
 
     @classmethod
     def from_factors(cls, factors):
         return cls(normalize_invariant_factors(factors))
-
-    def zero(self):
-        return (0,) * self.rank
-
-    def add(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
-
-    def scale(self, k, a):
-        return tuple((k * x) % d for x, d in zip(a, self.invariant_factors))
-
-    def elements(self):
-        return list(iterproduct(*(range(d) for d in self.invariant_factors)))
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteAbelianGroup)
-                and self.invariant_factors == other.invariant_factors)
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
-
-    def __str__(self):
-        if not self.invariant_factors:
-            return "1"
-        return " x ".join(f"C{d}" for d in self.invariant_factors)
-
-    def __repr__(self):
-        return f"FiniteAbelianGroup({list(self.invariant_factors)})"
 
 
 def parse_fiber_spec(spec):
@@ -224,29 +193,27 @@ def abelianization_basis(group, subgroup, derived_elems):
 
 
 class HomGroup:
-    """All homomorphisms H -> A, by index, with their value tables.
+    """All homomorphisms H -> A, by index, read from the coordinates of
+    the elements of H in the abelianization basis.
 
     The group is generated by one homomorphism per (abelianization basis
     element i, cyclic factor j of A) with g = gcd(m, d) > 1, m the order
     of i and d that of j: generator t sends i_t to d/g in factor j_t and
     every other basis element to 0.  Homomorphism k has digits (k_t) in
     product order of the generator orders and is the sum of k_t times
-    generator t, so k_t is the j_t-th component of its value at a lift
-    of i_t, divided by d/g.  Those lifts are the probes, at most
-    rank(H^ab) points: index_at reads an index from the values there,
-    with no table built.  The table of homomorphism k is a tuple of
-    A-exponent vectors aligned with the sorted elements of H; on
-    construction every table is decoded at the probes, and one that
-    does not decode to its own index is an invariant violation.
+    generator t, so its value at x is the sum of k_t * coords[x][i_t] *
+    d/g in factor j_t, and k_t is the j_t-th component of its value at a
+    lift of i_t, divided by d/g.  Those lifts are the probes, at most
+    rank(H^ab) points: index_at reads an index from the values there.
+    On construction every index is decoded at the probes, and one that
+    does not decode to itself is an invariant violation.
     """
 
     def __init__(self, group, subgroup, derived_elems, fiber):
-        self.domain = subgroup.sorted_elems
-        self.pos = {e: i for i, e in enumerate(self.domain)}
-        basis, coords = abelianization_basis(group, subgroup, derived_elems)
-
+        basis, self.coords = abelianization_basis(group, subgroup, derived_elems)
+        self.factors = fiber.invariant_factors
         gens = [(i, j, g) for i, (_, m) in enumerate(basis)
-                for j, d in enumerate(fiber.invariant_factors) if (g := gcd(m, d)) > 1]
+                for j, d in enumerate(self.factors) if (g := gcd(m, d)) > 1]
         self.gen_orders = tuple(g for _, _, g in gens)
         self.size = prod(self.gen_orders)
         if self.size > HOM_CAP:
@@ -256,29 +223,25 @@ class HomGroup:
         # the product-order stride of digit t
         self.gen_indices = tuple(prod(self.gen_orders[t + 1:])
                                  for t in range(len(self.gen_orders)))
-
-        def add(s, t):
-            return tuple(map(fiber.add, s, t))
-
-        zero = tuple(fiber.zero() for _ in self.domain)
-        multiples = []
+        # term t: (i_t, j_t, d/g_t, g_t, stride of digit t)
+        self.terms = tuple((i, j, self.factors[j] // g, g, stride)
+                           for (i, j, g), stride in zip(gens, self.gen_indices))
         probes = {}  # lift of i -> the digits read there, (j, d/g, g, stride)
-        for (i, j, g), stride in zip(gens, self.gen_indices):
-            unit = [0] * fiber.rank
-            unit[j] = step = fiber.invariant_factors[j] // g
+        for i, j, step, g, stride in self.terms:
             probes.setdefault(basis[i][0], []).append((j, step, g, stride))
-            table = tuple(fiber.scale(coords[x][i], unit) for x in self.domain)
-            multiples.append(_multiples(table, g, add, zero))
         self.points, self.digits = tuple(probes), tuple(probes.values())
-        self.tables = tuple(_sums(multiples, add, zero))
         # checked once here, so that index_at need not check each read
-        at = [self.pos[x] for x in self.points]
-        for k, table in enumerate(self.tables):
-            if self.index_at(map(table.__getitem__, at)) != k:
-                raise InvariantViolationError("a value table does not decode to its index")
+        for k in range(self.size):
+            if self.index_at([self.value(k, x) for x in self.points]) != k:
+                raise InvariantViolationError("a homomorphism does not decode to its index")
 
     def value(self, hom_index, elem):
-        return self.tables[hom_index][self.pos[elem]]
+        """The value of homomorphism hom_index at the element elem of H."""
+        v = [0] * len(self.factors)
+        c = self.coords[elem]
+        for i, j, step, g, stride in self.terms:
+            v[j] += hom_index // stride % g * c[i] * step
+        return tuple(map(int.__mod__, v, self.factors))
 
     def index_at(self, values):
         """Index of the homomorphism with these values at the probes, in
@@ -294,8 +257,9 @@ class HomGroup:
         """The map Hom(H, A) -> Hom(T, A), phi -> phi o f, on indices, where
         H is this domain, T that of the Hom group target, and f maps T
         into H; each image is read at the probes of T."""
-        at = [self.pos[f(y)] for y in target.points]
-        return tuple(target.index_at(map(table.__getitem__, at)) for table in self.tables)
+        at = [f(y) for y in target.points]
+        return tuple(target.index_at([self.value(k, x) for x in at])
+                     for k in range(self.size))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ A basis element is the conjugation orbit of a monomial pair (H, phi)
 with H a subgroup and phi a homomorphism from H into the fiber.  Orbits
 are keyed canonically: the subgroup is the class representative of its
 conjugacy class, and among the homomorphisms in the normalizer orbit
-the one with the lexicographically least value table wins, and a pair
-is named by reading its homomorphism at the representative's probes
-(HomGroup.index_at).  Products follow the double coset formula and are
-memoized as integer structure constants.
+the one whose values over the representative's sorted elements are
+lexicographically least wins, and a pair is named by reading its
+homomorphism at the representative's probes (HomGroup.index_at).
+Products follow the double coset formula and are memoized as integer
+structure constants.
 """
 
 from __future__ import annotations
@@ -192,7 +193,9 @@ class FiberedBurnsideRing:
         def orbit_data(rep):
             hg = self.hom_group(rep)
             action = self.hom_action(rep)
-            return range(hg.size), lambda n, k: action[n][k], lambda k: hg.tables[k]
+            elems, value = self.lattice.subgroups[rep].sorted_elems, hg.value
+            return (range(hg.size), lambda n, k: action[n][k],
+                    lambda k: tuple(value(k, x) for x in elems))
 
         self.basis = StandardBasis(*self.normalizer_orbits(PairOrbit, orbit_data))
 
@@ -270,9 +273,7 @@ class FiberedBurnsideRing:
     def multiply_basis(self, i, j):
         """Product of two basis orbits as an integer coefficient dict."""
         oi, oj = self.basis.orbits[i], self.basis.orbits[j]
-        hi, hj = self.hom_group(oi.subgroup_id), self.hom_group(oj.subgroup_id)
-        phi, phi_at = hi.tables[oi.hom_index], hi.pos
-        psi, psi_at = hj.tables[oj.hom_index], hj.pos
+        phi, psi = self.pair_value(i), self.pair_value(j)
         conj, inverse = self.group.conj, self.group.inverse
         reps, meets = self.lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)
         out = {}
@@ -281,7 +282,7 @@ class FiberedBurnsideRing:
             # as unreduced sums
             ginv = inverse[g]
             oidx = self.canonicalize_pair(sid, lambda x: tuple(
-                map(add, phi[phi_at[x]], psi[psi_at[conj(ginv, x)]])))
+                map(add, phi(x), psi(conj(ginv, x)))))
             out[oidx] = out.get(oidx, 0) + 1
         return out
 

@@ -78,8 +78,11 @@ def conjugate_character(ring, sid, c, g):
     """
     tid = ring.lattice.conj_subgroup_id(g, sid)
     src, dst = ring.hom_group(sid), ring.hom_group(tid)
-    # ^(g^-1)psi(x) = psi(g x g^-1) for psi in Hom(^gH, A)
-    pulled = dst.pullback(partial(ring.group.conj, g), src)
+    conj = ring.group.conj
+    # ^(g^-1)psi(x) = psi(g x g^-1), needed only at the generators psi
+    # of Hom(^gH, A)
+    pulled = {s: src.index_at([dst.value(s, conj(g, y)) for y in src.points])
+              for s in dst.gen_indices}
     return tid, compose_character(src, c, ring.level, dst, pulled)
 
 

@@ -16,7 +16,8 @@ Normalizers are formed from their definition by composing image tuples.
 Moebius values come bottom-up, from the lower end of each interval.
 The abelianization coordinates, the Hom tables and the characters of a
 Hom group are formed one element at a time, by repeated products and
-linear combinations over exponent tuples.
+linear combinations over exponent tuples, with fiber arithmetic of
+their own.
 The references for the package's digit naming of characters keep each
 character as its exponent tuple over Hom(H, A), moved and restricted
 whole, with dual orbits keyed by their least tuple, and form the
@@ -26,6 +27,7 @@ p-perfect character Psi by lifting every psi in Hom(J, A).
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd
+from weakref import WeakKeyDictionary
 
 from fbr import perm
 from fbr.arith import p_part
@@ -33,15 +35,54 @@ from fbr.cyclo import Cyclotomic
 from fbr.ring import RingElement
 
 
+# fiber arithmetic on exponent tuples, for the fiber's invariant factors
+
+
+def fiber_zero(factors):
+    return (0,) * len(factors)
+
+
+def fiber_add(factors, a, b):
+    return tuple((x + y) % d for x, y, d in zip(a, b, factors))
+
+
+def fiber_scale(factors, k, a):
+    return tuple(k * x % d for x, d in zip(a, factors))
+
+
+def fiber_elements(factors):
+    return list(product(*(range(d) for d in factors)))
+
+
+_TABLES = WeakKeyDictionary()
+
+
+def hom_tables(hom_group):
+    """(domain, value tables) of a Hom group: hom_tables_by_combination
+    over its abelianization coordinates, formed once per Hom group.  The
+    order of basis element i is one more than its greatest coordinate."""
+    if hom_group not in _TABLES:
+        coords = hom_group.coords
+        domain = sorted(coords)
+        orders = [1 + max(c[i] for c in coords.values())
+                  for i in range(len(coords[domain[0]]))]
+        _, tables = hom_tables_by_combination(orders, coords, domain, hom_group.factors)
+        _TABLES[hom_group] = domain, tables
+    return _TABLES[hom_group]
+
+
 def values_map(hom_group, k):
     """Homomorphism k of a Hom group as a value map on its domain."""
-    return dict(zip(hom_group.domain, hom_group.tables[k]))
+    domain, tables = hom_tables(hom_group)
+    return dict(zip(domain, tables[k]))
 
 
 def index_of_map(hom_group, values):
-    """Index of the homomorphism with this value map, found by its whole
-    value table; a map that is no homomorphism is a ValueError."""
-    return hom_group.tables.index(tuple(values[x] for x in hom_group.domain))
+    """Index of the homomorphism with this value map on the domain (the
+    map may hold more elements), found by its whole value table; a map
+    that is no homomorphism is a ValueError."""
+    domain, tables = hom_tables(hom_group)
+    return tables.index(tuple(values[x] for x in domain))
 
 
 def pair_values_map(ring, i):
@@ -56,9 +97,8 @@ def canonicalize_pair_by_values(ring, sid, values):
     group = ring.group
     winv = group.inverse[ring.lattice.to_rep[sid]]
     rep = ring.lattice.class_rep(sid)
-    hg = ring.hom_group(rep)
-    return ring.basis.lookup[rep][index_of_map(
-        hg, {y: values[group.conj(winv, y)] for y in hg.domain})]
+    return ring.basis.lookup[rep][index_of_map(ring.hom_group(rep), {
+        y: values[group.conj(winv, y)] for y in ring.lattice.subgroups[rep].sorted_elems})]
 
 
 def multiply_basis_by_values(ring, i, j):
@@ -70,7 +110,7 @@ def multiply_basis_by_values(ring, i, j):
     out = {}
     for g, sid in zip(*lattice.double_coset_reps(oi.subgroup_id, oj.subgroup_id)):
         ginv = group.inverse[g]
-        values = {x: ring.fiber.add(phi[x], psi[group.conj(ginv, x)])
+        values = {x: fiber_add(ring.fiber.invariant_factors, phi[x], psi[group.conj(ginv, x)])
                   for x in lattice.subgroups[sid].sorted_elems}
         oidx = canonicalize_pair_by_values(ring, sid, values)
         out[oidx] = out.get(oidx, 0) + 1
@@ -89,7 +129,8 @@ def species_value_by_values(ring, d, b):
             hid, ring.basis.orbits[b].subgroup_id)):
         if meet == hid:
             ginv = group.inverse[g]
-            idx = index_of_map(hg, {x: psi[group.conj(ginv, x)] for x in hg.domain})
+            idx = index_of_map(hg, {x: psi[group.conj(ginv, x)]
+                                    for x in ring.lattice.subgroups[hid].sorted_elems})
             total = total + Cyclotomic.zeta_power(ring.level, exps[idx])
     return total
 
@@ -105,8 +146,7 @@ def idempotent_by_values(ring, d):
         kw = lattice.subgroups[kid].order * mu
         for k in range(hg.size):
             coeff = Cyclotomic.zeta_power(ring.level, -exps[k]) * kw
-            values = {x: hg.value(k, x) for x in lattice.subgroups[kid].sorted_elems}
-            oidx = canonicalize_pair_by_values(ring, kid, values)
+            oidx = canonicalize_pair_by_values(ring, kid, values_map(hg, k))
             acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
     denom = stabilizer_order * hg.size
     return RingElement(ring, {k: v.scalar_div(denom) for k, v in acc.items()})
@@ -159,7 +199,7 @@ def multiply_basis_reversed(ring, i, j):
     for g in double_coset_reps_reversed(group, h.sorted_elems, k):
         ginv = group.inverse[g]
         sid = lattice.by_set[h.elems & group.conj_set(g, k)]
-        values = {x: ring.fiber.add(phi[x], psi[group.conj(ginv, x)])
+        values = {x: fiber_add(ring.fiber.invariant_factors, phi[x], psi[group.conj(ginv, x)])
                   for x in lattice.subgroups[sid].sorted_elems}
         oidx = canonicalize_pair_by_values(ring, sid, values)
         out[oidx] = out.get(oidx, 0) + 1
@@ -289,31 +329,32 @@ def abelianization_coords_by_powers(group, subgroup, derived_elems, basis):
     return {x: coords_of_coset[coset_key[x]] for x in subgroup.sorted_elems}
 
 
-def hom_tables_by_combination(basis, coords, domain, fiber):
-    """Hom(H, A) as (generator orders, value tables): one generator per
-    (basis element i of order m, fiber factor j of order d) with
-    g = gcd(m, d) > 1, sending basis element i to d/g in factor j; the
-    homomorphism with digits ks is the combination sum k_t * gen_t,
-    evaluated element by element over the coordinates, in product order
-    of the digits."""
+def hom_tables_by_combination(orders, coords, domain, factors):
+    """Hom(H, A) as (generator orders, value tables), for abelianization
+    basis orders and fiber invariant factors: one generator per (basis
+    element i of order m, fiber factor j of order d) with g = gcd(m, d) > 1,
+    sending basis element i to d/g in factor j; the homomorphism with
+    digits ks is the combination sum k_t * gen_t, evaluated element by
+    element over the coordinates, in product order of the digits."""
     gen_data = []
-    for i, (_, m) in enumerate(basis):
-        for j, d in enumerate(fiber.invariant_factors):
+    for i, m in enumerate(orders):
+        for j, d in enumerate(factors):
             g = gcd(m, d)
             if g > 1:
-                unit = [0] * fiber.rank
+                unit = [0] * len(factors)
                 unit[j] = d // g
                 gen_data.append((i, g, tuple(unit)))
+    zero = fiber_zero(factors)
     tables = []
     for ks in product(*(range(g) for _, g, _ in gen_data)):
-        images = [fiber.zero() for _ in basis]
+        images = [zero for _ in orders]
         for (i, _, unit), k in zip(gen_data, ks):
-            images[i] = fiber.add(images[i], fiber.scale(k, unit))
+            images[i] = fiber_add(factors, images[i], fiber_scale(factors, k, unit))
         table = []
         for x in domain:
-            val = fiber.zero()
+            val = zero
             for i, e in enumerate(coords[x]):
-                val = fiber.add(val, fiber.scale(e, images[i]))
+                val = fiber_add(factors, val, fiber_scale(factors, e, images[i]))
             table.append(val)
         tables.append(tuple(table))
     return tuple(g for _, g, _ in gen_data), tables

@@ -203,7 +203,9 @@ DIGESTS = json.loads((Path(__file__).parent / "golden" / "documents.json").read_
 def test_document_digest_golden(capsys, argv):
     # documents too large to keep whole: species, idempotents and spectrum
     # at every p dividing |G|, whose dual order and character descriptors
-    # (order, hom_generators, exponents) the table goldens do not show
+    # (order, hom_generators, exponents) the table goldens do not show,
+    # and basis, whose orbit order and canonical homomorphisms they do
+    # not show either
     code, out = run(capsys, *shlex.split(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["digests"][argv]

@@ -19,7 +19,7 @@ from fbr.perm import SubgroupLattice, parse_group_spec
 from fbr.ring import (FiberedBurnsideRing, RingElement, build_ring, conjugate,
                       induce, restrict)
 from oracles import (_dual_pair_stabilizer, canonicalize_pair_by_values,
-                     characters_by_digits, conj_values_map, index_of_map,
+                     characters_by_digits, conj_values_map, hom_tables, index_of_map,
                      multiply_basis_reversed, pair_values_map, restrict_by_scan,
                      values_map)
 
@@ -52,6 +52,28 @@ def test_basis_s3_a2(ring_factory):
 ])
 def test_trivial_fiber_rank_is_class_count(ring_factory, spec, classes):
     assert ring_factory(spec, "1").rank == classes
+
+
+ORDER_RINGS = [(g, f) for g in CATALOG_GROUPS for f in ("1", "2", "6", "2x2", "4", "12")] + [
+    (GL32, "1"), (GL32, "2"), ("perm:6:(1 2 3);(4 5 6)", "3x3"),
+    ("perm:8:(1 2);(3 4);(5 6);(7 8)", "2x2"), ("Q8", "2x4"), ("D4", "4x4"), ("A6", "2")]
+
+
+@pytest.mark.parametrize("spec,fiber", ORDER_RINGS)
+def test_basis_order_is_that_of_the_value_tables(ring_factory, spec, fiber):
+    # over each class representative, the canonical member of an orbit is
+    # its member with the least value table of the oracle, and the orbits
+    # run in the lexicographic order of those least tables
+    ring = ring_factory(spec, fiber)
+    for cls in ring.lattice.classes:
+        _, tables = hom_tables(ring.hom_group(cls.rep))
+        members = {}
+        for k, o in ring.basis.lookup[cls.rep].items():
+            members.setdefault(o, []).append(tables[k])
+        orbits = sorted(members)
+        least = [min(members[o]) for o in orbits]
+        assert [tables[ring.basis.orbits[o].hom_index] for o in orbits] == least
+        assert least == sorted(least)
 
 
 def test_canonicalize_well_defined(ring_factory):
@@ -118,7 +140,7 @@ def test_pullback_matches_value_map_composition(ring_factory, spec, fiber):
         for kid in lattice.mobius_row(cls.rep):
             kg = ring.hom_group(kid)
             assert hg.pullback(lambda y: y, kg) == tuple(
-                index_of_map(kg, {x: values_map(hg, k)[x] for x in kg.domain})
+                index_of_map(kg, values_map(hg, k))
                 for k in range(hg.size))
 
 

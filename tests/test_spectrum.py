@@ -139,7 +139,7 @@ def test_p_perfect_rule_matches_climb_and_oracle(ring_factory, monkeypatch, spec
                                for k in range(hg.size)]
                               for h in lattice.subgroups[hid].gens]
                 restrictions[hid] = [
-                    index_of_map(hg, {x: values_map(src, k)[x] for x in hg.domain})
+                    index_of_map(hg, values_map(src, k))
                     for k in range(src.size)]
                 lifts[hid] = p_perfect_lift_by_values(ring, hid, p)
             psi = character_values(hg, digits, ring.level)
