@@ -202,9 +202,10 @@ class HomGroup:
     every other basis element to 0.  Homomorphism k has digits (k_t) in
     product order of the generator orders and is the sum of k_t times
     generator t, so its value at x is the sum of k_t * coords[x][i_t] *
-    d/g in factor j_t, and k_t is the j_t-th component of its value at a
-    lift of i_t, divided by d/g.  Those lifts are the probes, at most
-    rank(H^ab) points: index_at reads an index from the values there.
+    d/g in factor j_t (function(k) forms that sum, value(k, x) reduces
+    it), and k_t is the j_t-th component of its value at a lift of i_t,
+    divided by d/g.  Those lifts are the probes, at most rank(H^ab)
+    points: index_at reads an index from the values there.
     On construction every index is decoded at the probes, and one that
     does not decode to itself is an invariant violation.
     """
@@ -232,16 +233,27 @@ class HomGroup:
         self.points, self.digits = tuple(probes), tuple(probes.values())
         # checked once here, so that index_at need not check each read
         for k in range(self.size):
-            if self.index_at([self.value(k, x) for x in self.points]) != k:
+            if self.index_at(map(self.function(k), self.points)) != k:
                 raise InvariantViolationError("a homomorphism does not decode to its index")
+
+    def function(self, hom_index):
+        """Homomorphism hom_index as a function on H whose values are
+        exponent vectors congruent to its values modulo the fiber, as
+        index_at accepts them."""
+        coords, rank = self.coords, len(self.factors)
+        terms = [(i, j, a) for i, j, step, g, stride in self.terms
+                 if (a := hom_index // stride % g * step)]
+
+        def phi(x):
+            v, c = [0] * rank, coords[x]
+            for i, j, a in terms:
+                v[j] += c[i] * a
+            return v
+        return phi
 
     def value(self, hom_index, elem):
         """The value of homomorphism hom_index at the element elem of H."""
-        v = [0] * len(self.factors)
-        c = self.coords[elem]
-        for i, j, step, g, stride in self.terms:
-            v[j] += hom_index // stride % g * c[i] * step
-        return tuple(map(int.__mod__, v, self.factors))
+        return tuple(map(int.__mod__, self.function(hom_index)(elem), self.factors))
 
     def index_at(self, values):
         """Index of the homomorphism with these values at the probes, in
@@ -258,7 +270,7 @@ class HomGroup:
         H is this domain, T that of the Hom group target, and f maps T
         into H; each image is read at the probes of T."""
         at = [f(y) for y in target.points]
-        return tuple(target.index_at([self.value(k, x) for x in at])
+        return tuple(target.index_at(map(self.function(k), at))
                      for k in range(self.size))
 
 

@@ -193,9 +193,9 @@ class FiberedBurnsideRing:
         def orbit_data(rep):
             hg = self.hom_group(rep)
             action = self.hom_action(rep)
-            elems, value = self.lattice.subgroups[rep].sorted_elems, hg.value
-            return (range(hg.size), lambda n, k: action[n][k],
-                    lambda k: tuple(value(k, x) for x in elems))
+            elems, factors = self.lattice.subgroups[rep].sorted_elems, hg.factors
+            return (range(hg.size), lambda n, k: action[n][k], lambda k: [
+                tuple(map(int.__mod__, v, factors)) for v in map(hg.function(k), elems)])
 
         self.basis = StandardBasis(*self.normalizer_orbits(PairOrbit, orbit_data))
 
@@ -264,9 +264,10 @@ class FiberedBurnsideRing:
         return names[index_at(map(value, points))]
 
     def pair_value(self, i):
-        """The homomorphism of basis orbit i as a function on its subgroup."""
+        """The homomorphism of basis orbit i as a function on its subgroup
+        (HomGroup.function: values congruent modulo the fiber)."""
         o = self.basis.orbits[i]
-        return partial(self.hom_group(o.subgroup_id).value, o.hom_index)
+        return self.memo(("pair", i), lambda: self.hom_group(o.subgroup_id).function(o.hom_index))
 
     # -- multiplication ------------------------------------------------------
 

@@ -18,7 +18,6 @@ primitive idempotents, whose coefficients are summed the same way.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 from . import ring as ring_mod
@@ -243,15 +242,17 @@ def _idempotent(ring, d):
     hg = ring.hom_group(hid)
     lattice = ring.lattice
     level = ring.level
-    # the exponents of the complex conjugates of the character's values
-    conj = [-character_exponent(hg, dual.digits, k, level) % level for k in range(hg.size)]
+    # each homomorphism with the exponent of the complex conjugate of the
+    # character's value on it
+    conj = [(hg.function(k), -character_exponent(hg, dual.digits, k, level) % level)
+            for k in range(hg.size)]
     acc = {}  # basis orbit -> weight of each exponent of zeta
     for kid, mu in lattice.mobius_row(hid).items():
         if mu == 0:
             continue
         kw = lattice.subgroups[kid].order * mu
-        for k, e in enumerate(conj):
-            oidx = ring.canonicalize_pair(kid, partial(hg.value, k))
+        for phi, e in conj:
+            oidx = ring.canonicalize_pair(kid, phi)
             if oidx not in acc:
                 acc[oidx] = [0] * level
             acc[oidx][e] += kw
