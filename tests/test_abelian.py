@@ -244,7 +244,7 @@ def test_hom_group_holds_nothing_per_homomorphism():
 @pytest.mark.parametrize("gspec,fspec", [("S4", "2x2"), ("D4", "2x4"), ("C6", "6")])
 def test_index_at_reads_any_representative(gspec, fspec):
     # index_at takes values congruent modulo the fiber, as the unreduced
-    # sums of multiply_basis
+    # sums of multiply_basis and the values of HomGroup.function
     lat = SubgroupLattice(parse_group_spec(gspec))
     fiber = parse_fiber_spec(fspec)
     for cls in lat.classes:
@@ -254,6 +254,7 @@ def test_index_at_reads_any_representative(gspec, fspec):
             shifted = [tuple(v + d * (k - 2) for v, d in zip(vs, fiber.invariant_factors))
                        for vs in values]
             assert hg.index_at(values) == hg.index_at(shifted) == k
+            assert hg.index_at(map(hg.function(k), hg.points)) == k
 
 
 
