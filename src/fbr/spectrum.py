@@ -10,8 +10,8 @@ formed without search, and by the exhaustive finite-field congruence
 oracle.
 
 Blocks are indexed by conjugacy classes of perfect subgroups: the block
-idempotent at J sums the primitive idempotents of the dual pairs whose
-subgroup has perfect residual conjugate to J, and the block at J is
+idempotent at J is the Burnside ring's (Gluck, Illinois J. Math. 25,
+1981), taken to the ring by [G/K] -> [K, 1], and the block at J is
 isomorphic to the solvable block of the ring of the Weyl group N(J)/J
 through inflation.
 """
@@ -237,25 +237,26 @@ def _components(ring):
 
 
 def block_idempotent(ring, component):
-    """Sum of the primitive idempotents over one component.
-
-    The result must have integer coefficients in the standard basis;
-    anything else is a theorem violation.
-    """
+    """e_J = |G|^-1 sum_H [G : N_G(H)] sum_(K <= H) |K| mu(K, H) [K, 1], H
+    over the component's subgroup classes: the Burnside ring's block
+    idempotent, embedded.  It is the fibered e_J, since the species at
+    (H, Phi) of [K, 1] is the mark of H on [G/K] and a component holds
+    every Phi on its H.  A non-integer coefficient is a theorem violation."""
     return ring.memo(("block", component.index),
                      lambda: _block_idempotent(ring, component))
 
 
 def _block_idempotent(ring, component):
-    total = ring.zero()
-    for d in component.dual_orbits:
-        total = total + species_mod.idempotent(ring, d)
-    for v in total.coeffs.values():
-        if not v.is_integer():
-            raise TheoremViolationError(
-                "block idempotent has a non-integer coefficient"
-            )
-    return total
+    lattice = ring.lattice
+    total = {}  # subgroup class -> |G| times its coefficient
+    for cidx in {ring.basis.orbits[b].class_index for b in component.basis_orbits}:
+        cls = lattice.classes[cidx]
+        for kid, mu in lattice.mobius_row(cls.rep).items():
+            k = lattice.class_index[kid]
+            total[k] = total.get(k, 0) + lattice.subgroups[kid].order * mu * len(cls.members)
+    if any(v % ring.group.order for v in total.values()):
+        raise TheoremViolationError("block idempotent has a non-integer coefficient")
+    return ring.burnside_embed({k: v // ring.group.order for k, v in total.items()})
 
 
 def block_idempotents(ring):

@@ -22,6 +22,9 @@ The references for the package's digit naming of characters keep each
 character as its exponent tuple over Hom(H, A), moved and restricted
 whole, with dual orbits keyed by their least tuple, and form the
 p-perfect character Psi by lifting every psi in Hom(J, A).
+A block idempotent is the sum of the primitive idempotents of its
+component's dual orbits, one cyclotomic sum per orbit, with no Burnside
+ring in between.
 """
 
 from functools import lru_cache, partial
@@ -30,6 +33,7 @@ from math import gcd
 from weakref import WeakKeyDictionary
 
 from fbr import perm
+from fbr import species as sp
 from fbr.arith import p_part
 from fbr.cyclo import Cyclotomic
 from fbr.ring import RingElement
@@ -150,6 +154,15 @@ def idempotent_by_values(ring, d):
             acc[oidx] = acc[oidx] + coeff if oidx in acc else coeff
     denom = stabilizer_order * hg.size
     return RingElement(ring, {k: v.scalar_div(denom) for k, v in acc.items()})
+
+
+def block_idempotent_by_primitives(ring, component):
+    """spectrum.block_idempotent as the sum of sp.idempotent over the
+    component's dual orbits."""
+    total = ring.zero()
+    for d in component.dual_orbits:
+        total = total + sp.idempotent(ring, d)
+    return total
 
 
 def conj_values_map(group, values, g):

@@ -10,17 +10,18 @@ from fbr import spectrum as spc
 from fbr.abelian import character_order, character_p_parts
 from fbr.acceptance import CATALOG_GROUPS
 from fbr.arith import factorint
-from fbr.cyclo import find_prime_ideal, prime_ideals
+from fbr.cyclo import Cyclotomic, find_prime_ideal, prime_ideals
 from fbr.errors import InputError, TheoremViolationError
 from fbr.ring import build_ring
-from oracles import (character_values, characters_by_digits, conj_values_map,
-                     digits_of_values, dual_orbits_by_values, index_of_map,
+from oracles import (block_idempotent_by_primitives, character_values,
+                     characters_by_digits, conj_values_map, digits_of_values, dual_orbits_by_values, index_of_map,
                      p_perfect_lift_by_values, p_prime_part_of_values,
                      p_regularize_by_climb, p_regularize_reversed, values_map)
 
 GL32 = "perm:7:(1 2 3 4 5 6 7);(1 2)(3 6)"
 C3XC3 = "perm:6:(1 2 3);(4 5 6)"
 S3XC3 = "perm:6:(1 2 3);(1 2);(4 5 6)"
+C2CUBED = "perm:6:(1 2);(3 4);(5 6)"
 
 
 def dual_by_subgroup_order(ring, order, char_order=None):
@@ -464,6 +465,44 @@ def test_block_idempotents_a5(ring_factory):
             assert v.is_integer()
     assert total == ring.one()
     assert ring.multiply(blocks[0], blocks[1]).is_zero()
+
+
+@pytest.mark.parametrize("spec, fiber", [
+    ("S4", "2x2"), ("D4", "4x4"), ("A5", "1"), ("A5", "6"), ("S5", "2"), ("S5", "60"),
+    (GL32, "2"), ("A6", "2"), (C2CUBED, "2x2")])
+def test_block_idempotent_matches_sum_of_primitives(ring_factory, spec, fiber):
+    ring = ring_factory(spec, fiber)
+    for comp in spc.components(ring):
+        assert spc.block_idempotent(ring, comp) == block_idempotent_by_primitives(ring, comp)
+
+
+@pytest.mark.parametrize("spec, fiber", [("A5", "2"), ("S5", "6"), ("A6", "2")])
+def test_block_idempotent_species_is_the_component_indicator(ring_factory, spec, fiber):
+    ring = ring_factory(spec, fiber)
+    one, zero = Cyclotomic.one(ring.level), Cyclotomic.zero(ring.level)
+    for comp in spc.components(ring):
+        values = sp.species_values(ring, spc.block_idempotent(ring, comp), range(ring.rank))
+        assert values == [one if d in comp.dual_orbits else zero for d in range(ring.rank)]
+
+
+def test_block_idempotents_form_no_primitive_idempotent(monkeypatch):
+    monkeypatch.setattr(sp, "idempotent",
+                        lambda ring, d: pytest.fail("formed a primitive idempotent"))
+    ring = build_ring("S5", "2")
+    blocks = spc.block_idempotents(ring)
+    assert len(blocks) == 2
+    assert blocks[0] + blocks[1] == ring.one()
+
+
+def test_block_idempotent_rejects_a_non_integer_coefficient(ring_factory):
+    # the class of the trivial subgroup alone gives [G/1]/60 on A5; a fresh
+    # index, since block idempotents are memoized by component index
+    ring = ring_factory("A5", "1")
+    comp = spc.components(ring)[0]
+    trivial = ring.trivial_pair_orbit(ring.lattice.trivial_id())
+    planted = comp._replace(index=99, basis_orbits=(trivial,))
+    with pytest.raises(TheoremViolationError, match="non-integer coefficient"):
+        spc.block_idempotent(ring, planted)
 
 
 def test_block_support_condition(ring_factory):
