@@ -5,10 +5,12 @@ verify-all; each sub-parser names its handler with set_defaults(run=...).
 The seven ring verbs share one protocol (_run_ring_verb): load the ring
 from --cache-dir or build it, start the document with the envelope
 {command, group, fiber, level, rank}, run the verb's body
-(args, ring, doc) -> table lines, which fills in its own fields, emit,
-and save a ring it built to the cache.  Output is JSON (default) or an
-aligned text table; both are byte-stable for a fixed configuration and
-seed.
+(args, ring, doc) -> table lines, which fills in its own fields and
+gives its table lines from a generator, so that only --format table
+renders them, emit, and save a ring it built to the cache.  An array
+with one entry per orbit is a _LazyArray, each entry formed as it is
+written.  Output is JSON (default) or an aligned text table; both are
+byte-stable for a fixed configuration and seed.
 Exit codes: 0 ok, 1 input error, 2 resource cap exceeded, 3 theorem or
 invariant violation (including failed verify-all criteria).
 A process executes only the modules its verb uses: acceptance, cache,
@@ -26,6 +28,7 @@ import importlib.util
 import json
 import os
 import sys
+from functools import partial
 from itertools import chain, islice
 
 from .cyclo import find_prime_ideal, render_cyclotomic
@@ -59,6 +62,27 @@ acceptance = _lazy("acceptance")
 cache = _lazy("cache")
 sp = _lazy("species")
 spc = _lazy("spectrum")
+
+
+class _LazyArray(list):
+    """A JSON array of n items whose item i is item(i), formed only when
+    the encoder reaches it, so a document never holds them all.  This
+    relies on _emit's JSONEncoder.iterencode running CPython's
+    pure-Python encoder (json.encoder._make_iterencode), which takes the
+    array's len() and iterates it; the C encoder would read the list's
+    own storage, which is empty.  item must only format values computed
+    before the first byte is written, so that an error still leaves no
+    partial document."""
+
+    def __init__(self, n, item):
+        super().__init__()
+        self._n, self._item = n, item
+
+    def __len__(self):
+        return self._n
+
+    def __iter__(self):
+        return map(self._item, range(self._n))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,9 +135,9 @@ def _parser():
 def _run_ring_verb(args, body):
     """The protocol of every ring verb: load the ring from --cache-dir or
     build it, fill the envelope, let the verb's body add its fields and
-    give its table lines, emit, and save the ring to the cache if this
-    call built it.  A cache that cannot be written costs a notice on
-    stderr, not the exit code."""
+    give its table lines (a generator), emit, and save the ring to the
+    cache if this call built it.  A cache that cannot be written costs a
+    notice on stderr, not the exit code."""
     ring = None
     if args.cache_dir:
         ring = cache.load_session(args.cache_dir, args.group, args.fiber)
@@ -154,13 +178,15 @@ def _emit(args, doc, table_lines):
 
 
 def cmd_basis(args, ring, doc):
-    doc["orbits"] = [ring.orbit_descriptor(i) for i in range(ring.rank)]
-    lines = [f"rank {ring.rank}  level {ring.level}"]
-    for i, o in enumerate(doc["orbits"]):
-        gens = ",".join(o["subgroup"]["generators"]) or "1"
-        lines.append(f"b{i:<3} order {o['subgroup']['order']:<4}"
-                     f" size {o['orbit_size']:<4} [{gens} | {o['hom']['images']}]")
-    return lines
+    doc["orbits"] = _LazyArray(ring.rank, ring.orbit_descriptor)
+
+    def lines():
+        yield f"rank {ring.rank}  level {ring.level}"
+        for i, o in enumerate(doc["orbits"]):
+            gens = ",".join(o["subgroup"]["generators"]) or "1"
+            yield (f"b{i:<3} order {o['subgroup']['order']:<4}"
+                   f" size {o['orbit_size']:<4} [{gens} | {o['hom']['images']}]")
+    return lines()
 
 
 def cmd_multiply(args, ring, doc):
@@ -171,29 +197,33 @@ def cmd_multiply(args, ring, doc):
     doc["left"] = args.left
     doc["right"] = args.right
     doc["product"] = prod.to_json()
-    return [f"b{args.left} * b{args.right} ="] + [
-        f"  {render_cyclotomic(prod.coeffs[k]):>8} * b{k}" for k in prod.support()
-    ]
+
+    def lines():
+        yield f"b{args.left} * b{args.right} ="
+        for k in prod.support():
+            yield f"  {render_cyclotomic(prod.coeffs[k]):>8} * b{k}"
+    return lines()
 
 
 def cmd_species(args, ring, doc):
     table = sp.species_table(ring)
-    doc["rows"] = [sp.dual_descriptor(ring, d) for d in range(ring.rank)]
-    doc["cols"] = [ring.orbit_descriptor(i) for i in range(ring.rank)]
-    doc["values"] = [[v.to_json() for v in row] for row in table]
-    width = max((len(render_cyclotomic(v)) for row in table for v in row),
-                default=1)
-    return [" ".join(f"{render_cyclotomic(v):>{width}}" for v in row)
-            for row in table]
+    doc["rows"] = _LazyArray(ring.rank, partial(sp.dual_descriptor, ring))
+    doc["cols"] = _LazyArray(ring.rank, ring.orbit_descriptor)
+    doc["values"] = _LazyArray(ring.rank, lambda d: [v.to_json() for v in table[d]])
+
+    def lines():
+        width = max((len(render_cyclotomic(v)) for row in table for v in row),
+                    default=1)
+        for row in table:
+            yield " ".join(f"{render_cyclotomic(v):>{width}}" for v in row)
+    return lines()
 
 
 def cmd_idempotents(args, ring, doc):
     elems = [sp.idempotent(ring, d) for d in range(ring.rank)]
-    doc["idempotents"] = [
-        {"dual": sp.dual_descriptor(ring, d), "element": e.to_json()}
-        for d, e in enumerate(elems)
-    ]
-    return [f"e{d} = {e.render()}" for d, e in enumerate(elems)]
+    doc["idempotents"] = _LazyArray(ring.rank, lambda d: {
+        "dual": sp.dual_descriptor(ring, d), "element": elems[d].to_json()})
+    return (f"e{d} = {e.render()}" for d, e in enumerate(elems))
 
 
 def cmd_spectrum(args, ring, doc):
@@ -213,33 +243,34 @@ def cmd_spectrum(args, ring, doc):
     doc["regular_representatives"] = (
         list(part.regular_representatives)
         if part.regular_representatives is not None else None)
-    doc["dual_orbits"] = [sp.dual_descriptor(ring, d) for d in range(ring.rank)]
-    lines = [f"characteristic {characteristic}: "
-             f"{len(part.classes)} classes"]
-    for i, c in enumerate(part.classes):
-        rep = ("" if part.regular_representatives is None
-               else f"  regular rep d{part.regular_representatives[i]}")
-        lines.append(f"  class {i}: {list(c)}{rep}")
-    return lines
+    doc["dual_orbits"] = _LazyArray(ring.rank, partial(sp.dual_descriptor, ring))
+
+    def lines():
+        yield f"characteristic {characteristic}: {len(part.classes)} classes"
+        for i, c in enumerate(part.classes):
+            rep = ("" if part.regular_representatives is None
+                   else f"  regular rep d{part.regular_representatives[i]}")
+            yield f"  class {i}: {list(c)}{rep}"
+    return lines()
 
 
 def cmd_blocks(args, ring, doc):
-    comps = spc.components(ring)
-    doc["blocks"] = []
-    lines = [f"{len(comps)} blocks"]
-    for comp in comps:
-        e = spc.block_idempotent(ring, comp)
-        basis = spc.block_basis(ring, comp)
-        doc["blocks"].append({
-            "perfect": ring.subgroup_descriptor(comp.perfect_id),
-            "dual_orbits": list(comp.dual_orbits),
-            "basis_orbits": list(comp.basis_orbits),
-            "idempotent": e.to_json(),
-            "basis": [x.to_json() for x in basis],
-        })
-        lines.append(f"block J order {ring.lattice.subgroups[comp.perfect_id].order}:"
-                     f" rank {len(comp.basis_orbits)}, e = {e.render()}")
-    return lines
+    blocks = [(comp, spc.block_idempotent(ring, comp), spc.block_basis(ring, comp))
+              for comp in spc.components(ring)]
+    doc["blocks"] = [{
+        "perfect": ring.subgroup_descriptor(comp.perfect_id),
+        "dual_orbits": list(comp.dual_orbits),
+        "basis_orbits": list(comp.basis_orbits),
+        "idempotent": e.to_json(),
+        "basis": _LazyArray(len(basis), lambda i, basis=basis: basis[i].to_json()),
+    } for comp, e, basis in blocks]
+
+    def lines():
+        yield f"{len(blocks)} blocks"
+        for comp, e, _ in blocks:
+            yield (f"block J order {ring.lattice.subgroups[comp.perfect_id].order}:"
+                   f" rank {len(comp.basis_orbits)}, e = {e.render()}")
+    return lines()
 
 
 def _resolve_perfect(ring, selector):
@@ -259,19 +290,21 @@ def _resolve_perfect(ring, selector):
 
 def cmd_weyl(args, ring, doc):
     jid = _resolve_perfect(ring, args.perfect)
-    iso = spc.weyl_block_iso(ring, jid)
+    iso = spc.weyl_block_iso(ring, jid, products=False)
+    wring = iso.weyl_ring
     doc["perfect"] = ring.subgroup_descriptor(jid)
-    doc["weyl_group_order"] = iso.weyl_ring.group.order
-    doc["bijection"] = [
-        {"weyl_orbit": iso.weyl_ring.orbit_descriptor(w), "orbit": ring.orbit_descriptor(g)}
-        for w, g in iso.bijection
-    ]
+    doc["weyl_group_order"] = wring.group.order
+    doc["bijection"] = _LazyArray(len(iso.bijection), lambda i: {
+        "weyl_orbit": wring.orbit_descriptor(iso.bijection[i][0]),
+        "orbit": ring.orbit_descriptor(iso.bijection[i][1])})
     doc["verified"] = True
-    lines = [f"W = N(J)/J of order {iso.weyl_ring.group.order}; "
-             f"block rank {len(iso.bijection)}; verified"]
-    for w, g in iso.bijection:
-        lines.append(f"  w{w} -> b{g}")
-    return lines
+
+    def lines():
+        yield (f"W = N(J)/J of order {wring.group.order}; "
+               f"block rank {len(iso.bijection)}; verified")
+        for w, g in iso.bijection:
+            yield f"  w{w} -> b{g}"
+    return lines()
 
 
 def cmd_verify_all(args):

@@ -4,9 +4,13 @@ A basis element is the conjugation orbit of a monomial pair (H, phi)
 with H a subgroup and phi a homomorphism from H into the fiber.  Orbits
 are keyed canonically: the subgroup is the class representative of its
 conjugacy class, and among the homomorphisms in the normalizer orbit
-the one whose values over the representative's sorted elements are
+the one whose values at the representative's generators are
 lexicographically least wins, and a pair is named by reading its
 homomorphism at the representative's probes (HomGroup.index_at).
+The generators are greedy over the sorted elements, so every element
+lies in the subgroup generated by the generators before it, two
+homomorphisms first differ at a generator, and this is the order of
+the values over all the sorted elements.
 Products follow the double coset formula and are memoized as integer
 structure constants.
 """
@@ -193,9 +197,9 @@ class FiberedBurnsideRing:
         def orbit_data(rep):
             hg = self.hom_group(rep)
             action = self.hom_action(rep)
-            elems, factors = self.lattice.subgroups[rep].sorted_elems, hg.factors
-            return (range(hg.size), lambda n, k: action[n][k], lambda k: [
-                tuple(map(int.__mod__, v, factors)) for v in map(hg.function(k), elems)])
+            gens = self.lattice.subgroups[rep].gens
+            return (range(hg.size), lambda n, k: action[n][k],
+                    lambda k: [hg.value(k, g) for g in gens])
 
         self.basis = StandardBasis(*self.normalizer_orbits(PairOrbit, orbit_data))
 

@@ -310,12 +310,37 @@ def weyl_ring(ring, perfect_id):
     return wring, onto
 
 
-def weyl_block_iso(ring, perfect_id):
+def weyl_block_iso(ring, perfect_id, products=True):
     """The inflation bijection between the solvable block of the Weyl
-    ring at J and the J-block of the ambient ring.
+    ring at J and the J-block of the ambient ring, checked to be a ring
+    isomorphism by species rows.
 
-    Every mismatch (non-bijectivity, a structure constant, the image of
-    the solvable block idempotent) raises a theorem violation.
+    Inflation takes the Weyl basis orbit [S/J, phi] to [S, phi o onto],
+    and f(x) = infl(x) e_J extends it linearly to the span of the Weyl
+    block's basis orbits, which holds its block idempotent e_W (the
+    Gluck sum reaches only subgroups of solvable subgroups).  The check:
+    the ambient species table's rows over the J-component's dual orbits,
+    read at the image orbits, and the Weyl ring's rows over its solvable
+    block's dual orbits, read at the Weyl block's orbits, are pairwise
+    distinct and the same set.  So each dual d of the component has one
+    dual d' of the Weyl block with s_d o f = s_d' (s_d(e_J) = 1 on the
+    component), and d -> d' is a bijection.  That suffices:
+    - the species are ring maps, so s_d(f(xy)) = s_d'(x) s_d'(y)
+      = s_d(f(x) f(y)) for every d, and the component's species
+      separate the points of the J-block, so f(xy) = f(x) f(y);
+    - s_d(f(e_W)) = s_d'(e_W) = 1 = s_d(e_J), so f(e_W) = e_J;
+    - f(x) = 0 exactly when every species of the Weyl block vanishes at
+      x, that is when x e_W = 0, so f is injective on the Weyl block,
+      and onto the J-block, the two ranks being equal.
+    This forms no block idempotent, element or product.  It assumes the
+    species are ring maps (criteria 1 and 4 check that), so a wrong
+    structure constant passes it; products=True adds the oracle that
+    does not, f multiplied out on every pair of Weyl block orbits and
+    f(e_W) = e_J compared.
+
+    Every mismatch (non-bijectivity, a species row, a structure
+    constant, the image of the solvable block idempotent) raises a
+    theorem violation.
     """
     lattice = ring.lattice
     if lattice.derived_id(perfect_id) != perfect_id:
@@ -323,7 +348,6 @@ def weyl_block_iso(ring, perfect_id):
     if lattice.class_rep(perfect_id) != perfect_id:
         raise InputError("perfect subgroup must be a class representative")
     comp = next(c for c in components(ring) if c.perfect_id == perfect_id)
-    e_j = block_idempotent(ring, comp)
 
     wring, onto = weyl_ring(ring, perfect_id)
     fibers_of = {}
@@ -332,7 +356,6 @@ def weyl_block_iso(ring, perfect_id):
 
     wcomp = next(c for c in components(wring)
                  if c.perfect_id == wring.lattice.trivial_id())
-    e_w1 = block_idempotent(wring, wcomp)
 
     # basis bijection through inflation
     mapping = []
@@ -350,8 +373,22 @@ def weyl_block_iso(ring, perfect_id):
         raise TheoremViolationError("inflation map misses part of the block")
 
     iso = WeylBlockIso(wring, tuple(mapping))
-    _check_weyl_multiplicative(ring, iso, e_j, e_w1, wcomp)
+    _check_weyl_species(ring, iso, comp, wcomp)
+    if products:
+        _check_weyl_multiplicative(ring, iso, comp, wcomp)
     return iso
+
+
+def _check_weyl_species(ring, iso, comp, wcomp):
+    table = species_mod.species_table(ring)
+    wtable = species_mod.species_table(iso.weyl_ring)
+    rows = {tuple(table[d][g] for _, g in iso.bijection) for d in comp.dual_orbits}
+    wrows = {tuple(wtable[d][b] for b, _ in iso.bijection) for d in wcomp.dual_orbits}
+    if len(rows) != len(comp.dual_orbits) or len(wrows) != len(wcomp.dual_orbits):
+        raise TheoremViolationError("two species of a block agree on its basis orbits")
+    if rows != wrows:
+        raise TheoremViolationError(
+            "inflation does not carry the Weyl block's species onto the J-block's")
 
 
 def _apply_inflation(ring, iso, welem):
@@ -369,8 +406,10 @@ def _apply_inflation(ring, iso, welem):
     return ring.element_from_ints(out)
 
 
-def _check_weyl_multiplicative(ring, iso, e_j, e_w1, wcomp):
+def _check_weyl_multiplicative(ring, iso, comp, wcomp):
     wring = iso.weyl_ring
+    e_j = block_idempotent(ring, comp)
+    e_w1 = block_idempotent(wring, wcomp)
     lut = dict(iso.bijection)
     # the image b.e_J of each block orbit, computed once for all pairs
     image = {b: ring.multiply(ring.basis_element(lut[b]), e_j)

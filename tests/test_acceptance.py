@@ -68,6 +68,19 @@ def test_criterion_8_weyl_isomorphism(session):
     _report(acceptance.criterion_weyl_isomorphism(session))
 
 
+def test_criterion_8_runs_the_product_check(monkeypatch):
+    # fbr weyl checks the Weyl map by species rows alone; criterion 8
+    # adds the pairwise product check, the oracle that reads the
+    # structure constants
+    def planted(ring, iso, comp, wcomp):
+        raise TheoremViolationError("planted in the product check")
+
+    monkeypatch.setattr(spc, "_check_weyl_multiplicative", planted)
+    result = acceptance.criterion_weyl_isomorphism(acceptance.Session(("A5",), ("1",)))
+    assert not result["passed"]
+    assert result["detail"] == "A5/1: planted in the product check"
+
+
 def test_criterion_9_determinism(session):
     _report(acceptance.criterion_determinism(acceptance.DEFAULT_SEED))
 

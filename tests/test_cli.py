@@ -8,17 +8,18 @@ import shlex
 import shutil
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
 
-from fbr import abelian, cache
+from fbr import abelian, cache, cli
 from fbr.abelian import parse_fiber_spec
 from fbr.acceptance import CATALOG_FIBERS, CATALOG_GROUPS
-from fbr.cli import main
+from fbr.cli import _emit, _LazyArray, main
 from fbr.errors import InvariantViolationError
 from fbr.perm import SubgroupLattice, parse_group_spec
-from fbr.ring import FiberedBurnsideRing, build_ring
+from fbr.ring import FiberedBurnsideRing, RingElement, build_ring
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
 
@@ -204,8 +205,8 @@ def test_document_digest_golden(capsys, argv):
     # documents too large to keep whole: species, idempotents and spectrum
     # at every p dividing |G|, whose dual order and character descriptors
     # (order, hom_generators, exponents) the table goldens do not show,
-    # and basis, whose orbit order and canonical homomorphisms they do
-    # not show either
+    # basis, whose orbit order and canonical homomorphisms they do not
+    # show either, and weyl, whose bijection they show by index only
     code, out = run(capsys, *shlex.split(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["digests"][argv]
@@ -794,6 +795,71 @@ def test_documents_are_written_in_bounded_batches(tmp_path, monkeypatch):
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
         assert max(out.writes) <= 65536
         assert len(out.writes) <= -(-len(text) // 65536) + 1
+
+
+def test_lazy_array_is_formed_as_it_is_written(monkeypatch):
+    # _emit writes a document holding a lazy array exactly as json.dumps
+    # writes the eager list, forming each item once, in order, and not
+    # all of them before the first write
+    n = 3000
+    formed = []
+
+    def item(i):
+        formed.append(i)
+        return {"index": i, "name": f"item {i:>40}"}
+
+    class Recording(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.formed_at_write = []
+
+        def write(self, text):
+            self.formed_at_write.append(len(formed))
+            return super().write(text)
+
+    doc = {"rank": n, "items": _LazyArray(n, item), "empty": _LazyArray(0, item)}
+    eager = {"rank": n, "items": [item(i) for i in range(n)], "empty": []}
+    formed.clear()
+    out = Recording()
+    monkeypatch.setattr(sys, "stdout", out)
+    _emit(Namespace(format="json"), doc, iter(()))
+    assert out.getvalue() == json.dumps(eager, sort_keys=True, indent=2) + "\n"
+    assert formed == list(range(n))
+    assert len(out.formed_at_write) > 1 and out.formed_at_write[0] < n
+    # the encoder _emit runs forms item i only after it has yielded item i - 1
+    # and before it yields item i
+    pieces = []
+    seen = []
+
+    def marked(i):
+        seen.append("".join(pieces))
+        return f"item {i}"
+
+    for piece in json.JSONEncoder(sort_keys=True, indent=2).iterencode(
+            {"items": _LazyArray(4, marked)}):
+        pieces.append(piece)
+    assert len(seen) == 4
+    for i, before in enumerate(seen):
+        assert f'"item {i}"' not in before
+        assert i == 0 or f'"item {i - 1}"' in before
+
+
+def test_json_documents_render_no_table_line(monkeypatch, capsys):
+    # a JSON call forms none of its table lines: rendering a cyclotomic
+    # value or an element is refused, and every ring verb still succeeds
+    def refuse(*args):
+        raise AssertionError("a table line was rendered")
+
+    monkeypatch.setattr(cli, "render_cyclotomic", refuse)
+    monkeypatch.setattr(RingElement, "render", refuse)
+    for verb in RING_VERBS:
+        code, out = run(capsys, *verb, "--group", "S5", "--fiber", "2")
+        assert code == 0
+        assert json.loads(out)["command"] == verb[0]
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "render_cyclotomic", refuse)
+    with pytest.raises(AssertionError, match="table line"):
+        main(["species", "--group", "S3", "--fiber", "2", "--format", "table"])
 
 
 def test_cache_from_cli(tmp_path, capsys):

@@ -12,7 +12,7 @@ from fbr.acceptance import CATALOG_GROUPS
 from fbr.arith import factorint
 from fbr.cyclo import Cyclotomic, find_prime_ideal, prime_ideals
 from fbr.errors import InputError, TheoremViolationError
-from fbr.ring import build_ring
+from fbr.ring import FiberedBurnsideRing, build_ring
 from oracles import (block_idempotent_by_primitives, character_values,
                      characters_by_digits, conj_values_map, digits_of_values, dual_orbits_by_values, index_of_map,
                      p_perfect_lift_by_values, p_prime_part_of_values,
@@ -622,3 +622,70 @@ def test_weyl_iso_rejects_non_perfect(ring_factory):
     c2 = next(s.id for s in ring.lattice.subgroups if s.order == 2)
     with pytest.raises(InputError):
         spc.weyl_block_iso(ring, c2)
+
+
+def perfect_of_order(ring, order):
+    return next(j for j in ring.lattice.perfect_class_reps()
+                if ring.lattice.subgroups[j].order == order)
+
+
+WEYL_CASES = [("S4", "2x2", 1), (C2CUBED, "2x2", 1), (GL32, "1", 1), ("S5", "2", 60)]
+
+
+@pytest.mark.parametrize("spec,fiber,order", WEYL_CASES)
+def test_weyl_species_check_agrees_with_product_check(ring_factory, spec, fiber, order):
+    ring = ring_factory(spec, fiber)
+    jid = perfect_of_order(ring, order)
+    by_species = spc.weyl_block_iso(ring, jid, products=False)
+    by_products = spc.weyl_block_iso(ring, jid, products=True)
+    assert by_species.bijection == by_products.bijection
+    assert len(by_species.bijection) > 2
+
+
+@pytest.mark.parametrize("spec,fiber,order", [("S4", "2x2", 1), ("S5", "2", 60)])
+def test_weyl_species_check_rejects_swapped_images(ring_factory, monkeypatch,
+                                                   spec, fiber, order):
+    # two images of the bijection exchanged: still a bijection onto the
+    # block, but no ring map on a block of rank > 2
+    ring = ring_factory(spec, fiber)
+    jid = perfect_of_order(ring, order)
+    (_, a), (_, b) = spc.weyl_block_iso(ring, jid, products=False).bijection[:2]
+    canonicalize_pair = ring.canonicalize_pair
+
+    def swapped(sid, value):
+        k = canonicalize_pair(sid, value)
+        return {a: b, b: a}.get(k, k)
+
+    monkeypatch.setattr(ring, "canonicalize_pair", swapped)
+    with pytest.raises(TheoremViolationError, match="species"):
+        spc.weyl_block_iso(ring, jid, products=False)
+
+
+def test_weyl_product_check_catches_a_wrong_structure_constant(monkeypatch):
+    # the species check reads no structure constant, so a wrong one that
+    # the product check reads passes it; products=True is its oracle
+    ring = build_ring("S4", "2")
+    jid = ring.lattice.trivial_id()
+    a = spc.weyl_block_iso(ring, jid, products=False).bijection[0][1]
+    structure_constants = ring.structure_constants
+
+    def planted(i, j):
+        (k, c), *rest = structure_constants(i, j)
+        return ((k, c + 1), *rest) if (i, j) == (a, a) else ((k, c), *rest)
+
+    monkeypatch.setattr(ring, "structure_constants", planted)
+    spc.weyl_block_iso(ring, jid, products=False)
+    with pytest.raises(TheoremViolationError, match="multiplicative"):
+        spc.weyl_block_iso(ring, jid, products=True)
+
+
+def test_weyl_species_check_forms_no_product(monkeypatch):
+    # products=False forms no block idempotent and multiplies nothing
+    def refuse(*args):
+        raise AssertionError("the species check formed a product")
+
+    monkeypatch.setattr(FiberedBurnsideRing, "multiply", refuse)
+    monkeypatch.setattr(spc, "block_idempotent", refuse)
+    ring = build_ring("S5", "2")
+    for jid in ring.lattice.perfect_class_reps():
+        assert spc.weyl_block_iso(ring, jid, products=False).bijection
