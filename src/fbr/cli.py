@@ -75,7 +75,6 @@ class _LazyArray(list):
     partial document."""
 
     def __init__(self, n, item):
-        super().__init__()
         self._n, self._item = n, item
 
     def __len__(self):

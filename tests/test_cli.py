@@ -856,8 +856,6 @@ def test_json_documents_render_no_table_line(monkeypatch, capsys):
         code, out = run(capsys, *verb, "--group", "S5", "--fiber", "2")
         assert code == 0
         assert json.loads(out)["command"] == verb[0]
-    monkeypatch.undo()
-    monkeypatch.setattr(cli, "render_cyclotomic", refuse)
     with pytest.raises(AssertionError, match="table line"):
         main(["species", "--group", "S3", "--fiber", "2", "--format", "table"])
 
